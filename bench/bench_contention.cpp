@@ -8,9 +8,9 @@
 //       sys_contention must land on the seeded resource, and the seeded
 //       row must count every blocked worker;
 //   (c) dormant overhead — NodeCache reads with the heat tracker wired
-//       but disabled vs never wired at all, interleaved min-of-rounds
-//       (the bench_obs_overhead pattern): the disarmed gate must cost
-//       < 5% (plus 1 ms absolute slack). Sanitizer builds skip the
+//       but disabled vs never wired at all, interleaved ABBA
+//       min-of-rounds (bench::InterleavedMinMs): the disarmed gate must
+//       cost < 5% (plus 1 ms absolute slack). Sanitizer builds skip the
 //       percentage gate — instrumentation skews the two loops unevenly —
 //       but still run the loops.
 // `--smoke` shrinks the workload for the ctest smoke label; `--out FILE`
@@ -223,15 +223,11 @@ void CheckDormantOverhead(Results* r) {
   CacheStack plain(nullptr);
   CacheStack wired(&tracker);
 
-  // Warm, then interleave so clock drift hits both stacks equally.
-  plain.ReadRoundMs();
-  wired.ReadRoundMs();
-  for (int round = 0; round < g_cache_rounds; ++round) {
-    const double t_wired = wired.ReadRoundMs();
-    const double t_plain = plain.ReadRoundMs();
-    if (round == 0 || t_wired < r->wired_ms) r->wired_ms = t_wired;
-    if (round == 0 || t_plain < r->plain_ms) r->plain_ms = t_plain;
-  }
+  const bench::MinRounds t = bench::InterleavedMinMs(
+      g_cache_rounds, [&wired] { return wired.ReadRoundMs(); },
+      [&plain] { return plain.ReadRoundMs(); });
+  r->wired_ms = t.a_ms;
+  r->plain_ms = t.b_ms;
   r->overhead_pct = (r->wired_ms - r->plain_ms) / r->plain_ms * 100.0;
   const double overhead_ms = r->wired_ms - r->plain_ms;
 
@@ -245,16 +241,7 @@ void CheckDormantOverhead(Results* r) {
               bench::Fmt(r->overhead_pct, 2).c_str(),
               bench::Fmt(overhead_ms, 3).c_str());
 
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-  constexpr bool kSanitized = true;
-#elif defined(__has_feature)
-  constexpr bool kSanitized = __has_feature(address_sanitizer) ||
-                              __has_feature(thread_sanitizer) ||
-                              __has_feature(undefined_behavior_sanitizer);
-#else
-  constexpr bool kSanitized = false;
-#endif
-  if (!kSanitized && r->overhead_pct >= 5.0 && overhead_ms >= 1.0) {
+  if (!bench::kSanitized && r->overhead_pct >= 5.0 && overhead_ms >= 1.0) {
     std::fprintf(stderr, "FATAL: dormant heat tracking costs %.2f%%, "
                  "exceeds the 5%% target\n", r->overhead_pct);
     r->ok = false;

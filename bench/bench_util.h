@@ -85,6 +85,51 @@ inline std::string Fmt(double value, int decimals = 1) {
   return buffer;
 }
 
+// True in sanitizer builds. Instrumentation slows the two sides of an
+// overhead comparison unevenly, so percentage gates only mean something on
+// plain builds; benches skip them here and still run their accounting
+// cross-checks.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+inline constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+inline constexpr bool kSanitized = __has_feature(address_sanitizer) ||
+                                   __has_feature(thread_sanitizer) ||
+                                   __has_feature(undefined_behavior_sanitizer);
+#else
+inline constexpr bool kSanitized = false;
+#endif
+
+// The fastest round of each side of an A/B timing, in ms.
+struct MinRounds {
+  double a_ms = 0;
+  double b_ms = 0;
+};
+
+// Times two configurations of one workload. `round_a` and `round_b` each
+// switch to their configuration, run one round, and return its wall time
+// in ms. One warm-up round each, then `rounds` rounds interleaved in ABBA
+// order (a/b, b/a, ...) so periodic machine costs land on both sides
+// evenly; the minimum per side discards the outliers.
+template <typename RoundA, typename RoundB>
+MinRounds InterleavedMinMs(int rounds, RoundA&& round_a, RoundB&& round_b) {
+  round_a();
+  round_b();
+  MinRounds out;
+  for (int round = 0; round < rounds; ++round) {
+    double t_a = 0, t_b = 0;
+    if (round % 2 == 0) {
+      t_a = round_a();
+      t_b = round_b();
+    } else {
+      t_b = round_b();
+      t_a = round_a();
+    }
+    if (round == 0 || t_a < out.a_ms) out.a_ms = t_a;
+    if (round == 0 || t_b < out.b_ms) out.b_ms = t_b;
+  }
+  return out;
+}
+
 }  // namespace bench
 }  // namespace grtdb
 

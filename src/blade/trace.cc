@@ -21,8 +21,7 @@ uint64_t ThisThreadId() {
 
 }  // namespace
 
-TraceFacility::TraceFacility(size_t capacity)
-    : ring_capacity_(capacity == 0 ? 1 : capacity) {}
+TraceFacility::TraceFacility(size_t capacity) : ring_(capacity) {}
 
 void TraceFacility::SetClass(std::string_view trace_class, int level) {
   if (level < 0) level = 0;
@@ -84,65 +83,40 @@ void TraceFacility::Append(std::string_view trace_class, int level,
 
   std::lock_guard<std::mutex> lock(mu_);
   record.seq = next_seq_++;
-  if (ring_.size() < ring_capacity_) {
-    // Still growing toward capacity; records are in order, head stays 0.
-    ring_.push_back(std::move(record));
-    ring_size_ = ring_.size();
-    return;
+  if (ring_.Push(std::move(record))) {
+    dropped_.fetch_add(1, std::memory_order_relaxed);
   }
-  // Full: overwrite the oldest slot and advance the head.
-  ring_[ring_head_] = std::move(record);
-  ring_head_ = (ring_head_ + 1) % ring_capacity_;
-  dropped_.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::vector<std::string> TraceFacility::log() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> out;
-  out.reserve(ring_size_);
-  for (size_t i = 0; i < ring_size_; ++i) {
-    const TraceRecord& r = ring_[(ring_head_ + i) % ring_.size()];
+  out.reserve(ring_.size());
+  ring_.ForEach([&out](const TraceRecord& r) {
     out.push_back(r.trace_class + " " + std::to_string(r.level) + ": " +
                   r.message);
-  }
+  });
   return out;
 }
 
 std::vector<TraceRecord> TraceFacility::records() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<TraceRecord> out;
-  out.reserve(ring_size_);
-  for (size_t i = 0; i < ring_size_; ++i) {
-    out.push_back(ring_[(ring_head_ + i) % ring_.size()]);
-  }
-  return out;
+  return ring_.Snapshot();
 }
 
 void TraceFacility::SetCapacity(size_t capacity) {
-  if (capacity == 0) capacity = 1;
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<TraceRecord> kept;
-  const size_t keep = ring_size_ < capacity ? ring_size_ : capacity;
-  kept.reserve(keep);
-  for (size_t i = ring_size_ - keep; i < ring_size_; ++i) {
-    kept.push_back(std::move(ring_[(ring_head_ + i) % ring_.size()]));
-  }
-  ring_ = std::move(kept);
-  ring_capacity_ = capacity;
-  ring_head_ = 0;
-  ring_size_ = ring_.size();
+  ring_.Resize(capacity);
 }
 
 size_t TraceFacility::capacity() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return ring_capacity_;
+  return ring_.capacity();
 }
 
 void TraceFacility::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  ring_.clear();
-  ring_head_ = 0;
-  ring_size_ = 0;
+  ring_.Clear();
   dropped_.store(0, std::memory_order_relaxed);
 }
 

@@ -9,6 +9,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/bounded_ring.h"
+
 namespace grtdb {
 
 // One emitted trace message with its capture context.
@@ -97,11 +99,8 @@ class TraceFacility {
   std::atomic<int> enabled_count_{0};
   std::atomic<uint64_t> dropped_{0};
 
-  mutable std::mutex mu_;      // guards the ring and slot registration
-  std::vector<TraceRecord> ring_;
-  size_t ring_capacity_;
-  size_t ring_head_ = 0;       // index of the oldest record
-  size_t ring_size_ = 0;
+  mutable std::mutex mu_;  // guards the ring and slot registration
+  BoundedRing<TraceRecord> ring_;
   uint64_t next_seq_ = 0;
 };
 

@@ -12,8 +12,8 @@ namespace obs {
 
 // The flight recorder's entire event vocabulary. Every event ID lives in
 // this one enum and renders through FlightEventName(); emission sites must
-// pass an enumerator, never a raw number (grtdb_lint's flight-event rule
-// rejects numeric first arguments to RecordEvent).
+// pass an enumerator, never a raw number (grtdb_analyze's flight-event
+// rule rejects numeric first arguments to RecordEvent).
 enum class FlightEvent : uint8_t {
   kTxnBegin = 0,     // a = txn id
   kTxnCommit,        // a = txn id

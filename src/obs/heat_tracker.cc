@@ -43,11 +43,13 @@ void HeatTracker::RecordAccess(uint32_t store, uint64_t node,
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.nodes.find(key);
   if (it == shard.nodes.end()) {
-    if (admitted_.load(std::memory_order_relaxed) >= max_nodes_) {
+    // Reserve the slot and check in one step: a separate check and
+    // increment lets concurrent admissions in other shards overshoot.
+    if (admitted_.fetch_add(1, std::memory_order_relaxed) >= max_nodes_) {
+      admitted_.fetch_sub(1, std::memory_order_relaxed);
       dropped_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    admitted_.fetch_add(1, std::memory_order_relaxed);
     it = shard.nodes.emplace(key, NodeHeat{}).first;
     it->second.epoch = epoch;
   }
@@ -100,10 +102,12 @@ std::vector<HotNode> HeatTracker::Snapshot() const {
 
 void HeatTracker::Clear() {
   for (Shard& shard : shards_) {
+    // Uncount each shard under its own lock: zeroing the total after the
+    // loop would forget nodes admitted into already-cleared shards.
     std::lock_guard<std::mutex> lock(shard.mu);
+    admitted_.fetch_sub(shard.nodes.size(), std::memory_order_relaxed);
     shard.nodes.clear();
   }
-  admitted_.store(0, std::memory_order_relaxed);
   dropped_.store(0, std::memory_order_relaxed);
 }
 

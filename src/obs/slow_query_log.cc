@@ -28,29 +28,22 @@ void SlowQueryLog::MaybeRecord(const std::string& sql, uint64_t total_ns,
 
   std::lock_guard<std::mutex> lock(mu_);
   entry.seq = next_seq_++;
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(entry));
-  } else {
-    // Full: overwrite the oldest slot and advance the logical start.
-    ring_[first_] = std::move(entry);
-    first_ = (first_ + 1) % capacity_;
-  }
+  ring_.Push(std::move(entry));
 }
 
 std::vector<SlowQueryEntry> SlowQueryLog::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<SlowQueryEntry> out;
-  out.reserve(ring_.size());
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(first_ + i) % ring_.size()]);
-  }
-  return out;
+  return ring_.Snapshot();
 }
 
 void SlowQueryLog::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  ring_.clear();
-  first_ = 0;
+  ring_.Clear();
+}
+
+size_t SlowQueryLog::capacity() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return ring_.capacity();
 }
 
 }  // namespace obs

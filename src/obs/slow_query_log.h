@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bounded_ring.h"
 #include "obs/query_profile.h"
 
 namespace grtdb {
@@ -42,7 +43,7 @@ class SlowQueryLog {
   static constexpr size_t kDefaultCapacity = 64;
 
   explicit SlowQueryLog(size_t capacity = kDefaultCapacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
+      : ring_(capacity) {}
 
   uint64_t threshold_ns() const {
     return threshold_ns_.load(std::memory_order_relaxed);
@@ -64,14 +65,12 @@ class SlowQueryLog {
 
   void Clear();
 
-  size_t capacity() const { return capacity_; }
+  size_t capacity() const;
 
  private:
   std::atomic<uint64_t> threshold_ns_{0};
-  const size_t capacity_;
   mutable std::mutex mu_;
-  std::vector<SlowQueryEntry> ring_;  // ring_[(first_ + i) % size] logical
-  size_t first_ = 0;
+  BoundedRing<SlowQueryEntry> ring_;
   uint64_t next_seq_ = 0;
 };
 

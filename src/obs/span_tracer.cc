@@ -78,40 +78,31 @@ void SpanTracer::Record(const SpanRecord& record) {
   admitted_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
   entry.seq = next_seq_++;
-  if (ring_.size() < capacity_) {
-    ring_.push_back(entry);
-  } else {
-    // Full: overwrite the oldest slot and advance the logical start.
-    ring_[first_] = entry;
-    first_ = (first_ + 1) % capacity_;
-    evicted_.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (ring_.Push(entry)) evicted_.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::vector<SpanRecord> SpanTracer::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<SpanRecord> out;
-  out.reserve(ring_.size());
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(first_ + i) % ring_.size()]);
-  }
-  return out;
+  return ring_.Snapshot();
 }
 
 std::vector<SpanRecord> SpanTracer::SnapshotTrace(uint64_t trace_id) const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<SpanRecord> out;
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    const SpanRecord& r = ring_[(first_ + i) % ring_.size()];
+  ring_.ForEach([&out, trace_id](const SpanRecord& r) {
     if (r.trace_id == trace_id) out.push_back(r);
-  }
+  });
   return out;
 }
 
 void SpanTracer::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  ring_.clear();
-  first_ = 0;
+  ring_.Clear();
+}
+
+size_t SpanTracer::capacity() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return ring_.capacity();
 }
 
 }  // namespace obs

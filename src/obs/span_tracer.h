@@ -7,6 +7,7 @@
 #include <mutex>
 #include <vector>
 
+#include "common/bounded_ring.h"
 #include "obs/fast_clock.h"
 
 namespace grtdb {
@@ -14,8 +15,8 @@ namespace obs {
 
 // The tracer's entire span vocabulary: every phase a request crosses on its
 // way from the wire to the WAL. Like FlightEvent, emission sites must pass
-// an enumerator, never a raw number (grtdb_lint's span-name rule rejects
-// numeric span arguments to SpanScope/TraceScope/EmitSpan).
+// an enumerator, never a raw number (grtdb_analyze's span-name rule
+// rejects numeric span arguments to SpanScope/TraceScope/EmitSpan).
 enum class SpanName : uint8_t {
   kRequest = 0,   // root: one wire request (or embedded Execute)
   kQueueWait,     // accept-queue enqueue -> worker pickup; a = queue depth
@@ -73,7 +74,7 @@ class SpanTracer {
   static constexpr size_t kDefaultCapacity = 4096;
 
   explicit SpanTracer(size_t capacity = kDefaultCapacity)
-      : capacity_(capacity == 0 ? 1 : capacity), base_ticks_(Ticks()) {}
+      : base_ticks_(Ticks()), ring_(capacity) {}
 
   SpanTracer(const SpanTracer&) = delete;
   SpanTracer& operator=(const SpanTracer&) = delete;
@@ -109,10 +110,10 @@ class SpanTracer {
 
   void Clear();
 
-  size_t capacity() const { return capacity_; }
+  size_t capacity() const;
 
   // Spans admitted ever (ring may have evicted older ones) and spans
-  // evicted by ring wrap; their difference is the retained count.
+  // evicted by ring wrap. Clear() resets neither: they count history.
   uint64_t admitted() const { return admitted_.load(std::memory_order_relaxed); }
   uint64_t evicted() const { return evicted_.load(std::memory_order_relaxed); }
 
@@ -134,11 +135,9 @@ class SpanTracer {
   std::atomic<uint64_t> admitted_{0};
   std::atomic<uint64_t> evicted_{0};
 
-  const size_t capacity_;
   const uint64_t base_ticks_;
   mutable std::mutex mu_;
-  std::vector<SpanRecord> ring_;  // ring_[(first_ + i) % size] logical
-  size_t first_ = 0;
+  BoundedRing<SpanRecord> ring_;
   uint64_t next_seq_ = 0;
 };
 

@@ -573,13 +573,7 @@ Status Server::PlanQuery(ServerSession* session, Table* table,
 Status Server::ExecInsert(ServerSession* session, const sql::InsertStmt& stmt,
                           ResultSet* out) {
   Table* table = catalog_.FindTable(stmt.table);
-  if (table == nullptr) {
-    if (IsSystemViewName(stmt.table)) {
-      return Status::InvalidArgument("system view '" + ToLower(stmt.table) +
-                                     "' is read-only");
-    }
-    return Status::NotFound("table '" + stmt.table + "'");
-  }
+  if (table == nullptr) return NoWritableTable(stmt.table);
   if (stmt.values.size() != table->columns().size()) {
     return Status::InvalidArgument("INSERT arity mismatch");
   }
@@ -648,20 +642,23 @@ Status Server::ExecSelect(ServerSession* session, const sql::SelectStmt& stmt,
   Table* table = catalog_.FindTable(stmt.table);
   std::unique_ptr<Table> system_table;
   if (table == nullptr) {
-    // System catalog tables materialize on demand and are read-only.
-    system_table = BuildSystemTable(stmt.table);
-    table = system_table.get();
-  }
-  if (table == nullptr) {
-    // A sys-prefixed name that BuildSystemTable doesn't answer to is almost
-    // certainly a typo'd system view; list what exists instead of the
-    // generic no-such-table error.
-    if (EqualsIgnoreCase(stmt.table.substr(0, 3), "sys")) {
+    const SystemView* view = FindSystemView(stmt.table);
+    if (view != nullptr) {
+      // System views materialize on demand and are read-only.
+      system_table = BuildSystemTable(*view);
+      table = system_table.get();
+    } else if (EqualsIgnoreCase(stmt.table.substr(0, 3), "sys")) {
+      // A sys-prefixed name no view answers to is almost certainly a
+      // typo'd system view; list what exists instead of the generic
+      // no-such-table error.
+      std::vector<std::string> names;
+      for (const SystemView& known : SystemViews()) names.push_back(known.name);
       return Status::NotFound("no system view '" + stmt.table +
                               "'; available system views: " +
-                              Join(SystemTableNames(), ", "));
+                              Join(names, ", "));
+    } else {
+      return Status::NotFound("table '" + stmt.table + "'");
     }
-    return Status::NotFound("table '" + stmt.table + "'");
   }
   // Resolve the projection.
   std::vector<int> projection;
@@ -818,13 +815,7 @@ Status Server::ExecSelect(ServerSession* session, const sql::SelectStmt& stmt,
 Status Server::ExecDelete(ServerSession* session, const sql::DeleteStmt& stmt,
                           ResultSet* out) {
   Table* table = catalog_.FindTable(stmt.table);
-  if (table == nullptr) {
-    if (IsSystemViewName(stmt.table)) {
-      return Status::InvalidArgument("system view '" + ToLower(stmt.table) +
-                                     "' is read-only");
-    }
-    return Status::NotFound("table '" + stmt.table + "'");
-  }
+  if (table == nullptr) return NoWritableTable(stmt.table);
   bool implicit = false;
   GRTDB_RETURN_IF_ERROR(
       txn_manager_.EnsureTxn(&session->txn_session(), &implicit));
@@ -968,13 +959,7 @@ Status Server::ExecDelete(ServerSession* session, const sql::DeleteStmt& stmt,
 Status Server::ExecUpdate(ServerSession* session, const sql::UpdateStmt& stmt,
                           ResultSet* out) {
   Table* table = catalog_.FindTable(stmt.table);
-  if (table == nullptr) {
-    if (IsSystemViewName(stmt.table)) {
-      return Status::InvalidArgument("system view '" + ToLower(stmt.table) +
-                                     "' is read-only");
-    }
-    return Status::NotFound("table '" + stmt.table + "'");
-  }
+  if (table == nullptr) return NoWritableTable(stmt.table);
   // Resolve the assignments.
   std::vector<std::pair<int, Value>> assignments;
   for (const auto& [column, literal] : stmt.assignments) {

@@ -91,11 +91,10 @@ Status Server::ExecUnload(ServerSession* session, const sql::UnloadStmt& stmt,
   Table* table = catalog_.FindTable(stmt.table);
   std::unique_ptr<Table> system_table;
   if (table == nullptr) {
-    system_table = BuildSystemTable(stmt.table);
+    const SystemView* view = FindSystemView(stmt.table);
+    if (view == nullptr) return Status::NotFound("table '" + stmt.table + "'");
+    system_table = BuildSystemTable(*view);
     table = system_table.get();
-  }
-  if (table == nullptr) {
-    return Status::NotFound("table '" + stmt.table + "'");
   }
   std::ofstream file(stmt.path);
   if (!file) {

@@ -224,482 +224,6 @@ Status Server::CloseSession(ServerSession* session) {
   return status;
 }
 
-std::unique_ptr<Table> Server::BuildSystemTable(const std::string& name) {
-  auto text_cols = [](std::initializer_list<const char*> names) {
-    std::vector<ColumnDef> cols;
-    for (const char* col : names) {
-      cols.push_back(ColumnDef{col, TypeDesc::Text()});
-    }
-    return cols;
-  };
-  RecordId ignored;
-  if (EqualsIgnoreCase(name, "systables")) {
-    std::vector<ColumnDef> cols = {{"tabname", TypeDesc::Text()},
-                                   {"ncols", TypeDesc::Integer()},
-                                   {"nrows", TypeDesc::Integer()}};
-    auto table = std::make_unique<Table>(name, std::move(cols));
-    for (const Table* t : catalog_.AllTables()) {
-      Status st = table->Insert(
-          {Value::Text(t->name()),
-           Value::Integer(static_cast<int64_t>(t->columns().size())),
-           Value::Integer(static_cast<int64_t>(t->row_count()))},
-          &ignored);
-      (void)st;
-    }
-    return table;
-  }
-  if (EqualsIgnoreCase(name, "sysams")) {
-    auto table = std::make_unique<Table>(
-        name, text_cols({"amname", "am_sptype", "am_getnext",
-                         "defaultopclass"}));
-    for (const AccessMethodDef* am : catalog_.AllAccessMethods()) {
-      auto purpose = am->purpose_names.find("am_getnext");
-      Status st = table->Insert(
-          {Value::Text(am->name), Value::Text(std::string(1, am->sptype)),
-           Value::Text(purpose != am->purpose_names.end() ? purpose->second
-                                                          : ""),
-           Value::Text(am->default_opclass)},
-          &ignored);
-      (void)st;
-    }
-    return table;
-  }
-  if (EqualsIgnoreCase(name, "sysopclasses")) {
-    auto table = std::make_unique<Table>(
-        name, text_cols({"opclassname", "amname", "strategies", "support"}));
-    for (const OpClassDef* opclass : catalog_.AllOpClasses()) {
-      Status st = table->Insert(
-          {Value::Text(opclass->name), Value::Text(opclass->access_method),
-           Value::Text(Join(opclass->strategies, ", ")),
-           Value::Text(Join(opclass->supports, ", "))},
-          &ignored);
-      (void)st;
-    }
-    return table;
-  }
-  if (EqualsIgnoreCase(name, "sysindices")) {
-    auto table = std::make_unique<Table>(
-        name, text_cols({"idxname", "tabname", "amname", "colname",
-                         "opclassname", "spacename"}));
-    for (const IndexDef* index : catalog_.AllIndexes()) {
-      Status st = table->Insert(
-          {Value::Text(index->name), Value::Text(index->table),
-           Value::Text(index->access_method),
-           Value::Text(Join(index->columns, ", ")),
-           Value::Text(Join(index->opclasses, ", ")),
-           Value::Text(index->space)},
-          &ignored);
-      (void)st;
-    }
-    return table;
-  }
-  if (EqualsIgnoreCase(name, "sysprocedures")) {
-    std::vector<ColumnDef> cols = {{"procname", TypeDesc::Text()},
-                                   {"numargs", TypeDesc::Integer()},
-                                   {"argtypes", TypeDesc::Text()},
-                                   {"rettype", TypeDesc::Text()},
-                                   {"externalname", TypeDesc::Text()}};
-    auto table = std::make_unique<Table>(name, std::move(cols));
-    for (const UdrDef* def : udrs_.AllDefs()) {
-      std::vector<std::string> arg_names;
-      for (const TypeDesc& type : def->arg_types) {
-        arg_names.push_back(types_.NameOf(type));
-      }
-      Status st = table->Insert(
-          {Value::Text(def->name),
-           Value::Integer(static_cast<int64_t>(def->arg_types.size())),
-           Value::Text(Join(arg_names, ", ")),
-           Value::Text(types_.NameOf(def->return_type)),
-           Value::Text(def->external_name)},
-          &ignored);
-      (void)st;
-    }
-    return table;
-  }
-  if (EqualsIgnoreCase(name, "sys_metrics")) {
-    std::vector<ColumnDef> cols = {{"name", TypeDesc::Text()},
-                                   {"kind", TypeDesc::Text()},
-                                   {"value", TypeDesc::Integer()},
-                                   {"count", TypeDesc::Integer()},
-                                   {"sum", TypeDesc::Integer()},
-                                   {"buckets", TypeDesc::Text()}};
-    auto table = std::make_unique<Table>(name, std::move(cols));
-    auto insert = [&](const obs::MetricSample& sample) {
-      Status st = table->Insert(
-          {Value::Text(sample.name), Value::Text(sample.KindName()),
-           Value::Integer(sample.value),
-           Value::Integer(static_cast<int64_t>(sample.count)),
-           Value::Integer(static_cast<int64_t>(sample.sum)),
-           Value::Text(sample.buckets)},
-          &ignored);
-      (void)st;
-    };
-    for (const obs::MetricSample& sample : metrics_.Snapshot()) {
-      insert(sample);
-    }
-    // The trace facility keeps its own counter (the blade layer cannot
-    // depend on the registry); surface it as a synthetic row.
-    obs::MetricSample dropped;
-    dropped.name = "trace.dropped";
-    dropped.kind = obs::MetricSample::Kind::kCounter;
-    dropped.value = static_cast<int64_t>(trace_.dropped());
-    insert(dropped);
-    return table;
-  }
-  if (EqualsIgnoreCase(name, "sys_trace")) {
-    std::vector<ColumnDef> cols = {{"seq", TypeDesc::Integer()},
-                                   {"ts_us", TypeDesc::Integer()},
-                                   {"thread", TypeDesc::Integer()},
-                                   {"class", TypeDesc::Text()},
-                                   {"level", TypeDesc::Integer()},
-                                   {"message", TypeDesc::Text()}};
-    auto table = std::make_unique<Table>(name, std::move(cols));
-    for (const TraceRecord& record : trace_.records()) {
-      Status st = table->Insert(
-          {Value::Integer(static_cast<int64_t>(record.seq)),
-           Value::Integer(record.ts_us),
-           Value::Integer(static_cast<int64_t>(record.thread)),
-           Value::Text(record.trace_class),
-           Value::Integer(record.level), Value::Text(record.message)},
-          &ignored);
-      (void)st;
-    }
-    return table;
-  }
-  if (EqualsIgnoreCase(name, "sys_locks")) {
-    std::vector<ColumnDef> cols = {{"kind", TypeDesc::Text()},
-                                   {"resource", TypeDesc::Integer()},
-                                   {"txn", TypeDesc::Integer()},
-                                   {"mode", TypeDesc::Text()},
-                                   {"depth", TypeDesc::Integer()},
-                                   {"upgrader_waiting", TypeDesc::Integer()},
-                                   {"waiting_exclusive", TypeDesc::Integer()}};
-    auto table = std::make_unique<Table>(name, std::move(cols));
-    auto kind_name = [](ResourceKind kind) -> const char* {
-      switch (kind) {
-        case ResourceKind::kLargeObject: return "large_object";
-        case ResourceKind::kTable: return "table";
-        case ResourceKind::kRow: return "row";
-      }
-      return "?";
-    };
-    for (const LockDumpRow& row : lock_manager_.Dump()) {
-      Status st = table->Insert(
-          {Value::Text(kind_name(row.kind)),
-           Value::Integer(static_cast<int64_t>(row.resource)),
-           Value::Integer(static_cast<int64_t>(row.txn)),
-           Value::Text(row.count == 0
-                           ? ""
-                           : (row.mode == LockMode::kExclusive ? "X" : "S")),
-           Value::Integer(row.count),
-           Value::Integer(row.upgrader_waiting ? 1 : 0),
-           Value::Integer(row.waiting_exclusive)},
-          &ignored);
-      (void)st;
-    }
-    return table;
-  }
-  if (EqualsIgnoreCase(name, "sys_index_stats")) {
-    std::vector<ColumnDef> cols = {{"idxname", TypeDesc::Text()},
-                                   {"amname", TypeDesc::Text()},
-                                   {"level", TypeDesc::Text()},
-                                   {"height", TypeDesc::Integer()},
-                                   {"nodes", TypeDesc::Integer()},
-                                   {"entries", TypeDesc::Integer()},
-                                   {"occupancy", TypeDesc::Float()},
-                                   {"free_list", TypeDesc::Integer()},
-                                   {"dead_entries", TypeDesc::Integer()},
-                                   {"growing_regions", TypeDesc::Integer()},
-                                   {"growing_area", TypeDesc::Float()},
-                                   {"computed_at", TypeDesc::Integer()}};
-    auto table = std::make_unique<Table>(name, std::move(cols));
-    for (const IndexStatsReport& report : AllIndexStats()) {
-      // One summary row (level "all") followed by the walker's per-level
-      // breakdown, root level first.
-      Status st = table->Insert(
-          {Value::Text(report.index), Value::Text(report.access_method),
-           Value::Text("all"), Value::Integer(report.height),
-           Value::Integer(static_cast<int64_t>(report.nodes)),
-           Value::Integer(static_cast<int64_t>(report.entries)),
-           Value::Float(report.occupancy),
-           Value::Integer(static_cast<int64_t>(report.free_list)),
-           Value::Integer(static_cast<int64_t>(report.dead_entries)),
-           Value::Integer(static_cast<int64_t>(report.growing_regions)),
-           Value::Float(report.growing_area),
-           Value::Integer(report.computed_at)},
-          &ignored);
-      (void)st;
-      for (const IndexLevelStats& level : report.levels) {
-        st = table->Insert(
-            {Value::Text(report.index), Value::Text(report.access_method),
-             Value::Text(std::to_string(level.level)),
-             Value::Integer(report.height),
-             Value::Integer(static_cast<int64_t>(level.nodes)),
-             Value::Integer(static_cast<int64_t>(level.entries)),
-             Value::Float(level.occupancy), Value::Integer(0),
-             Value::Integer(0), Value::Integer(0),
-             Value::Float(level.total_area),
-             Value::Integer(report.computed_at)},
-            &ignored);
-        (void)st;
-      }
-    }
-    return table;
-  }
-  if (EqualsIgnoreCase(name, "sys_spans")) {
-    std::vector<ColumnDef> cols = {{"seq", TypeDesc::Integer()},
-                                   {"trace_id", TypeDesc::Integer()},
-                                   {"span_id", TypeDesc::Integer()},
-                                   {"parent_id", TypeDesc::Integer()},
-                                   {"name", TypeDesc::Text()},
-                                   {"start_ns", TypeDesc::Integer()},
-                                   {"dur_ns", TypeDesc::Integer()},
-                                   {"thread", TypeDesc::Integer()},
-                                   {"a", TypeDesc::Integer()},
-                                   {"b", TypeDesc::Integer()}};
-    auto table = std::make_unique<Table>(name, std::move(cols));
-    const uint64_t base = span_tracer_.base_ticks();
-    for (const obs::SpanRecord& span : span_tracer_.Snapshot()) {
-      Status st = table->Insert(
-          {Value::Integer(static_cast<int64_t>(span.seq)),
-           Value::Integer(static_cast<int64_t>(span.trace_id)),
-           Value::Integer(static_cast<int64_t>(span.span_id)),
-           Value::Integer(static_cast<int64_t>(span.parent_id)),
-           Value::Text(obs::SpanNameString(span.name)),
-           Value::Integer(static_cast<int64_t>(
-               obs::TicksToNs(span.start_ticks - base))),
-           Value::Integer(static_cast<int64_t>(
-               obs::TicksToNs(span.end_ticks - span.start_ticks))),
-           Value::Integer(static_cast<int64_t>(span.thread)),
-           Value::Integer(static_cast<int64_t>(span.a)),
-           Value::Integer(static_cast<int64_t>(span.b))},
-          &ignored);
-      (void)st;
-    }
-    return table;
-  }
-  if (EqualsIgnoreCase(name, "sys_slow_queries")) {
-    std::vector<ColumnDef> cols = {{"seq", TypeDesc::Integer()},
-                                   {"session", TypeDesc::Integer()},
-                                   {"trace_id", TypeDesc::Integer()},
-                                   {"total_ns", TypeDesc::Integer()},
-                                   {"rows_scanned", TypeDesc::Integer()},
-                                   {"rows_returned", TypeDesc::Integer()},
-                                   {"node_reads", TypeDesc::Integer()},
-                                   {"cache_hits", TypeDesc::Integer()},
-                                   {"lock_waits", TypeDesc::Integer()},
-                                   {"lock_wait_ns", TypeDesc::Integer()},
-                                   {"purpose_calls", TypeDesc::Text()},
-                                   {"sql", TypeDesc::Text()}};
-    auto table = std::make_unique<Table>(name, std::move(cols));
-    for (const obs::SlowQueryEntry& entry : slow_query_log_.Snapshot()) {
-      // The retained profile's Fig. 6 breakdown, one clause per purpose
-      // function that was actually called: "am_getnext calls=41 us=103".
-      std::string breakdown;
-      for (size_t i = 0; i < obs::kPurposeFnCount; ++i) {
-        if (entry.calls[i] == 0) continue;
-        if (!breakdown.empty()) breakdown += "; ";
-        breakdown += std::string(
-                         obs::PurposeFnName(static_cast<obs::PurposeFn>(i))) +
-                     " calls=" + std::to_string(entry.calls[i]) +
-                     " ns=" + std::to_string(entry.ns[i]);
-      }
-      Status st = table->Insert(
-          {Value::Integer(static_cast<int64_t>(entry.seq)),
-           Value::Integer(static_cast<int64_t>(entry.session_id)),
-           Value::Integer(static_cast<int64_t>(entry.trace_id)),
-           Value::Integer(static_cast<int64_t>(entry.total_ns)),
-           Value::Integer(static_cast<int64_t>(entry.rows_scanned)),
-           Value::Integer(static_cast<int64_t>(entry.rows_returned)),
-           Value::Integer(static_cast<int64_t>(entry.node_reads)),
-           Value::Integer(static_cast<int64_t>(entry.cache_hits)),
-           Value::Integer(static_cast<int64_t>(entry.lock_waits)),
-           Value::Integer(static_cast<int64_t>(entry.lock_wait_ns)),
-           Value::Text(breakdown), Value::Text(entry.sql)},
-          &ignored);
-      (void)st;
-    }
-    return table;
-  }
-  if (EqualsIgnoreCase(name, "sys_prepared")) {
-    std::vector<ColumnDef> cols = {{"session", TypeDesc::Integer()},
-                                   {"name", TypeDesc::Text()},
-                                   {"params", TypeDesc::Integer()},
-                                   {"executions", TypeDesc::Integer()},
-                                   {"plan", TypeDesc::Text()},
-                                   {"statement", TypeDesc::Text()}};
-    auto table = std::make_unique<Table>(name, std::move(cols));
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    for (const auto& session : sessions_) {
-      for (const ServerSession::PreparedHandle& handle :
-           session->AllPrepared()) {
-        // The handle is text-only; whether a plan exists for it (and what
-        // the planner decided) comes from peeking the shared cache.
-        int64_t executions = 0;
-        std::string plan_text = "uncached";
-        if (std::shared_ptr<CachedPlan> plan = plan_cache_.Peek(handle.sql)) {
-          executions = static_cast<int64_t>(
-              plan->executions.load(std::memory_order_relaxed));
-          std::lock_guard<std::mutex> memo_lock(plan->memo_mu);
-          if (!plan->planned) {
-            plan_text = "unplanned";
-          } else if (plan->memo.use_index) {
-            plan_text = "index " + plan->memo.index->name;
-          } else {
-            plan_text = "seq scan";
-          }
-        }
-        Status st = table->Insert(
-            {Value::Integer(static_cast<int64_t>(session->id())),
-             Value::Text(handle.name),
-             Value::Integer(static_cast<int64_t>(handle.param_count)),
-             Value::Integer(executions), Value::Text(plan_text),
-             Value::Text(handle.sql)},
-            &ignored);
-        (void)st;
-      }
-    }
-    return table;
-  }
-  auto kind_name = [](ResourceKind kind) -> const char* {
-    switch (kind) {
-      case ResourceKind::kLargeObject: return "large_object";
-      case ResourceKind::kTable: return "table";
-      case ResourceKind::kRow: return "row";
-    }
-    return "?";
-  };
-  if (EqualsIgnoreCase(name, "sys_contention")) {
-    // Where the lock waits went, hottest resource first. History, not a
-    // snapshot: rows persist after the last lock is released, so a
-    // post-mortem read still sees the contended rows.
-    std::vector<ColumnDef> cols = {{"kind", TypeDesc::Text()},
-                                   {"resource", TypeDesc::Integer()},
-                                   {"waits", TypeDesc::Integer()},
-                                   {"wait_ns", TypeDesc::Integer()},
-                                   {"max_wait_ns", TypeDesc::Integer()},
-                                   {"timeouts", TypeDesc::Integer()},
-                                   {"deadlocks", TypeDesc::Integer()},
-                                   {"last_holder", TypeDesc::Integer()}};
-    auto table = std::make_unique<Table>(name, std::move(cols));
-    for (const ContentionRow& row : lock_manager_.ContentionDump()) {
-      Status st = table->Insert(
-          {Value::Text(kind_name(row.kind)),
-           Value::Integer(static_cast<int64_t>(row.resource)),
-           Value::Integer(static_cast<int64_t>(row.waits)),
-           Value::Integer(static_cast<int64_t>(row.wait_ns)),
-           Value::Integer(static_cast<int64_t>(row.max_wait_ns)),
-           Value::Integer(static_cast<int64_t>(row.timeouts)),
-           Value::Integer(static_cast<int64_t>(row.deadlocks)),
-           Value::Integer(static_cast<int64_t>(row.last_holder))},
-          &ignored);
-      (void)st;
-    }
-    return table;
-  }
-  if (EqualsIgnoreCase(name, "sys_waits")) {
-    // The wait-for graph right now: one row per (waiter, conflicting
-    // holder). A waiter blocked only by the writer-priority fence shows
-    // holder = 0. Empty on an uncontended server.
-    std::vector<ColumnDef> cols = {{"kind", TypeDesc::Text()},
-                                   {"resource", TypeDesc::Integer()},
-                                   {"waiter", TypeDesc::Integer()},
-                                   {"mode", TypeDesc::Text()},
-                                   {"waited_ns", TypeDesc::Integer()},
-                                   {"holder", TypeDesc::Integer()}};
-    auto table = std::make_unique<Table>(name, std::move(cols));
-    for (const WaitEdge& edge : lock_manager_.WaitsDump()) {
-      Status st = table->Insert(
-          {Value::Text(kind_name(edge.kind)),
-           Value::Integer(static_cast<int64_t>(edge.resource)),
-           Value::Integer(static_cast<int64_t>(edge.waiter)),
-           Value::Text(edge.mode == LockMode::kExclusive ? "X" : "S"),
-           Value::Integer(static_cast<int64_t>(edge.waited_ns)),
-           Value::Integer(static_cast<int64_t>(edge.holder))},
-          &ignored);
-      (void)st;
-    }
-    return table;
-  }
-  if (EqualsIgnoreCase(name, "sys_hot_nodes")) {
-    // The heat tracker's ranked access map, hottest node first. Empty
-    // until SET HEAT_TRACK = 1 arms the tracker. The store column carries
-    // the index name, so it joins against sys_index_stats.idxname.
-    std::vector<ColumnDef> cols = {{"store", TypeDesc::Text()},
-                                   {"node", TypeDesc::Integer()},
-                                   {"heat", TypeDesc::Float()},
-                                   {"reads", TypeDesc::Integer()},
-                                   {"writes", TypeDesc::Integer()},
-                                   {"pin_wait_ns", TypeDesc::Integer()}};
-    auto table = std::make_unique<Table>(name, std::move(cols));
-    for (const obs::HotNode& node : heat_tracker_.Snapshot()) {
-      Status st = table->Insert(
-          {Value::Text(node.store),
-           Value::Integer(static_cast<int64_t>(node.node)),
-           Value::Float(node.heat),
-           Value::Integer(static_cast<int64_t>(node.reads)),
-           Value::Integer(static_cast<int64_t>(node.writes)),
-           Value::Integer(static_cast<int64_t>(node.pin_wait_ns))},
-          &ignored);
-      (void)st;
-    }
-    return table;
-  }
-  if (EqualsIgnoreCase(name, "sys_sessions")) {
-    // Every live session and what it is doing. The info mirror is written
-    // at statement boundaries by the owning thread; locks held comes from
-    // grouping the lock manager's dump by the mirrored transaction id.
-    std::vector<ColumnDef> cols = {{"session", TypeDesc::Integer()},
-                                   {"peer", TypeDesc::Text()},
-                                   {"state", TypeDesc::Text()},
-                                   {"statement", TypeDesc::Text()},
-                                   {"txn", TypeDesc::Integer()},
-                                   {"explicit_txn", TypeDesc::Integer()},
-                                   {"locks", TypeDesc::Integer()},
-                                   {"trace_id", TypeDesc::Integer()},
-                                   {"statements", TypeDesc::Integer()}};
-    auto table = std::make_unique<Table>(name, std::move(cols));
-    std::map<TxnId, int64_t> locks_by_txn;
-    for (const LockDumpRow& row : lock_manager_.Dump()) {
-      if (row.txn != 0) ++locks_by_txn[row.txn];
-    }
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    for (const auto& session : sessions_) {
-      const ServerSession::SessionInfo info = session->info();
-      auto held = locks_by_txn.find(info.txn);
-      Status st = table->Insert(
-          {Value::Integer(static_cast<int64_t>(session->id())),
-           Value::Text(info.peer.empty() ? "embedded" : info.peer),
-           Value::Text(info.active ? "active" : "idle"),
-           Value::Text(info.statement),
-           Value::Integer(static_cast<int64_t>(info.txn)),
-           Value::Integer(info.explicit_txn ? 1 : 0),
-           Value::Integer(held != locks_by_txn.end() ? held->second : 0),
-           Value::Integer(static_cast<int64_t>(info.trace_id)),
-           Value::Integer(static_cast<int64_t>(info.statements))},
-          &ignored);
-      (void)st;
-    }
-    return table;
-  }
-  return nullptr;
-}
-
-std::vector<std::string> Server::SystemTableNames() {
-  return {"systables",   "sysams",         "sysopclasses",
-          "sysindices",  "sysprocedures",  "sys_metrics",
-          "sys_trace",   "sys_locks",      "sys_index_stats",
-          "sys_slow_queries", "sys_prepared", "sys_spans",
-          "sys_contention", "sys_waits", "sys_hot_nodes", "sys_sessions"};
-}
-
-bool Server::IsSystemViewName(const std::string& name) {
-  for (const std::string& sys : SystemTableNames()) {
-    if (EqualsIgnoreCase(name, sys)) return true;
-  }
-  return false;
-}
-
 void Server::ReportIndexStats(IndexStatsReport report) {
   std::lock_guard<std::mutex> lock(index_stats_mu_);
   index_stats_[ToLower(report.index)] = std::move(report);
@@ -1010,27 +534,16 @@ Status Server::ExecExplainTrace(ServerSession* session,
 }
 
 Status Server::ExecDumpTrace(const sql::DumpTraceStmt& stmt, ResultSet* out) {
-  const std::vector<obs::SpanRecord> spans = span_tracer_.Snapshot();
-  const uint64_t base = span_tracer_.base_ticks();
   if (!stmt.json) {
-    out->columns = {"seq",      "trace_id", "span_id", "parent_id", "name",
-                    "start_ns", "dur_ns",   "thread",  "a",         "b"};
-    for (const obs::SpanRecord& span : spans) {
-      out->rows.push_back(
-          {std::to_string(span.seq), std::to_string(span.trace_id),
-           std::to_string(span.span_id), std::to_string(span.parent_id),
-           obs::SpanNameString(span.name),
-           std::to_string(obs::TicksToNs(span.start_ticks - base)),
-           std::to_string(obs::TicksToNs(span.end_ticks - span.start_ticks)),
-           std::to_string(span.thread), std::to_string(span.a),
-           std::to_string(span.b)});
-    }
-    out->messages.push_back("span tracer: " + std::to_string(spans.size()) +
+    DumpSystemView("sys_spans", out);
+    out->messages.push_back("span tracer: " + std::to_string(out->rows.size()) +
                             " spans retained, " +
                             std::to_string(span_tracer_.evicted()) +
                             " evicted");
     return Status::OK();
   }
+  const std::vector<obs::SpanRecord> spans = span_tracer_.Snapshot();
+  const uint64_t base = span_tracer_.base_ticks();
   // Chrome trace-event JSON (the "JSON Object Format"): complete events
   // ("ph":"X"), timestamps and durations in fractional microseconds,
   // loadable in Perfetto / chrome://tracing. One result row per line so
@@ -1064,27 +577,18 @@ Status Server::ExecDumpTrace(const sql::DumpTraceStmt& stmt, ResultSet* out) {
 }
 
 Status Server::ExecDumpHeat(const sql::DumpHeatStmt& stmt, ResultSet* out) {
-  const std::vector<obs::HotNode> nodes = heat_tracker_.Snapshot();
   if (!stmt.json) {
-    out->columns = {"store", "node",   "heat",
-                    "reads", "writes", "pin_wait_ns"};
-    for (const obs::HotNode& node : nodes) {
-      char heat[32];
-      std::snprintf(heat, sizeof(heat), "%.3f", node.heat);
-      out->rows.push_back(
-          {node.store, std::to_string(node.node), heat,
-           std::to_string(node.reads), std::to_string(node.writes),
-           std::to_string(node.pin_wait_ns)});
-    }
+    DumpSystemView("sys_hot_nodes", out);
     out->messages.push_back(
         "heat tracker: " + std::string(heat_tracker_.enabled() ? "on" : "off") +
-        ", " + std::to_string(nodes.size()) + " nodes tracked" +
+        ", " + std::to_string(out->rows.size()) + " nodes tracked" +
         (heat_tracker_.dropped() != 0
              ? ", " + std::to_string(heat_tracker_.dropped()) +
                    " dropped at capacity"
              : ""));
     return Status::OK();
   }
+  const std::vector<obs::HotNode> nodes = heat_tracker_.Snapshot();
   // One JSON document for offline heat-map rendering, one result row per
   // line (the DUMP TRACE JSON convention: wire clients join with newlines).
   out->columns = {"json"};
@@ -1241,24 +745,12 @@ Status Server::ExecutePrepared(ServerSession* session,
 }
 
 Status Server::ExecDumpFlight(ResultSet* out) {
-  out->columns = {"thread", "ns", "event", "a", "b"};
-  const obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
-  // Same clock origin as sys_spans' start_ns (the span tracer's base), so
-  // flight events line up with span windows without unit juggling. Events
-  // recorded before this server existed clamp to 0 rather than wrapping.
-  const uint64_t base = span_tracer_.base_ticks();
-  for (const obs::FlightEventRecord& record : recorder.Dump()) {
-    const uint64_t ns =
-        record.ticks > base ? obs::TicksToNs(record.ticks - base) : 0;
-    out->rows.push_back({std::to_string(record.thread), std::to_string(ns),
-                         obs::FlightEventName(record.event),
-                         std::to_string(record.a), std::to_string(record.b)});
-  }
+  DumpSystemView("sys_flight", out);
+  const uint64_t lost = obs::FlightRecorder::Global().lost();
   out->messages.push_back(
       "flight recorder: " + std::to_string(out->rows.size()) + " events" +
-      (recorder.lost() != 0
-           ? ", " + std::to_string(recorder.lost()) + " lost to thread overflow"
-           : ""));
+      (lost != 0 ? ", " + std::to_string(lost) + " lost to thread overflow"
+                 : ""));
   return Status::OK();
 }
 
@@ -1283,7 +775,7 @@ Status Server::ExecCreateTable(const sql::CreateTableStmt& stmt) {
   // that split resolution is exactly the inconsistency we refuse to host.
   // Names that merely start with "sys" (syslog, system_config) are fine —
   // the catalog is consulted before the views everywhere.
-  if (IsSystemViewName(stmt.table)) {
+  if (FindSystemView(stmt.table) != nullptr) {
     return Status::InvalidArgument(
         "'" + ToLower(stmt.table) +
         "' is a reserved system view name; choose another table name");
@@ -1305,7 +797,7 @@ Status Server::ExecDropTable(const sql::DropTableStmt& stmt) {
   // No real table can carry a system-view name (CREATE rejects them), so
   // reaching this branch means the user asked to drop the view itself.
   if (catalog_.FindTable(stmt.table) == nullptr &&
-      IsSystemViewName(stmt.table)) {
+      FindSystemView(stmt.table) != nullptr) {
     return Status::InvalidArgument("'" + ToLower(stmt.table) +
                                    "' is a system view; it cannot be dropped");
   }

@@ -342,23 +342,33 @@ class Server {
   // The shared statement/plan cache (exposed for tests and tools).
   PlanCache& plan_cache() { return plan_cache_; }
 
-  // True when `name` is one of the system views BuildSystemTable answers
-  // to — those names are reserved (CREATE TABLE rejects them).
-  static bool IsSystemViewName(const std::string& name);
-
   // Renders a value using opaque output support functions.
   std::string RenderValue(const Value& value) const;
 
-  // Materializes a system catalog table (systables, sysams, sysopclasses,
-  // sysindices, sysprocedures) on demand — the catalogs the CREATE
-  // statements populate (paper §4 Step 6 names SYSAMS, SYSINDICES,
-  // SYSFRAGMENTS). Returns nullptr for unknown names.
-  std::unique_ptr<Table> BuildSystemTable(const std::string& name);
-
-  // Every name BuildSystemTable answers to, for the unknown-sys_ error.
-  static std::vector<std::string> SystemTableNames();
-
  private:
+  // One system view: its name (reserved: CREATE TABLE rejects it), its
+  // columns in order, and the function that reads its rows from live
+  // server state. Views are read-only snapshots materialized per statement.
+  struct SystemView {
+    const char* name;
+    std::vector<ColumnDef> columns;
+    void (*fill)(Server& server, std::vector<Row>* rows);
+  };
+
+  // Every system view, in listing order (system_views.cc): the catalogs
+  // the CREATE statements populate (paper §4 Step 6 names SYSAMS and
+  // SYSINDICES) followed by the sys_* observability views.
+  static const std::vector<SystemView>& SystemViews();
+  // The view named `name` (case-insensitive), or nullptr.
+  static const SystemView* FindSystemView(const std::string& name);
+  std::unique_ptr<Table> BuildSystemTable(const SystemView& view);
+  // The plain DUMP forms: every row of the named view, rendered exactly as
+  // SELECT * renders it.
+  void DumpSystemView(const char* name, ResultSet* out);
+  // The error for INSERT/DELETE/UPDATE on a name with no user table:
+  // system views are read-only, anything else does not exist.
+  static Status NoWritableTable(const std::string& name);
+
   // The server-side state of one opened virtual index (between the am_open
   // and am_close of a statement).
   struct OpenIndex {

@@ -1,13 +1,14 @@
-#include "tools/lint.h"
-
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 #include <vector>
 
+#include "tools/analyze/rules.h"
+#include "tools/analyze/token.h"
+
 namespace grtdb {
-namespace lint {
+namespace analyze {
 namespace {
 
 // Every rule is self-checking: a snippet seeded with the violation must be
@@ -18,23 +19,36 @@ namespace {
 constexpr char kBladePath[] = "src/blades/example_blade.cc";
 constexpr char kServerPath[] = "src/server/example.cc";
 
-std::vector<std::string> RulesIn(const std::vector<Issue>& issues) {
+// The token rules over one snippet, exactly as grtdb_analyze runs them on
+// a file (without the NOLINT and baseline filtering).
+std::vector<Finding> LintSource(const std::string& path,
+                                const std::string& source) {
+  ParsedFile file;
+  file.path = path;
+  file.lex = Lex(source);
+  std::vector<Finding> findings;
+  CheckTokenRules(file, &findings);
+  return findings;
+}
+
+std::vector<std::string> RulesIn(const std::vector<Finding>& findings) {
   std::vector<std::string> rules;
-  for (const Issue& issue : issues) rules.push_back(issue.rule);
+  for (const Finding& finding : findings) rules.push_back(finding.rule);
   return rules;
 }
 
-bool HasRule(const std::vector<Issue>& issues, const std::string& rule) {
-  const std::vector<std::string> rules = RulesIn(issues);
+bool HasRule(const std::vector<Finding>& findings, const std::string& rule) {
+  const std::vector<std::string> rules = RulesIn(findings);
   return std::find(rules.begin(), rules.end(), rule) != rules.end();
 }
 
 // ---------------------------------------------------------------- tokenizer
 
 TEST(Tokenizer, StringsCarryContentAndCommentsDrop) {
-  const auto toks = Tokenize(
-      "// line comment with \"am_bogus\"\n"
-      "/* block\n comment */ call(\"am_getnext\", 42); x->y::z\n");
+  const std::vector<Token> toks =
+      Lex("// line comment with \"am_bogus\"\n"
+          "/* block\n comment */ call(\"am_getnext\", 42); x->y::z\n")
+          .tokens;
   ASSERT_GE(toks.size(), 2u);
   bool saw_string = false;
   for (const Token& tok : toks) {
@@ -57,10 +71,10 @@ TEST(Tokenizer, StringsCarryContentAndCommentsDrop) {
 }
 
 TEST(Tokenizer, PreprocessorLinesAreSkipped) {
-  const auto toks = Tokenize(
+  const std::vector<Token> toks = Lex(
       "#include <new>\n"
       "#define BAD malloc(1)\n"
-      "int x;\n");
+      "int x;\n").tokens;
   for (const Token& tok : toks) {
     EXPECT_NE(tok.text, "malloc");
     EXPECT_NE(tok.text, "new");
@@ -328,8 +342,8 @@ TEST(HeatAccess, DeclarationsAreNotCallSites) {
 
 // ------------------------------------------------------------- repo is clean
 
-// The final tree must lint clean — the same invariant the grtdb_lint ctest
-// enforces on the real directories; here over a representative corpus so
+// The final tree must lint clean — the same invariant the grtdb_analyze
+// ctest enforces on src/ and tools/; here over a representative corpus so
 // the gtest binary fails fast in isolation too.
 TEST(LintRepo, RealRegistrationSnippetPasses) {
   EXPECT_TRUE(
@@ -342,5 +356,5 @@ TEST(LintRepo, RealRegistrationSnippetPasses) {
 }
 
 }  // namespace
-}  // namespace lint
+}  // namespace analyze
 }  // namespace grtdb

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
 #include <string>
 #include <thread>
@@ -9,6 +10,7 @@
 
 #include "net/net_client.h"
 #include "net/protocol.h"
+#include "obs/span_tracer.h"
 
 namespace grtdb {
 namespace net {
@@ -453,6 +455,19 @@ TEST_F(NetTest, WireTraceIdPropagatesIntoSysSpans) {
   traced.set_trace_id(kTraceId);
   ASSERT_TRUE(traced.Execute("INSERT INTO t VALUES (7)", &result).ok());
   traced.set_trace_id(0);
+  // The worker records the respond span and then the request root after
+  // the response bytes are written, so the reply can reach the client
+  // first. Wait (bounded) for the root, recorded last, before reading.
+  auto root_recorded = [this] {
+    for (const obs::SpanRecord& span :
+         server_->span_tracer().SnapshotTrace(kTraceId)) {
+      if (span.name == obs::SpanName::kRequest) return true;
+    }
+    return false;
+  };
+  for (int i = 0; i < 2000 && !root_recorded(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 
   ASSERT_TRUE(client.Execute("SELECT * FROM sys_spans WHERE trace_id = " +
                                  std::to_string(kTraceId),

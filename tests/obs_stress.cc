@@ -9,7 +9,8 @@
 // tracker's relaxed gate against RecordAccess racing Snapshot/Clear. A
 // second phase runs the same heat machinery inside a live server: scan
 // traffic feeds sys_hot_nodes while UPDATE STATISTICS races CREATE/DROP
-// INDEX and concurrent sys_hot_nodes readers.
+// INDEX and concurrent sys_hot_nodes readers. A third phase races Clear()
+// against admissions at the heat tracker's node cap.
 
 #include <atomic>
 #include <cstdio>
@@ -160,6 +161,50 @@ static void ServerHeatPhase() {
   Check(saw_t_idx, "t_idx shows in sys_hot_nodes");
   std::printf("obs_stress heat phase OK: %zu hot nodes\n",
               final_heat.rows.size());
+}
+
+// Phase three: the heat tracker's node cap under concurrent admission and
+// Clear(). Writers admit fresh keys (each writer its own store, node ids
+// counting up) while the main thread clears repeatedly; once they stop, a
+// single thread offers four caps' worth of keys the tracker has never
+// seen. Every admission and every Clear() must have kept the count exact,
+// or the refill is admitted past the cap.
+static void HeatCapPhase() {
+  constexpr size_t kCap = 256;
+  constexpr int kTrials = 50;
+  constexpr int kCapWriters = 6;
+  constexpr int kClears = 200;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    HeatTracker heat(kCap);
+    heat.set_enabled(true);
+    std::atomic<int> running{0};
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kCapWriters; ++w) {
+      writers.emplace_back([&heat, &running, &stop, w] {
+        const uint32_t store = heat.RegisterStore("cap_" + std::to_string(w));
+        running.fetch_add(1, std::memory_order_relaxed);
+        for (uint64_t node = 0; !stop.load(std::memory_order_relaxed);
+             ++node) {
+          heat.RecordAccess(store, node, HeatAccess::kRead);
+        }
+      });
+    }
+    while (running.load(std::memory_order_relaxed) < kCapWriters) {
+      std::this_thread::yield();
+    }
+    for (int c = 0; c < kClears; ++c) heat.Clear();
+    stop.store(true, std::memory_order_relaxed);
+    for (std::thread& t : writers) t.join();
+
+    const uint32_t refill = heat.RegisterStore("cap_refill");
+    for (uint64_t node = 0; node < 4 * kCap; ++node) {
+      heat.RecordAccess(refill, node, HeatAccess::kRead);
+    }
+    Check(heat.Snapshot().size() <= kCap,
+          "heat tracker cap holds after Clear() races admissions");
+  }
+  std::printf("obs_stress heat cap phase OK: %d trials\n", kTrials);
 }
 
 // Under GRTDB_WITNESS every latch/lock acquisition in the run fed the
@@ -374,5 +419,6 @@ int main() {
               static_cast<unsigned long long>(heat.dropped()));
 
   ServerHeatPhase();
+  HeatCapPhase();
   return WitnessVerdict();
 }

@@ -16,6 +16,7 @@
 #include "blades/gist_blade.h"
 #include "blades/grtree_blade.h"
 #include "blades/rstar_blade.h"
+#include "obs/heat_tracker.h"
 #include "obs/metrics.h"
 #include "obs/query_profile.h"
 #include "obs/slow_query_log.h"
@@ -756,6 +757,68 @@ TEST_F(ObsSqlTest, HeatTrackingRanksHotNodesAndDumps) {
   uint64_t reads_after = 0;
   for (const auto& row : result_.rows) reads_after += std::stoull(row[3]);
   EXPECT_EQ(reads_after, reads_before);
+}
+
+// The node cap, single-threaded: keys past the cap are counted, not kept,
+// and Clear() frees the whole cap for new keys.
+TEST(HeatTracker, NodeCapDropsExcessKeysAndClearReadmits) {
+  obs::HeatTracker heat(/*max_nodes=*/8);
+  heat.set_enabled(true);
+  const uint32_t store = heat.RegisterStore("cap");
+  for (uint64_t node = 0; node < 20; ++node) {
+    heat.RecordAccess(store, node, obs::HeatAccess::kRead);
+  }
+  EXPECT_EQ(heat.Snapshot().size(), 8u);
+  EXPECT_EQ(heat.dropped(), 12u);
+
+  heat.Clear();
+  EXPECT_TRUE(heat.Snapshot().empty());
+  EXPECT_EQ(heat.dropped(), 0u);
+  for (uint64_t node = 100; node < 120; ++node) {
+    heat.RecordAccess(store, node, obs::HeatAccess::kRead);
+  }
+  EXPECT_EQ(heat.Snapshot().size(), 8u);
+  EXPECT_EQ(heat.dropped(), 12u);
+}
+
+// The plain DUMP forms are renderings of their views: the same columns
+// and the same rows as SELECT * (the DUMP adds only its summary message).
+// Sampling is off and nothing touches the index between each pair, so the
+// underlying rings cannot move; neither statement records flight events
+// before its view is read.
+TEST_F(ObsSqlTest, PlainDumpsReturnTheRowsOfTheirViews) {
+  MustExec("SET HEAT_TRACK = 1");
+  MustExec("EXPLAIN TRACE SELECT id FROM t "
+           "WHERE Overlaps(e, '20000, UC, 19900, NOW')");
+  MustExec("SET HEAT_TRACK = 0");
+  const std::vector<std::pair<std::string, std::string>> pairs = {
+      {"DUMP TRACE", "sys_spans"},
+      {"DUMP HEAT", "sys_hot_nodes"},
+      {"DUMP FLIGHT", "sys_flight"},
+  };
+  for (const auto& [dump, view] : pairs) {
+    SCOPED_TRACE(dump);
+    MustExec(dump);
+    const ResultSet dumped = result_;
+    ASSERT_FALSE(dumped.rows.empty());
+    ASSERT_EQ(dumped.messages.size(), 1u);
+    MustExec("SELECT * FROM " + view);
+    EXPECT_EQ(dumped.columns, result_.columns);
+    EXPECT_EQ(dumped.rows, result_.rows);
+  }
+
+  // sys_flight is a view like the others: filterable, read-only, reserved,
+  // and listed.
+  MustExec("SELECT event FROM sys_flight WHERE event = 'txn_commit'");
+  ASSERT_FALSE(result_.rows.empty());
+  EXPECT_EQ(result_.columns, std::vector<std::string>{"event"});
+  EXPECT_TRUE(Exec("INSERT INTO sys_flight VALUES (1)").IsInvalidArgument());
+  EXPECT_TRUE(Exec("DELETE FROM sys_flight").IsInvalidArgument());
+  EXPECT_TRUE(Exec("UPDATE sys_flight SET a = 1").IsInvalidArgument());
+  EXPECT_TRUE(Exec("CREATE TABLE sys_flight (x int)").IsInvalidArgument());
+  EXPECT_TRUE(Exec("DROP TABLE sys_flight").IsInvalidArgument());
+  const Status unknown = Exec("SELECT * FROM sys_nonsense");
+  EXPECT_NE(unknown.message().find("sys_flight"), std::string::npos);
 }
 
 TEST_F(ObsSqlTest, SetHeatTrackValidatesItsArgument) {

@@ -325,6 +325,78 @@ TEST_F(PreparedFixture, SysPrefixedUserTablesResolveConsistently) {
   EXPECT_NE(status.message().find("sys_prepared"), std::string::npos);
 }
 
+// Golden list of the system views and their columns, in order. Every view
+// must answer SELECT * with exactly these columns, refuse every write and
+// DDL statement, and appear in the unknown-view listing. (wirebench reads
+// sys_index_stats by position, so column order is part of the contract.)
+TEST_F(PreparedFixture, EverySystemViewIsReadOnlyWithGoldenColumns) {
+  using Cols = std::vector<std::string>;
+  const std::vector<std::pair<std::string, Cols>> kViews = {
+      {"systables", {"tabname", "ncols", "nrows"}},
+      {"sysams", {"amname", "am_sptype", "am_getnext", "defaultopclass"}},
+      {"sysopclasses", {"opclassname", "amname", "strategies", "support"}},
+      {"sysindices",
+       {"idxname", "tabname", "amname", "colname", "opclassname",
+        "spacename"}},
+      {"sysprocedures",
+       {"procname", "numargs", "argtypes", "rettype", "externalname"}},
+      {"sys_metrics", {"name", "kind", "value", "count", "sum", "buckets"}},
+      {"sys_trace", {"seq", "ts_us", "thread", "class", "level", "message"}},
+      {"sys_locks",
+       {"kind", "resource", "txn", "mode", "depth", "upgrader_waiting",
+        "waiting_exclusive"}},
+      {"sys_index_stats",
+       {"idxname", "amname", "level", "height", "nodes", "entries",
+        "occupancy", "free_list", "dead_entries", "growing_regions",
+        "growing_area", "computed_at"}},
+      {"sys_slow_queries",
+       {"seq", "session", "trace_id", "total_ns", "rows_scanned",
+        "rows_returned", "node_reads", "cache_hits", "lock_waits",
+        "lock_wait_ns", "purpose_calls", "sql"}},
+      {"sys_prepared",
+       {"session", "name", "params", "executions", "plan", "statement"}},
+      {"sys_spans",
+       {"seq", "trace_id", "span_id", "parent_id", "name", "start_ns",
+        "dur_ns", "thread", "a", "b"}},
+      {"sys_contention",
+       {"kind", "resource", "waits", "wait_ns", "max_wait_ns", "timeouts",
+        "deadlocks", "last_holder"}},
+      {"sys_waits",
+       {"kind", "resource", "waiter", "mode", "waited_ns", "holder"}},
+      {"sys_hot_nodes",
+       {"store", "node", "heat", "reads", "writes", "pin_wait_ns"}},
+      {"sys_sessions",
+       {"session", "peer", "state", "statement", "txn", "explicit_txn",
+        "locks", "trace_id", "statements"}},
+  };
+
+  Status unknown = Exec("SELECT * FROM sys_nonsense");
+  ASSERT_TRUE(unknown.IsNotFound()) << unknown.ToString();
+  const std::string listing = unknown.message();
+
+  for (const auto& [view, columns] : kViews) {
+    SCOPED_TRACE(view);
+    MustExec("SELECT * FROM " + view);
+    EXPECT_EQ(result_.columns, columns);
+
+    for (const std::string& write :
+         {"INSERT INTO " + view + " VALUES (1)", "DELETE FROM " + view,
+          "UPDATE " + view + " SET " + columns[0] + " = 1"}) {
+      Status status = Exec(write);
+      EXPECT_TRUE(status.IsInvalidArgument()) << write << " -> "
+                                              << status.ToString();
+      EXPECT_NE(status.message().find("read-only"), std::string::npos)
+          << write;
+    }
+    Status create = Exec("CREATE TABLE " + view + " (x integer)");
+    EXPECT_TRUE(create.IsInvalidArgument()) << create.ToString();
+    EXPECT_NE(create.message().find("reserved"), std::string::npos);
+    EXPECT_TRUE(Exec("DROP TABLE " + view).IsInvalidArgument());
+
+    EXPECT_NE(listing.find(view), std::string::npos) << listing;
+  }
+}
+
 // ----------------------------------------------------------- concurrency --
 
 TEST_F(PreparedFixture, ConcurrentExecutionsShareOnePlan) {

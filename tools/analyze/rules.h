@@ -73,10 +73,11 @@ void CheckBladeContract(const ParsedFile& file,
                         std::vector<Finding>* findings);
 
 // ---------------------------------------------------------------------------
-// The six legacy grtdb_lint rules re-hosted on the analyzer token stream
-// (so they no longer fire inside comments / disabled regions):
+// The token rules, run on the analyzer token stream (so they never fire
+// inside comments / disabled regions):
 //   grtdb-purpose-fig6, grtdb-tprintf-format, grtdb-naked-alloc,
-//   grtdb-lockmgr-acquire, grtdb-flight-event, grtdb-span-name.
+//   grtdb-lockmgr-acquire, grtdb-flight-event, grtdb-span-name,
+//   grtdb-heat-access.
 void CheckTokenRules(const ParsedFile& file, std::vector<Finding>* findings);
 
 }  // namespace analyze

@@ -1,4 +1,4 @@
-// The grtdb_lint token rules, re-hosted on the analyzer's lexer (which
+// The token rules, run on the analyzer's lexer (which
 // drops comments and disabled regions before these run, and handles NOLINT
 // centrally in the analyzer driver).
 
