@@ -46,26 +46,22 @@ int main() {
              std::to_string(9990 - i) + ", NOW')");
   }
 
-  session->ClearPurposeLog();
   Exec(server, session,
        "INSERT INTO t VALUES (999, '10000, UC, 9000, NOW')");
   PrintSequence("\nINSERT INTO ... VALUES (...)   [Fig. 6(a)]:", session);
 
-  session->ClearPurposeLog();
   Exec(server, session,
        "SELECT id FROM t WHERE Overlaps(e, '10000, 10000, 9985, 9990')");
   PrintSequence("\nSELECT ... WHERE Overlaps(...)   [Fig. 6(b); the extra "
                 "open/scancost/close pair is the optimizer's cost probe]:",
                 session);
 
-  session->ClearPurposeLog();
   Exec(server, session,
        "UPDATE t SET e = '10000, 10000, 9000, 9500' WHERE id = 999");
   PrintSequence("\nUPDATE ... SET e = ...   [am_update = delete + insert, "
                 "Table 5]:",
                 session);
 
-  session->ClearPurposeLog();
   Exec(server, session,
        "DELETE FROM t WHERE Overlaps(e, '10000, 10000, 9988, 9990')");
   PrintSequence("\nDELETE ... WHERE Overlaps(...)   [retrieve-and-delete, "
@@ -77,7 +73,18 @@ int main() {
               "workload:\n\n");
   WorkloadOptions wopts;
   BitemporalWorkload workload(wopts);
-  session->ClearPurposeLog();
+  // Exact per-function totals by registered name, summed from each
+  // statement's profile.
+  const AccessMethodDef* am = server.catalog().FindAccessMethod("grtree_am");
+  std::map<std::string, uint64_t> call_counts;
+  auto exec_counted = [&](const std::string& sql) {
+    Exec(server, session, sql);
+    for (size_t fn = 0; fn < obs::kPurposeFnCount; ++fn) {
+      const uint64_t calls =
+          session->profile().calls(static_cast<obs::PurposeFn>(fn));
+      if (calls != 0) call_counts[am->purpose_names[fn]] += calls;
+    }
+  };
   std::map<std::string, uint64_t> statement_counts;
   bench::Timer timer;
   int64_t last_ct = -1;
@@ -88,30 +95,23 @@ int main() {
         last_ct = op.ct;
       }
       if (op.kind == IndexOp::Kind::kInsert) {
-        Exec(server, session,
-             "INSERT INTO t VALUES (" + std::to_string(op.payload) + ", '" +
-                 op.extent.ToString() + "')");
+        exec_counted("INSERT INTO t VALUES (" + std::to_string(op.payload) +
+                     ", '" + op.extent.ToString() + "')");
         ++statement_counts["INSERT"];
       } else {
-        Exec(server, session,
-             "DELETE FROM t WHERE Equal(e, '" + op.extent.ToString() +
-                 "') AND id = " + std::to_string(op.payload));
+        exec_counted("DELETE FROM t WHERE Equal(e, '" + op.extent.ToString() +
+                     "') AND id = " + std::to_string(op.payload));
         ++statement_counts["DELETE"];
       }
     }
     if (action % 100 == 99) {
-      Exec(server, session,
-           "SELECT COUNT(*) FROM t WHERE Overlaps(e, '" +
-               workload.GroundRectQuery(100).ToString() + "')");
+      exec_counted("SELECT COUNT(*) FROM t WHERE Overlaps(e, '" +
+                   workload.GroundRectQuery(100).ToString() + "')");
       ++statement_counts["SELECT"];
     }
   }
   const double total_ms = timer.ElapsedMs();
 
-  // purpose_counts() keeps exact totals even after the bounded call log
-  // starts dropping its oldest entries under a workload this size.
-  const std::map<std::string, uint64_t>& call_counts =
-      session->purpose_counts();
   TablePrinter calls({"purpose function", "calls", "calls/statement"});
   uint64_t statements = 0;
   for (const auto& [kind, count] : statement_counts) statements += count;

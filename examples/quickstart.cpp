@@ -74,7 +74,7 @@ int main() {
 
   Run(server, session, "CHECK INDEX grt_index");
 
-  std::printf("purpose-function calls of the last statement batch:\n");
+  std::printf("purpose-function calls of the last statement (CHECK INDEX):\n");
   for (const std::string& call : session->purpose_log()) {
     std::printf("  %s\n", call.c_str());
   }

@@ -28,65 +28,56 @@ const char* PurposeFnName(PurposeFn fn) {
 }
 
 void QueryProfile::Reset() {
-  for (size_t i = 0; i < kPurposeFnCount; ++i) {
-    calls_[i] = 0;
-    ns_[i] = 0;
-  }
-  sequence_.clear();
-  sequence_dropped_ = 0;
-  rows_scanned = 0;
-  rows_returned = 0;
-  node_reads = 0;
-  cache_hits = 0;
-  lock_waits = 0;
-  lock_wait_ns = 0;
+  static_cast<ProfileCounters&>(*this) = ProfileCounters();
+  runs_.clear();
+  runs_dropped_ = 0;
 }
 
-void QueryProfile::CountCall(PurposeFn fn) {
-  ++calls_[static_cast<size_t>(fn)];
-  if (sequence_.size() < kMaxSequence) {
-    sequence_.push_back(fn);
+void QueryProfile::CountCall(PurposeFn fn, const std::string& name) {
+  ++fn_calls[static_cast<size_t>(fn)];
+  if (runs_dropped_ == 0 && !runs_.empty() && runs_.back().fn == fn &&
+      runs_.back().name == name) {
+    ++runs_.back().count;
+  } else if (runs_.size() < kMaxRuns) {
+    runs_.push_back({fn, name, 1});
   } else {
-    ++sequence_dropped_;
+    ++runs_dropped_;
   }
 }
 
-void QueryProfile::AddCallTime(PurposeFn fn, uint64_t ns) {
-  ns_[static_cast<size_t>(fn)] += ns;
-}
-
-uint64_t QueryProfile::total_calls() const {
-  uint64_t total = 0;
-  for (size_t i = 0; i < kPurposeFnCount; ++i) total += calls_[i];
-  return total;
+std::vector<PurposeFn> QueryProfile::sequence() const {
+  std::vector<PurposeFn> seq;
+  for (const PurposeRun& run : runs_) seq.insert(seq.end(), run.count, run.fn);
+  return seq;
 }
 
 std::vector<std::string> QueryProfile::Report() const {
   std::vector<std::string> lines;
   for (size_t i = 0; i < kPurposeFnCount; ++i) {
-    if (calls_[i] == 0) continue;
+    if (fn_calls[i] == 0) continue;
     lines.push_back("PROFILE " +
                     std::string(PurposeFnName(static_cast<PurposeFn>(i))) +
-                    " calls=" + std::to_string(calls_[i]) +
-                    " total_us=" + std::to_string(ns_[i] / 1000));
+                    " calls=" + std::to_string(fn_calls[i]) +
+                    " total_us=" + std::to_string(fn_ns[i] / 1000));
   }
-  if (!sequence_.empty()) {
-    // Run-length compress the call sequence: "am_open am_beginscan
-    // am_getnext x61 am_endscan am_close".
+  if (!runs_.empty()) {
+    // One entry per function run, in generic names: "am_open am_beginscan
+    // am_getnext x61 am_endscan am_close". Adjacent runs of one function
+    // under two access methods' names merge.
     std::string seq = "PROFILE sequence:";
     size_t i = 0;
-    while (i < sequence_.size()) {
-      size_t run = 1;
-      while (i + run < sequence_.size() && sequence_[i + run] == sequence_[i]) {
-        ++run;
+    while (i < runs_.size()) {
+      const PurposeFn fn = runs_[i].fn;
+      uint64_t count = 0;
+      for (; i < runs_.size() && runs_[i].fn == fn; ++i) {
+        count += runs_[i].count;
       }
       seq += ' ';
-      seq += PurposeFnName(sequence_[i]);
-      if (run > 1) seq += " x" + std::to_string(run);
-      i += run;
+      seq += PurposeFnName(fn);
+      if (count > 1) seq += " x" + std::to_string(count);
     }
-    if (sequence_dropped_ > 0) {
-      seq += " ... +" + std::to_string(sequence_dropped_) + " dropped";
+    if (runs_dropped_ > 0) {
+      seq += " ... +" + std::to_string(runs_dropped_) + " dropped";
     }
     lines.push_back(std::move(seq));
   }

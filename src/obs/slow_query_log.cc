@@ -14,17 +14,7 @@ void SlowQueryLog::MaybeRecord(const std::string& sql, uint64_t total_ns,
   entry.session_id = session_id;
   entry.trace_id = trace_id;
   entry.total_ns = total_ns;
-  for (size_t i = 0; i < kPurposeFnCount; ++i) {
-    const auto fn = static_cast<PurposeFn>(i);
-    entry.calls[i] = profile.calls(fn);
-    entry.ns[i] = profile.call_ns(fn);
-  }
-  entry.rows_scanned = profile.rows_scanned;
-  entry.rows_returned = profile.rows_returned;
-  entry.node_reads = profile.node_reads;
-  entry.cache_hits = profile.cache_hits;
-  entry.lock_waits = profile.lock_waits;
-  entry.lock_wait_ns = profile.lock_wait_ns;
+  entry.counters = profile;
 
   std::lock_guard<std::mutex> lock(mu_);
   entry.seq = next_seq_++;

@@ -15,7 +15,7 @@ namespace grtdb {
 namespace obs {
 
 // One retained slow statement: the SQL text plus a frozen copy of its
-// QueryProfile (full Fig. 6 purpose-call breakdown and the row/IO/lock
+// profile counters (full Fig. 6 purpose-call breakdown and the row/IO/lock
 // counters), as surfaced by the sys_slow_queries view.
 struct SlowQueryEntry {
   uint64_t seq = 0;  // monotone admission number (never reused)
@@ -23,14 +23,7 @@ struct SlowQueryEntry {
   uint64_t session_id = 0;  // which session ran it (0 = unknown)
   uint64_t trace_id = 0;    // cross-link into sys_spans (0 = not sampled)
   uint64_t total_ns = 0;
-  uint64_t calls[kPurposeFnCount] = {};
-  uint64_t ns[kPurposeFnCount] = {};
-  uint64_t rows_scanned = 0;
-  uint64_t rows_returned = 0;
-  uint64_t node_reads = 0;
-  uint64_t cache_hits = 0;
-  uint64_t lock_waits = 0;
-  uint64_t lock_wait_ns = 0;
+  ProfileCounters counters;
 };
 
 // Bounded ring of finished statements that ran longer than the SQL-settable

@@ -1,12 +1,14 @@
 #ifndef GRTDB_SERVER_CATALOG_H_
 #define GRTDB_SERVER_CATALOG_H_
 
+#include <array>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
+#include "obs/query_profile.h"
 #include "server/table.h"
 #include "server/vii.h"
 
@@ -18,8 +20,10 @@ namespace grtdb {
 struct AccessMethodDef {
   std::string name;
   char sptype = 'S';  // 'S': index lives in an sbspace (paper §4 Step 3)
-  // am_create -> grt_create, ... (the names used in purpose-call logs).
-  std::map<std::string, std::string> purpose_names;
+  // The name each purpose call is recorded under, indexed by obs::PurposeFn:
+  // the registered function (am_create -> grt_create, ...), or the generic
+  // name where the access method registers none.
+  std::array<std::string, obs::kPurposeFnCount> purpose_names;
   PurposeFunctions hooks;
   std::string default_opclass;
 };

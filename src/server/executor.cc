@@ -310,6 +310,16 @@ Status Server::EvaluateExpr(MiCallContext& ctx, const sql::Expr& expr,
   return Status::Internal("bad expression");
 }
 
+Status Server::RowMatches(MiCallContext& ctx, const sql::Expr* expr,
+                          const Table& table, const Row& row, bool* matches) {
+  *matches = true;
+  if (expr == nullptr) return Status::OK();
+  Value value;
+  GRTDB_RETURN_IF_ERROR(EvaluateExpr(ctx, *expr, table, row, &value));
+  *matches = value.base() == TypeDesc::Base::kBoolean && value.boolean();
+  return Status::OK();
+}
+
 Status Server::ComputePlanMemo(ServerSession* session, Table* table,
                                const sql::Expr* where, PlanMemo* memo) {
   memo->use_index = false;
@@ -627,14 +637,66 @@ Status Server::InsertRow(ServerSession* session, Table* table,
     }
   }
   if (status.ok()) out->affected += 1;
+  return EndImplicitTxn(session, implicit, status);
+}
 
-  if (implicit) {
-    Status end = status.ok() ? txn_manager_.Commit(&session->txn_session())
-                             : txn_manager_.Rollback(&session->txn_session());
-    session->memory().EndDuration(MiDuration::kPerTransaction);
+Status Server::IndexScan(MiCallContext& ctx, OpenIndex* open,
+                         const Table& table, const Plan& plan,
+                         const RowVisitor& visit) {
+  const PurposeFunctions& hooks = open->am->hooks;
+  MiAmScanDesc scan;
+  scan.table_desc = &open->desc;
+  scan.qual = &plan.qual;
+  Status status;
+  if (hooks.am_beginscan) {
+    PurposeCallScope call(this, ctx.session, open->am,
+                          obs::PurposeFn::kAmBeginScan);
+    status = hooks.am_beginscan(ctx, &scan);
+  }
+  while (status.ok()) {
+    bool has = false;
+    uint64_t retrowid = 0;
+    Row retrow;
+    {
+      PurposeCallScope call(this, ctx.session, open->am,
+                            obs::PurposeFn::kAmGetNext);
+      status = hooks.am_getnext(ctx, &scan, &has, &retrowid, &retrow);
+    }
+    if (!status.ok() || !has) break;
+    const RecordId id = RecordId::Unpack(retrowid);
+    Row row;
+    status = table.Get(id, &row);
+    if (!status.ok()) break;
+    ++ctx.session->profile().rows_scanned;
+    bool matches = true;
+    for (const sql::Expr* residual : plan.residual) {
+      status = RowMatches(ctx, residual, table, row, &matches);
+      if (!status.ok() || !matches) break;
+    }
+    if (status.ok() && matches) status = visit(id, row);
+  }
+  if (hooks.am_endscan) {
+    PurposeCallScope call(this, ctx.session, open->am,
+                          obs::PurposeFn::kAmEndScan);
+    Status end = hooks.am_endscan(ctx, &scan);
     if (status.ok()) status = end;
   }
   return status;
+}
+
+Status Server::TableScan(MiCallContext& ctx, const Table& table,
+                         const sql::Expr* where, const RowVisitor& visit) {
+  // The callback parks an evaluation or visitor error in `status` and stops
+  // the scan; Scan's own (traversal) error must not overwrite it.
+  Status status;
+  Status scan = table.Scan([&](RecordId id, const Row& row) {
+    ++ctx.session->profile().rows_scanned;
+    bool matches = true;
+    status = RowMatches(ctx, where, table, row, &matches);
+    if (status.ok() && matches) status = visit(id, row);
+    return status.ok();
+  });
+  return status.ok() ? scan : status;
 }
 
 Status Server::ExecSelect(ServerSession* session, const sql::SelectStmt& stmt,
@@ -689,7 +751,7 @@ Status Server::ExecSelect(ServerSession* session, const sql::SelectStmt& stmt,
   Status status = lock_manager_.Acquire(txn, TableResource(stmt.table),
                                         LockMode::kShared);
   uint64_t count = 0;
-  auto emit = [&](const Row& row) -> Status {
+  const RowVisitor emit = [&](RecordId, const Row& row) -> Status {
     ++count;
     ++session->profile().rows_returned;
     if (stmt.count_star) return Status::OK();
@@ -726,90 +788,19 @@ Status Server::ExecSelect(ServerSession* session, const sql::SelectStmt& stmt,
     std::unique_ptr<OpenIndex> open;
     status = OpenIndexDesc(session, plan.index, false, ctx, &open);
     if (status.ok()) {
-      MiAmScanDesc scan;
-      scan.table_desc = &open->desc;
-      scan.qual = &plan.qual;
-      if (open->am->hooks.am_beginscan) {
-        PurposeCallScope call(this, session, open->am,
-                              obs::PurposeFn::kAmBeginScan);
-        status = open->am->hooks.am_beginscan(ctx, &scan);
-      }
-      while (status.ok()) {
-        bool has = false;
-        uint64_t retrowid = 0;
-        Row retrow;
-        {
-          PurposeCallScope call(this, session, open->am,
-                                obs::PurposeFn::kAmGetNext);
-          status = open->am->hooks.am_getnext(ctx, &scan, &has, &retrowid,
-                                              &retrow);
-        }
-        if (!status.ok() || !has) break;
-        Row base_row;
-        status = table->Get(RecordId::Unpack(retrowid), &base_row);
-        if (!status.ok()) break;
-        ++session->profile().rows_scanned;
-        bool matches = true;
-        for (const sql::Expr* residual : plan.residual) {
-          Value value;
-          status = EvaluateExpr(ctx, *residual, *table, base_row, &value);
-          if (!status.ok()) break;
-          if (value.base() != TypeDesc::Base::kBoolean || !value.boolean()) {
-            matches = false;
-            break;
-          }
-        }
-        if (!status.ok()) break;
-        if (matches) {
-          status = emit(base_row);
-          if (!status.ok()) break;
-        }
-      }
-      if (open->am->hooks.am_endscan) {
-        PurposeCallScope call(this, session, open->am,
-                              obs::PurposeFn::kAmEndScan);
-        Status end = open->am->hooks.am_endscan(ctx, &scan);
-        if (status.ok()) status = end;
-      }
+      status = IndexScan(ctx, open.get(), *table, plan, emit);
       Status close = CloseIndexDesc(ctx, open.get());
       if (status.ok()) status = close;
     }
   } else if (status.ok()) {
-    Status scan_status = table->Scan([&](RecordId, const Row& row) {
-      ++session->profile().rows_scanned;
-      if (stmt.where != nullptr) {
-        Value value;
-        Status eval = EvaluateExpr(ctx, *stmt.where, *table, row, &value);
-        if (!eval.ok()) {
-          status = eval;
-          return false;
-        }
-        if (value.base() != TypeDesc::Base::kBoolean || !value.boolean()) {
-          return true;
-        }
-      }
-      Status emit_status = emit(row);
-      if (!emit_status.ok()) {
-        status = emit_status;
-        return false;
-      }
-      return true;
-    });
-    if (status.ok()) status = scan_status;
+    status = TableScan(ctx, *table, stmt.where.get(), emit);
   }
 
   if (status.ok() && stmt.count_star) {
     out->rows.push_back({std::to_string(count)});
   }
   if (status.ok()) out->affected = count;
-
-  if (implicit) {
-    Status end = status.ok() ? txn_manager_.Commit(&session->txn_session())
-                             : txn_manager_.Rollback(&session->txn_session());
-    session->memory().EndDuration(MiDuration::kPerTransaction);
-    if (status.ok()) status = end;
-  }
-  return status;
+  return EndImplicitTxn(session, implicit, status);
 }
 
 Status Server::ExecDelete(ServerSession* session, const sql::DeleteStmt& stmt,
@@ -864,81 +855,19 @@ Status Server::ExecDelete(ServerSession* session, const sql::DeleteStmt& stmt,
     for (auto& open : opens) {
       if (open->index == plan.index) scan_open = open.get();
     }
-    if (scan_open == nullptr) {
-      status = Status::Internal("scan index not opened");
-    } else {
-      MiAmScanDesc scan;
-      scan.table_desc = &scan_open->desc;
-      scan.qual = &plan.qual;
-      if (scan_open->am->hooks.am_beginscan) {
-        PurposeCallScope call(this, session, scan_open->am,
-                              obs::PurposeFn::kAmBeginScan);
-        status = scan_open->am->hooks.am_beginscan(ctx, &scan);
-      }
-      while (status.ok()) {
-        bool has = false;
-        uint64_t retrowid = 0;
-        Row retrow;
-        {
-          PurposeCallScope call(this, session, scan_open->am,
-                                obs::PurposeFn::kAmGetNext);
-          status = scan_open->am->hooks.am_getnext(ctx, &scan, &has,
-                                                   &retrowid, &retrow);
-        }
-        if (!status.ok() || !has) break;
-        const RecordId id = RecordId::Unpack(retrowid);
-        Row base_row;
-        status = table->Get(id, &base_row);
-        if (!status.ok()) break;
-        ++session->profile().rows_scanned;
-        bool matches = true;
-        for (const sql::Expr* residual : plan.residual) {
-          Value value;
-          status = EvaluateExpr(ctx, *residual, *table, base_row, &value);
-          if (!status.ok()) break;
-          if (value.base() != TypeDesc::Base::kBoolean || !value.boolean()) {
-            matches = false;
-            break;
-          }
-        }
-        if (!status.ok()) break;
-        if (matches) {
-          status = delete_row(id, base_row);
-          if (!status.ok()) break;
-        }
-      }
-      if (scan_open->am->hooks.am_endscan) {
-        PurposeCallScope call(this, session, scan_open->am,
-                              obs::PurposeFn::kAmEndScan);
-        Status end = scan_open->am->hooks.am_endscan(ctx, &scan);
-        if (status.ok()) status = end;
-      }
-    }
+    status = scan_open == nullptr
+                 ? Status::Internal("scan index not opened")
+                 : IndexScan(ctx, scan_open, *table, plan, delete_row);
   } else if (status.ok()) {
     // Sequential scan: collect matches first, then delete.
     std::vector<std::pair<RecordId, Row>> matches;
-    Status scan_status = table->Scan([&](RecordId id, const Row& row) {
-      ++session->profile().rows_scanned;
-      if (stmt.where != nullptr) {
-        Value value;
-        Status eval = EvaluateExpr(ctx, *stmt.where, *table, row, &value);
-        if (!eval.ok()) {
-          status = eval;
-          return false;
-        }
-        if (value.base() != TypeDesc::Base::kBoolean || !value.boolean()) {
-          return true;
-        }
-      }
-      matches.emplace_back(id, row);
-      return true;
-    });
-    if (status.ok()) status = scan_status;
-    if (status.ok()) {
-      for (auto& [id, row] : matches) {
-        status = delete_row(id, row);
-        if (!status.ok()) break;
-      }
+    status = TableScan(ctx, *table, stmt.where.get(),
+                       [&](RecordId id, const Row& row) {
+                         matches.emplace_back(id, row);
+                         return Status::OK();
+                       });
+    for (size_t i = 0; status.ok() && i < matches.size(); ++i) {
+      status = delete_row(matches[i].first, matches[i].second);
     }
   }
 
@@ -946,14 +875,7 @@ Status Server::ExecDelete(ServerSession* session, const sql::DeleteStmt& stmt,
     Status close = CloseIndexDesc(ctx, open.get());
     if (status.ok()) status = close;
   }
-
-  if (implicit) {
-    Status end = status.ok() ? txn_manager_.Commit(&session->txn_session())
-                             : txn_manager_.Rollback(&session->txn_session());
-    session->memory().EndDuration(MiDuration::kPerTransaction);
-    if (status.ok()) status = end;
-  }
-  return status;
+  return EndImplicitTxn(session, implicit, status);
 }
 
 Status Server::ExecUpdate(ServerSession* session, const sql::UpdateStmt& stmt,
@@ -990,22 +912,11 @@ Status Server::ExecUpdate(ServerSession* session, const sql::UpdateStmt& stmt,
   // collects first for "Halloween" protection).
   std::vector<std::pair<RecordId, Row>> matches;
   if (status.ok()) {
-    Status scan_status = table->Scan([&](RecordId id, const Row& row) {
-      if (stmt.where != nullptr) {
-        Value value;
-        Status eval = EvaluateExpr(ctx, *stmt.where, *table, row, &value);
-        if (!eval.ok()) {
-          status = eval;
-          return false;
-        }
-        if (value.base() != TypeDesc::Base::kBoolean || !value.boolean()) {
-          return true;
-        }
-      }
-      matches.emplace_back(id, row);
-      return true;
-    });
-    if (status.ok()) status = scan_status;
+    status = TableScan(ctx, *table, stmt.where.get(),
+                       [&](RecordId id, const Row& row) {
+                         matches.emplace_back(id, row);
+                         return Status::OK();
+                       });
   }
 
   std::vector<std::unique_ptr<OpenIndex>> opens;
@@ -1051,14 +962,7 @@ Status Server::ExecUpdate(ServerSession* session, const sql::UpdateStmt& stmt,
     Status close = CloseIndexDesc(ctx, open.get());
     if (status.ok()) status = close;
   }
-
-  if (implicit) {
-    Status end = status.ok() ? txn_manager_.Commit(&session->txn_session())
-                             : txn_manager_.Rollback(&session->txn_session());
-    session->memory().EndDuration(MiDuration::kPerTransaction);
-    if (status.ok()) status = end;
-  }
-  return status;
+  return EndImplicitTxn(session, implicit, status);
 }
 
 }  // namespace grtdb

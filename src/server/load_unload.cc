@@ -102,19 +102,7 @@ Status Server::ExecUnload(ServerSession* session, const sql::UnloadStmt& stmt,
   }
   MiCallContext ctx{this, session, current_time_};
   uint64_t unloaded = 0;
-  Status status;
-  Status scan_status = table->Scan([&](RecordId, const Row& row) {
-    if (stmt.where != nullptr) {
-      Value matches;
-      Status eval = EvaluateExpr(ctx, *stmt.where, *table, row, &matches);
-      if (!eval.ok()) {
-        status = eval;
-        return false;
-      }
-      if (matches.base() != TypeDesc::Base::kBoolean || !matches.boolean()) {
-        return true;
-      }
-    }
+  auto write_row = [&](RecordId, const Row& row) {
     std::vector<std::string> fields;
     fields.reserve(row.size());
     for (const Value& value : row) {
@@ -131,10 +119,9 @@ Status Server::ExecUnload(ServerSession* session, const sql::UnloadStmt& stmt,
     }
     file << Join(fields, "|") << "\n";
     ++unloaded;
-    return true;
-  });
-  if (status.ok()) status = scan_status;
-  GRTDB_RETURN_IF_ERROR(status);
+    return Status::OK();
+  };
+  GRTDB_RETURN_IF_ERROR(TableScan(ctx, *table, stmt.where.get(), write_row));
   out->affected = unloaded;
   out->messages.push_back(std::to_string(unloaded) + " row(s) unloaded to " +
                           stmt.path);

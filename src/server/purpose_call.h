@@ -1,8 +1,6 @@
 #ifndef GRTDB_SERVER_PURPOSE_CALL_H_
 #define GRTDB_SERVER_PURPOSE_CALL_H_
 
-#include <string>
-
 #include "obs/fast_clock.h"
 #include "obs/flight_recorder.h"
 #include "obs/query_profile.h"
@@ -12,12 +10,15 @@
 
 namespace grtdb {
 
-// RAII wrapper around one VII purpose-function invocation: logs the
-// resolved name to the session's purpose log (the paper's Fig. 6 call
-// record), counts the call in the per-statement QueryProfile, and — when
-// server observability is on — times it into the vii.<fn>.us histogram and
-// vii.<fn>.calls counter. Construct immediately before invoking the hook;
-// the enclosed call is timed until the scope dies.
+// RAII wrapper around one VII purpose-function invocation: records the call
+// under the access method's name for it in the statement's QueryProfile
+// (the paper's Fig. 6 call record) and — when server observability is on —
+// times it into the profile, the vii.<fn>.us histogram and the
+// vii.<fn>.calls counter. The histogram, the flight recorder's slow-call
+// check and the sampled span stay per call: a latency distribution cannot
+// be rebuilt from per-statement sums, and a crash dump must not lose events
+// deferred to the end of the statement. Construct immediately before
+// invoking the hook; the enclosed call is timed until the scope dies.
 class PurposeCallScope {
  public:
   PurposeCallScope(Server* server, ServerSession* session,
@@ -26,11 +27,8 @@ class PurposeCallScope {
         session_(session),
         fn_(fn),
         span_(obs::SpanName::kPurpose, static_cast<uint64_t>(fn)) {
-    const char* generic = obs::PurposeFnName(fn);
-    auto it = am->purpose_names.find(generic);
-    session_->LogPurposeCall(it != am->purpose_names.end() ? it->second
-                                                           : generic);
-    session_->profile().CountCall(fn);
+    session_->profile().CountCall(fn,
+                                  am->purpose_names[static_cast<size_t>(fn)]);
     obs_timed_ = server_->observability_enabled();
     // The always-on flight recorder flags outliers even with observability
     // off, so the call is also timed whenever its slow threshold is armed.

@@ -92,6 +92,15 @@ class SessionStatementScope {
   ServerSession* session_;
 };
 
+// Binds a purpose function's symbol into its hook slot; false when the
+// symbol does not have the hook's signature.
+template <typename Hook>
+bool BindHook(const UdrDef& udr, Hook* hook) {
+  const Hook* fn = std::any_cast<Hook>(&udr.symbol);
+  if (fn != nullptr) *hook = *fn;
+  return fn != nullptr;
+}
+
 }  // namespace
 
 Server::Server(const ServerOptions& options)
@@ -257,22 +266,41 @@ std::string Server::RenderValue(const Value& value) const {
   return value.ToString();
 }
 
+obs::TraceHandle Server::RootTrace() {
+  // When sampling is off — the default — StartTrace is one relaxed load and
+  // the TraceScope given its handle is inert.
+  return obs::CurrentTraceHandle().active() ? obs::TraceHandle{}
+                                            : span_tracer_.StartTrace();
+}
+
 Status Server::Execute(ServerSession* session, const std::string& sql,
                        ResultSet* out) {
-  // Root the request trace here unless one is already installed on this
-  // thread (the net front end roots at frame arrival so decode and queue
-  // wait are covered; EXPLAIN TRACE roots its own). When sampling is off —
-  // the default — StartTrace is one relaxed load and the scope is inert.
-  const obs::TraceHandle ambient = obs::CurrentTraceHandle();
-  obs::TraceScope root_scope(
-      ambient.active() ? obs::TraceHandle{} : span_tracer_.StartTrace(),
-      obs::SpanName::kRequest);
+  obs::TraceScope root_scope(RootTrace(), obs::SpanName::kRequest);
   SessionStatementScope stmt_scope(session, sql);
   sql::Statement stmt;
   {
     obs::SpanScope parse_span(obs::SpanName::kParse);
     GRTDB_RETURN_IF_ERROR(sql::Parser::Parse(sql, &stmt));
   }
+  return RunStatement(session, sql, stmt, out);
+}
+
+Status Server::ExecuteScript(ServerSession* session,
+                             const std::string& script, ResultSet* out) {
+  // One root spans the whole script (a script arrives as one request).
+  obs::TraceScope root_scope(RootTrace(), obs::SpanName::kRequest);
+  SessionStatementScope stmt_scope(session, script);
+  std::vector<sql::Statement> statements;
+  std::vector<std::string> texts;
+  GRTDB_RETURN_IF_ERROR(sql::Parser::ParseScript(script, &statements, &texts));
+  for (size_t i = 0; i < statements.size(); ++i) {
+    GRTDB_RETURN_IF_ERROR(RunStatement(session, texts[i], statements[i], out));
+  }
+  return Status::OK();
+}
+
+Status Server::RunStatement(ServerSession* session, const std::string& text,
+                            const sql::Statement& stmt, ResultSet* out) {
   out->Clear();
   const uint64_t start_ticks = obs::Ticks();
   // Statement-scoped durations open here and close unconditionally below,
@@ -283,40 +311,24 @@ Status Server::Execute(ServerSession* session, const std::string& sql,
   // Slow-query retention sees every statement, successful or not; its
   // threshold check is one relaxed load, so the disabled default costs
   // nothing beyond the two tick reads.
-  slow_query_log_.MaybeRecord(sql, obs::TicksToNs(obs::Ticks() - start_ticks),
+  slow_query_log_.MaybeRecord(text, obs::TicksToNs(obs::Ticks() - start_ticks),
                               session->profile(), session->id(),
                               obs::CurrentTraceHandle().trace_id);
-  // PER_FUNCTION and PER_STATEMENT memory die with the statement (§6.2).
-  // Teardown is scoped to the executing session's allocator, so two
-  // concurrent statements cannot free each other's blocks.
+  // PER_FUNCTION and PER_STATEMENT memory die with the statement (§6.2),
+  // the failing one included. Teardown is scoped to the executing session's
+  // allocator, so two concurrent statements cannot free each other's blocks.
   session->memory().EndDuration(MiDuration::kPerFunction);
   session->memory().EndDuration(MiDuration::kPerStatement);
   return status;
 }
 
-Status Server::ExecuteScript(ServerSession* session,
-                             const std::string& script, ResultSet* out) {
-  // One root spans the whole script (a script arrives as one request).
-  const obs::TraceHandle ambient = obs::CurrentTraceHandle();
-  obs::TraceScope root_scope(
-      ambient.active() ? obs::TraceHandle{} : span_tracer_.StartTrace(),
-      obs::SpanName::kRequest);
-  SessionStatementScope stmt_scope(session, script);
-  std::vector<sql::Statement> statements;
-  GRTDB_RETURN_IF_ERROR(sql::Parser::ParseScript(script, &statements));
-  for (const sql::Statement& stmt : statements) {
-    out->Clear();
-    session->memory().BeginDuration(MiDuration::kPerFunction);
-    session->memory().BeginDuration(MiDuration::kPerStatement);
-    Status status = ExecuteStatement(session, stmt, out);
-    // Durations end for the failing statement too — Execute ends them
-    // unconditionally, and a mid-script error must not leak every
-    // per-statement block allocated before it.
-    session->memory().EndDuration(MiDuration::kPerFunction);
-    session->memory().EndDuration(MiDuration::kPerStatement);
-    GRTDB_RETURN_IF_ERROR(status);
-  }
-  return Status::OK();
+Status Server::EndImplicitTxn(ServerSession* session, bool implicit,
+                              Status status) {
+  if (!implicit) return status;
+  Status end = status.ok() ? txn_manager_.Commit(&session->txn_session())
+                           : txn_manager_.Rollback(&session->txn_session());
+  session->memory().EndDuration(MiDuration::kPerTransaction);
+  return status.ok() ? end : status;
 }
 
 Status Server::ExecuteStatement(ServerSession* session,
@@ -698,15 +710,9 @@ Status Server::Prepare(ServerSession* session, const std::string& name,
   sql::PrepareStmt prepare;
   prepare.name = name;
   prepare.inner_sql = sql;
-  sql::Statement stmt = std::move(prepare);
-  out->Clear();
-  SessionStatementScope stmt_scope(session, "PREPARE " + name);
-  session->memory().BeginDuration(MiDuration::kPerFunction);
-  session->memory().BeginDuration(MiDuration::kPerStatement);
-  Status status = ExecuteStatement(session, stmt, out);
-  session->memory().EndDuration(MiDuration::kPerFunction);
-  session->memory().EndDuration(MiDuration::kPerStatement);
-  return status;
+  const std::string text = "PREPARE " + name;
+  SessionStatementScope stmt_scope(session, text);
+  return RunStatement(session, text, sql::Statement(std::move(prepare)), out);
 }
 
 Status Server::ExecutePrepared(ServerSession* session,
@@ -722,26 +728,10 @@ Status Server::ExecutePrepared(ServerSession* session,
   sql::ExecuteStmt execute;
   execute.name = name;
   execute.args = params;
-  sql::Statement stmt = std::move(execute);
-  out->Clear();
-  // Same trace-rooting rule as Execute: the net front end usually owns the
-  // root; the embedded path samples here.
-  const obs::TraceHandle ambient = obs::CurrentTraceHandle();
-  obs::TraceScope root_scope(
-      ambient.active() ? obs::TraceHandle{} : span_tracer_.StartTrace(),
-      obs::SpanName::kRequest);
-  SessionStatementScope stmt_scope(session, "EXECUTE " + name);
-  const uint64_t start_ticks = obs::Ticks();
-  session->memory().BeginDuration(MiDuration::kPerFunction);
-  session->memory().BeginDuration(MiDuration::kPerStatement);
-  Status status = ExecuteStatement(session, stmt, out);
-  slow_query_log_.MaybeRecord("EXECUTE " + name,
-                              obs::TicksToNs(obs::Ticks() - start_ticks),
-                              session->profile(), session->id(),
-                              obs::CurrentTraceHandle().trace_id);
-  session->memory().EndDuration(MiDuration::kPerFunction);
-  session->memory().EndDuration(MiDuration::kPerStatement);
-  return status;
+  obs::TraceScope root_scope(RootTrace(), obs::SpanName::kRequest);
+  const std::string text = "EXECUTE " + name;
+  SessionStatementScope stmt_scope(session, text);
+  return RunStatement(session, text, sql::Statement(std::move(execute)), out);
 }
 
 Status Server::ExecDumpFlight(ResultSet* out) {
@@ -829,8 +819,12 @@ Status Server::ExecCreateFunction(const sql::CreateFunctionStmt& stmt) {
 
 Status Server::ExecCreateAccessMethod(
     const sql::CreateAccessMethodStmt& stmt) {
+  using F = obs::PurposeFn;
   AccessMethodDef am;
   am.name = stmt.name;
+  for (size_t fn = 0; fn < obs::kPurposeFnCount; ++fn) {
+    am.purpose_names[fn] = obs::PurposeFnName(static_cast<F>(fn));
+  }
   for (const auto& [key_raw, value] : stmt.properties) {
     const std::string key = ToLower(key_raw);
     if (key == "am_sptype") {
@@ -845,49 +839,39 @@ Status Server::ExecCreateAccessMethod(
       return Status::NotFound("purpose function '" + value +
                               "' is not a registered function");
     }
-    am.purpose_names[key] = udr->name;
-    auto cast_error = [&]() {
+    // Every other property names the function for one purpose.
+    size_t fn = 0;
+    while (fn < obs::kPurposeFnCount &&
+           key != obs::PurposeFnName(static_cast<F>(fn))) {
+      ++fn;
+    }
+    if (fn == obs::kPurposeFnCount) {
+      return Status::InvalidArgument("unknown access-method property '" +
+                                     key_raw + "'");
+    }
+    am.purpose_names[fn] = udr->name;
+    PurposeFunctions& h = am.hooks;
+    bool bound = false;
+    switch (static_cast<F>(fn)) {
+      case F::kAmCreate: bound = BindHook(*udr, &h.am_create); break;
+      case F::kAmDrop: bound = BindHook(*udr, &h.am_drop); break;
+      case F::kAmOpen: bound = BindHook(*udr, &h.am_open); break;
+      case F::kAmClose: bound = BindHook(*udr, &h.am_close); break;
+      case F::kAmBeginScan: bound = BindHook(*udr, &h.am_beginscan); break;
+      case F::kAmEndScan: bound = BindHook(*udr, &h.am_endscan); break;
+      case F::kAmRescan: bound = BindHook(*udr, &h.am_rescan); break;
+      case F::kAmGetNext: bound = BindHook(*udr, &h.am_getnext); break;
+      case F::kAmInsert: bound = BindHook(*udr, &h.am_insert); break;
+      case F::kAmDelete: bound = BindHook(*udr, &h.am_delete); break;
+      case F::kAmUpdate: bound = BindHook(*udr, &h.am_update); break;
+      case F::kAmScanCost: bound = BindHook(*udr, &h.am_scancost); break;
+      case F::kAmStats: bound = BindHook(*udr, &h.am_stats); break;
+      case F::kAmCheck: bound = BindHook(*udr, &h.am_check); break;
+    }
+    if (!bound) {
       return Status::InvalidArgument(
           "function '" + value + "' does not have the signature required by " +
           key);
-    };
-    if (key == "am_create" || key == "am_drop" || key == "am_open" ||
-        key == "am_close" || key == "am_stats" || key == "am_check") {
-      const auto* fn = std::any_cast<AmSimpleFn>(&udr->symbol);
-      if (fn == nullptr) return cast_error();
-      if (key == "am_create") am.hooks.am_create = *fn;
-      if (key == "am_drop") am.hooks.am_drop = *fn;
-      if (key == "am_open") am.hooks.am_open = *fn;
-      if (key == "am_close") am.hooks.am_close = *fn;
-      if (key == "am_stats") am.hooks.am_stats = *fn;
-      if (key == "am_check") am.hooks.am_check = *fn;
-    } else if (key == "am_beginscan" || key == "am_endscan" ||
-               key == "am_rescan") {
-      const auto* fn = std::any_cast<AmScanFn>(&udr->symbol);
-      if (fn == nullptr) return cast_error();
-      if (key == "am_beginscan") am.hooks.am_beginscan = *fn;
-      if (key == "am_endscan") am.hooks.am_endscan = *fn;
-      if (key == "am_rescan") am.hooks.am_rescan = *fn;
-    } else if (key == "am_getnext") {
-      const auto* fn = std::any_cast<AmGetNextFn>(&udr->symbol);
-      if (fn == nullptr) return cast_error();
-      am.hooks.am_getnext = *fn;
-    } else if (key == "am_insert" || key == "am_delete") {
-      const auto* fn = std::any_cast<AmModifyFn>(&udr->symbol);
-      if (fn == nullptr) return cast_error();
-      if (key == "am_insert") am.hooks.am_insert = *fn;
-      if (key == "am_delete") am.hooks.am_delete = *fn;
-    } else if (key == "am_update") {
-      const auto* fn = std::any_cast<AmUpdateFn>(&udr->symbol);
-      if (fn == nullptr) return cast_error();
-      am.hooks.am_update = *fn;
-    } else if (key == "am_scancost") {
-      const auto* fn = std::any_cast<AmScanCostFn>(&udr->symbol);
-      if (fn == nullptr) return cast_error();
-      am.hooks.am_scancost = *fn;
-    } else {
-      return Status::InvalidArgument("unknown access-method property '" +
-                                     key_raw + "'");
     }
   }
   if (!am.hooks.am_getnext) {
@@ -958,13 +942,7 @@ Status Server::ExecDropIndex(ServerSession* session,
     std::lock_guard<std::mutex> lock(index_stats_mu_);
     index_stats_.erase(ToLower(stmt.index));
   }
-  if (implicit) {
-    Status end = status.ok() ? txn_manager_.Commit(&session->txn_session())
-                             : txn_manager_.Rollback(&session->txn_session());
-    session->memory().EndDuration(MiDuration::kPerTransaction);
-    if (status.ok()) status = end;
-  }
-  return status;
+  return EndImplicitTxn(session, implicit, status);
 }
 
 Status Server::ExecDropFunction(const sql::DropFunctionStmt& stmt) {
@@ -1135,13 +1113,7 @@ Status Server::ExecCheckIndex(ServerSession* session,
   if (status.ok()) {
     out->messages.push_back("index '" + stmt.index + "' is consistent");
   }
-  if (implicit) {
-    Status end = status.ok() ? txn_manager_.Commit(&session->txn_session())
-                             : txn_manager_.Rollback(&session->txn_session());
-    session->memory().EndDuration(MiDuration::kPerTransaction);
-    if (status.ok()) status = end;
-  }
-  return status;
+  return EndImplicitTxn(session, implicit, status);
 }
 
 Status Server::RunIndexStats(ServerSession* session, IndexDef* index,
@@ -1201,13 +1173,7 @@ Status Server::ExecUpdateStatistics(ServerSession* session,
     out->messages.push_back("statistics updated for " +
                             std::to_string(targets.size()) + " index(es)");
   }
-  if (implicit) {
-    Status end = status.ok() ? txn_manager_.Commit(&session->txn_session())
-                             : txn_manager_.Rollback(&session->txn_session());
-    session->memory().EndDuration(MiDuration::kPerTransaction);
-    if (status.ok()) status = end;
-  }
-  return status;
+  return EndImplicitTxn(session, implicit, status);
 }
 
 // ------------------------------------------------- purpose-fn plumbing ---
@@ -1383,11 +1349,7 @@ Status Server::ExecCreateIndex(ServerSession* session,
   }
   if (!status.ok()) return fail(status);
 
-  if (implicit) {
-    Status end = txn_manager_.Commit(&session->txn_session());
-    session->memory().EndDuration(MiDuration::kPerTransaction);
-    if (!end.ok()) return end;
-  }
+  GRTDB_RETURN_IF_ERROR(EndImplicitTxn(session, implicit, Status::OK()));
   out->messages.push_back("index '" + stmt.name + "' created using " +
                           stmt.access_method);
   return Status::OK();

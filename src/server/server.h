@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -39,8 +40,8 @@ namespace grtdb {
 enum class CurrentTimeMode { kPerStatement, kPerTransaction };
 
 // A client session: transaction state plus server-side session settings,
-// the session's duration-scoped allocator, and the purpose-function call
-// log tests and bench T2 read.
+// the session's duration-scoped allocator, and the last statement's
+// profile (whose purpose-call record tests and bench T2 read).
 class ServerSession {
  public:
   explicit ServerSession(SessionId id) : session_(id) {}
@@ -64,39 +65,17 @@ class ServerSession {
   CurrentTimeMode time_mode() const { return time_mode_; }
   void set_time_mode(CurrentTimeMode mode) { time_mode_ = mode; }
 
-  // Recent purpose-function invocations, in order ("grt_open",
-  // "grt_insert", ...). Bounded: a long-lived connection must not grow
-  // session state on every call, so once the log reaches
-  // kPurposeLogCapacity entries the oldest half is dropped (counted in
-  // purpose_log_dropped). Sequence consumers (the Fig. 6 tests, EXPLAIN-
-  // style tooling) clear per statement and never get near the cap;
-  // aggregate consumers read purpose_counts(), which stays exact.
-  static constexpr size_t kPurposeLogCapacity = 4096;
-  const std::vector<std::string>& purpose_log() const { return purpose_log_; }
-  // Exact per-function call totals since the last ClearPurposeLog,
-  // unaffected by log truncation (bounded by the purpose-fn vocabulary).
-  const std::map<std::string, uint64_t>& purpose_counts() const {
-    return purpose_counts_;
-  }
-  uint64_t purpose_log_dropped() const { return purpose_log_dropped_; }
-  void ClearPurposeLog() {
-    purpose_log_.clear();
-    purpose_counts_.clear();
-    purpose_log_dropped_ = 0;
-  }
-  void LogPurposeCall(const std::string& name) {
-    ++purpose_counts_[name];
-    if (purpose_log_.size() >= kPurposeLogCapacity) {
-      // Drop the oldest half in one move: amortized O(1) per call.
-      purpose_log_.erase(purpose_log_.begin(),
-                         purpose_log_.begin() + kPurposeLogCapacity / 2);
-      purpose_log_dropped_ += kPurposeLogCapacity / 2;
-    }
-    purpose_log_.push_back(name);
-  }
-
   // The most recent statement's execution profile (reset per statement).
   obs::QueryProfile& profile() { return profile_; }
+  // That statement's purpose-function calls in order ("grt_open",
+  // "grt_insert", ...), one entry per call of the profile's runs.
+  std::vector<std::string> purpose_log() const {
+    std::vector<std::string> log;
+    for (const obs::PurposeRun& run : profile_.runs()) {
+      log.insert(log.end(), run.count, run.name);
+    }
+    return log;
+  }
 
   // ---- prepared statements ---------------------------------------------
   // A session-local handle onto the server-wide plan cache. Only text keys
@@ -199,9 +178,6 @@ class ServerSession {
   MiMemory memory_;
   bool explain_ = false;
   CurrentTimeMode time_mode_ = CurrentTimeMode::kPerStatement;
-  std::vector<std::string> purpose_log_;
-  std::map<std::string, uint64_t> purpose_counts_;
-  uint64_t purpose_log_dropped_ = 0;
   obs::QueryProfile profile_;
   mutable std::mutex prepared_mu_;
   std::map<std::string, PreparedHandle> prepared_;  // lower-cased name
@@ -379,6 +355,21 @@ class Server {
 
   Status ExecuteStatement(ServerSession* session, const sql::Statement& stmt,
                           ResultSet* out);
+  // The envelope Execute, ExecuteScript, Prepare and ExecutePrepared run
+  // each parsed statement in: opens the statement-scoped durations, runs
+  // ExecuteStatement, offers the statement to slow-query retention under
+  // `text`, and ends the durations whatever the outcome.
+  Status RunStatement(ServerSession* session, const std::string& text,
+                      const sql::Statement& stmt, ResultSet* out);
+  // The trace a request entry point roots: none when one is already
+  // installed on this thread (the net front end roots at frame arrival;
+  // EXPLAIN TRACE roots its own), else the sampler's decision.
+  obs::TraceHandle RootTrace();
+  // Ends the transaction EnsureTxn opened implicitly for one statement (a
+  // no-op unless `implicit`): commit when `status` is OK, else roll back,
+  // then end the per-transaction duration. Returns `status`, or the
+  // commit's error when the statement itself succeeded.
+  Status EndImplicitTxn(ServerSession* session, bool implicit, Status status);
 
   // Plan-cache fetch with hit/miss accounting.
   Status GetCachedPlan(const std::string& sql,
@@ -451,6 +442,10 @@ class Server {
   // WHERE evaluation on a row (UDF calls go through the UDR registry).
   Status EvaluateExpr(MiCallContext& ctx, const sql::Expr& expr,
                       const Table& table, const Row& row, Value* out);
+  // Whether `row` satisfies `expr` (a null expr: every row); a result that
+  // is not boolean true does not.
+  Status RowMatches(MiCallContext& ctx, const sql::Expr* expr,
+                    const Table& table, const Row& row, bool* matches);
 
   // Query planning: find an index whose opclass strategy functions cover
   // top-level AND conjuncts of `where` on the indexed column.
@@ -483,6 +478,20 @@ class Server {
                        std::unique_ptr<OpenIndex>* out);
   Status CloseIndexDesc(MiCallContext& ctx, OpenIndex* open);
   Row KeyRowFor(const MiAmTableDesc& desc, const Row& base_row) const;
+
+  // The two scan loops. A scan hands each row it yields to a RowVisitor;
+  // an error the visitor returns stops the scan and is the scan's result.
+  using RowVisitor = std::function<Status(RecordId, const Row&)>;
+  // Fig. 6(b) on an opened index, for SELECT and DELETE: am_beginscan,
+  // am_getnext until the index is exhausted, then am_endscan whatever the
+  // outcome. Every fetched row counts as scanned; it is visited when it
+  // passes the plan's residual conjuncts.
+  Status IndexScan(MiCallContext& ctx, OpenIndex* open, const Table& table,
+                   const Plan& plan, const RowVisitor& visit);
+  // The sequential scan, for SELECT, DELETE, UPDATE and UNLOAD: every row
+  // counts as scanned; it is visited when it satisfies `where`.
+  Status TableScan(MiCallContext& ctx, const Table& table,
+                   const sql::Expr* where, const RowVisitor& visit);
 
   ServerOptions options_;
   TypeRegistry types_;

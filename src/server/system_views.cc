@@ -53,12 +53,10 @@ const std::vector<Server::SystemView>& Server::SystemViews() {
         {"defaultopclass", text}},
        [](Server& server, std::vector<Row>* rows) {
          for (const AccessMethodDef* am : server.catalog_.AllAccessMethods()) {
-           auto purpose = am->purpose_names.find("am_getnext");
            rows->push_back(
                {Value::Text(am->name), Value::Text(std::string(1, am->sptype)),
-                Value::Text(purpose != am->purpose_names.end()
-                                ? purpose->second
-                                : ""),
+                Value::Text(am->purpose_names[static_cast<size_t>(
+                    obs::PurposeFn::kAmGetNext)]),
                 Value::Text(am->default_opclass)});
          }
        }},
@@ -183,25 +181,25 @@ const std::vector<Server::SystemView>& Server::SystemViews() {
        [](Server& server, std::vector<Row>* rows) {
          for (const obs::SlowQueryEntry& entry :
               server.slow_query_log_.Snapshot()) {
+           const obs::ProfileCounters& c = entry.counters;
            // The retained profile's Fig. 6 breakdown, one clause per purpose
            // function that was actually called: "am_getnext calls=41 ns=103".
            std::string breakdown;
            for (size_t i = 0; i < obs::kPurposeFnCount; ++i) {
-             if (entry.calls[i] == 0) continue;
+             if (c.fn_calls[i] == 0) continue;
              if (!breakdown.empty()) breakdown += "; ";
              breakdown +=
                  std::string(
                      obs::PurposeFnName(static_cast<obs::PurposeFn>(i))) +
-                 " calls=" + std::to_string(entry.calls[i]) +
-                 " ns=" + std::to_string(entry.ns[i]);
+                 " calls=" + std::to_string(c.fn_calls[i]) +
+                 " ns=" + std::to_string(c.fn_ns[i]);
            }
            rows->push_back(
                {Uint(entry.seq), Uint(entry.session_id), Uint(entry.trace_id),
-                Uint(entry.total_ns), Uint(entry.rows_scanned),
-                Uint(entry.rows_returned), Uint(entry.node_reads),
-                Uint(entry.cache_hits), Uint(entry.lock_waits),
-                Uint(entry.lock_wait_ns), Value::Text(breakdown),
-                Value::Text(entry.sql)});
+                Uint(entry.total_ns), Uint(c.rows_scanned),
+                Uint(c.rows_returned), Uint(c.node_reads), Uint(c.cache_hits),
+                Uint(c.lock_waits), Uint(c.lock_wait_ns),
+                Value::Text(breakdown), Value::Text(entry.sql)});
          }
        }},
       {"sys_prepared",

@@ -83,16 +83,23 @@ Status Parser::Parse(const std::string& text, Statement* out,
 }
 
 Status Parser::ParseScript(const std::string& text,
-                           std::vector<Statement>* out) {
+                           std::vector<Statement>* out,
+                           std::vector<std::string>* texts) {
   std::vector<Token> tokens;
   GRTDB_RETURN_IF_ERROR(Tokenize(text, &tokens));
   Parser parser(std::move(tokens), text);
   out->clear();
+  if (texts != nullptr) texts->clear();
   while (parser.Peek().kind != Token::Kind::kEnd) {
     if (parser.TrySymbol(";")) continue;
+    const size_t start = parser.Peek().offset;
     Statement statement;
     GRTDB_RETURN_IF_ERROR(parser.ParseStatement(&statement));
     out->push_back(std::move(statement));
+    if (texts != nullptr) {
+      texts->emplace_back(StripWhitespace(std::string_view(text).substr(
+          start, parser.Peek().offset - start)));
+    }
   }
   return Status::OK();
 }

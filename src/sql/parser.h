@@ -25,9 +25,11 @@ class Parser {
   static Status Parse(const std::string& text, Statement* out,
                       size_t* param_count = nullptr);
 
-  // Parses a ;-separated script (trailing ; optional).
+  // Parses a ;-separated script (trailing ; optional). If texts is
+  // non-null it receives each statement's own text, parallel to `out`.
   static Status ParseScript(const std::string& text,
-                            std::vector<Statement>* out);
+                            std::vector<Statement>* out,
+                            std::vector<std::string>* texts = nullptr);
 
  private:
   Parser(std::vector<Token> tokens, std::string text)
@@ -72,7 +74,8 @@ class Parser {
 
   std::vector<Token> tokens_;
   // Original statement text; token offsets index into it, which lets
-  // EXPLAIN PROFILE / PREPARE carry their inner statement as a text span.
+  // EXPLAIN PROFILE / PREPARE carry their inner statement, and a script
+  // each of its statements, as a text span.
   std::string text_;
   size_t pos_ = 0;
   // Number of `?` placeholders consumed so far; each gets the next index.

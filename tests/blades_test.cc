@@ -170,6 +170,64 @@ TEST_F(EmpDepTest, CheckAndStatistics) {
   EXPECT_NE(log.back().find("stats empdep_idx"), std::string::npos);
 }
 
+// Golden Fig. 6 / Table 5 / §5.5 call sequences of the GR-tree blade: the
+// exact grt_* calls bench_fig6_callseq prints for INSERT, SELECT, UPDATE
+// and DELETE, on the bench's own data. Each statement runs on a fresh
+// session, so purpose_log() holds that statement's calls and nothing else.
+TEST_F(BladeTest, Fig6GoldenCallSequences) {
+  MustExec("CREATE TABLE t (id int, e grt_timeextent)");
+  MustExec("CREATE INDEX t_idx ON t(e grt_opclass) USING grtree_am");
+  MustExec("SET CURRENT_TIME TO 10000");
+  for (int i = 0; i < 12; ++i) {
+    MustExec("INSERT INTO t VALUES (" + std::to_string(i) + ", '10000, UC, " +
+             std::to_string(9990 - i) + ", NOW')");
+  }
+  auto calls_of = [&](const std::string& sql) {
+    ServerSession* session = server_.CreateSession();
+    ResultSet result;
+    Status status = server_.Execute(session, sql, &result);
+    EXPECT_TRUE(status.ok()) << sql << " -> " << status.ToString();
+    std::vector<std::string> log = session->purpose_log();
+    EXPECT_TRUE(server_.CloseSession(session).ok());
+    return log;
+  };
+  auto repeat = [](std::vector<std::string>* out,
+                   const std::vector<std::string>& calls, int times) {
+    for (int i = 0; i < times; ++i) {
+      out->insert(out->end(), calls.begin(), calls.end());
+    }
+  };
+
+  // Fig. 6(a).
+  EXPECT_EQ(calls_of("INSERT INTO t VALUES (999, '10000, UC, 9000, NOW')"),
+            (std::vector<std::string>{"grt_open", "grt_insert", "grt_close"}));
+
+  // Fig. 6(b), after the optimizer's open/scancost/close cost probe: 13
+  // rows and the exhausted getnext.
+  std::vector<std::string> select = {"grt_open", "grt_scancost", "grt_close",
+                                     "grt_open", "grt_beginscan"};
+  repeat(&select, {"grt_getnext"}, 14);
+  select.insert(select.end(), {"grt_endscan", "grt_close"});
+  EXPECT_EQ(
+      calls_of("SELECT id FROM t WHERE Overlaps(e, '10000, 10000, 9985, 9990')"),
+      select);
+
+  // Table 5: a key change is one am_update.
+  EXPECT_EQ(
+      calls_of("UPDATE t SET e = '10000, 10000, 9000, 9500' WHERE id = 999"),
+      (std::vector<std::string>{"grt_open", "grt_update", "grt_close"}));
+
+  // §5.5: every index opened once for the statement, the cost probe, then
+  // retrieve-and-delete — each qualifying getnext followed by its delete.
+  std::vector<std::string> del = {"grt_open", "grt_open", "grt_scancost",
+                                  "grt_close", "grt_beginscan"};
+  repeat(&del, {"grt_getnext", "grt_delete"}, 12);
+  del.insert(del.end(), {"grt_getnext", "grt_endscan", "grt_close"});
+  EXPECT_EQ(
+      calls_of("DELETE FROM t WHERE Overlaps(e, '10000, 10000, 9988, 9990')"),
+      del);
+}
+
 // Differential test through SQL: GR-tree answers == R*-tree answers ==
 // sequential-scan answers on a random evolving history.
 class DifferentialTest : public BladeTest,

@@ -260,7 +260,7 @@ int main() {
               static_cast<uint64_t>(i % 4096));
         }
         registry.GetGauge("stress.gauge")->Set(i);
-        profile.CountCall(PurposeFn::kAmGetNext);
+        profile.CountCall(PurposeFn::kAmGetNext, "am_getnext");
         ++profile.node_reads;
         // Mostly-disabled tracing (the fast path), with periodic records.
         trace.Tprintf("quiet", 5, "never emitted %d", i);

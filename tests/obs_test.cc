@@ -2,7 +2,9 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <map>
@@ -487,6 +489,135 @@ TEST_F(ObsSqlTest, SlowQueryLogCapturesProfilesAboveThreshold) {
   for (const auto& row : result_.rows) {
     EXPECT_EQ(row[11].find("31337"), std::string::npos) << row[11];
   }
+}
+
+// Every entry point reaches slow-query retention: each statement of a
+// script under its own text, and a wire-level PREPARE as "PREPARE <name>".
+TEST_F(ObsSqlTest, SlowQueryLogRetainsScriptAndPrepareStatements) {
+  MustExec("SET SLOW_QUERY_NS = 1");
+  ASSERT_TRUE(server_
+                  .ExecuteScript(session_,
+                                 "SELECT id FROM t WHERE id = 7;\n"
+                                 "  SELECT id FROM t WHERE id = 8 ;\n",
+                                 &result_)
+                  .ok());
+  ASSERT_TRUE(
+      server_.Prepare(session_, "probe", "SELECT id FROM t WHERE id = ?",
+                      &result_)
+          .ok());
+  MustExec("SET SLOW_QUERY_NS = 0");
+  MustExec("SELECT * FROM sys_slow_queries");
+  std::map<std::string, std::vector<std::string>> by_sql;
+  for (const auto& row : result_.rows) by_sql[row[11]] = row;
+  ASSERT_TRUE(by_sql.count("SELECT id FROM t WHERE id = 7"));
+  ASSERT_TRUE(by_sql.count("SELECT id FROM t WHERE id = 8"));
+  ASSERT_TRUE(by_sql.count("PREPARE probe"));
+  // Each script statement carries its own profile: a 40-row sequential
+  // scan returning one row.
+  EXPECT_EQ(by_sql["SELECT id FROM t WHERE id = 7"][4], "40");
+  EXPECT_EQ(by_sql["SELECT id FROM t WHERE id = 8"][5], "1");
+  EXPECT_NE(by_sql["PREPARE probe"][1], "0");  // session id
+}
+
+// Sequential scans count every row they read, whatever statement drives
+// them: UPDATE and UNLOAD included.
+TEST_F(ObsSqlTest, ExplainProfileCountsRowsScannedByUpdateAndUnload) {
+  MustExec("EXPLAIN PROFILE UPDATE t SET id = 7 WHERE id = 3");
+  EXPECT_EQ(result_.affected, 1u);
+  EXPECT_NE(std::find(result_.messages.begin(), result_.messages.end(),
+                      "PROFILE rows_scanned=40 rows_returned=0"),
+            result_.messages.end());
+  const std::string path = ::testing::TempDir() + "obs_unload_" +
+                           std::to_string(::getpid()) + ".unl";
+  MustExec("EXPLAIN PROFILE UNLOAD TO '" + path +
+           "' SELECT * FROM t WHERE id > 30");
+  std::remove(path.c_str());
+  EXPECT_EQ(result_.affected, 9u);
+  EXPECT_NE(std::find(result_.messages.begin(), result_.messages.end(),
+                      "PROFILE rows_scanned=40 rows_returned=0"),
+            result_.messages.end());
+}
+
+// EXPLAIN PROFILE on scans past 4096 purpose calls: the sequence is kept as
+// runs, so a long getnext run renders whole; only a statement of more than
+// 4096 runs loses its tail, and the per-function counts stay exact.
+class ProfileSequenceTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(RegisterGRTreeBlade(&server_).ok());
+    session_ = server_.CreateSession();
+    MustExec("CREATE TABLE t (id int, e grt_timeextent)");
+    MustExec("SET CURRENT_TIME TO 20000");
+    // Rows first, index second: CREATE INDEX builds in one statement.
+    MustExec("BEGIN WORK");
+    for (int i = 0; i < kRows; ++i) {
+      // Row i is valid on day 15000 + i only.
+      const std::string day = std::to_string(15000 + i);
+      MustExec("INSERT INTO t VALUES (" + std::to_string(i) + ", '20000, UC, " +
+               day + ", " + day + "')");
+    }
+    MustExec("COMMIT WORK");
+    MustExec("CREATE INDEX t_idx ON t(e grt_opclass) USING grtree_am");
+  }
+
+  void MustExec(const std::string& sql) {
+    Status status = server_.Execute(session_, sql, &result_);
+    ASSERT_TRUE(status.ok()) << sql << " -> " << status.ToString();
+  }
+
+  std::string ProfileLine(const std::string& prefix) const {
+    for (const std::string& line : result_.messages) {
+      if (line.rfind(prefix, 0) == 0) return line;
+    }
+    return "";
+  }
+
+  static constexpr int kRows = 5000;
+  Server server_;
+  ServerSession* session_ = nullptr;
+  ResultSet result_;
+};
+
+TEST_F(ProfileSequenceTest, LongIndexScanRendersItsWholeSequence) {
+  MustExec("EXPLAIN PROFILE SELECT id FROM t "
+           "WHERE Overlaps(e, '20000, UC, 15000, 19999')");
+  EXPECT_EQ(result_.rows.size(), static_cast<size_t>(kRows));
+  EXPECT_EQ(ProfileLine("PROFILE sequence:"),
+            "PROFILE sequence: am_open am_scancost am_close am_open "
+            "am_beginscan am_getnext x5001 am_endscan am_close");
+  EXPECT_EQ(ProfileLine("PROFILE rows_scanned="),
+            "PROFILE rows_scanned=5000 rows_returned=5000");
+}
+
+TEST_F(ProfileSequenceTest, IndexDeletePastTheRunCapDropsOnlyTheTail) {
+  // 2500 deletes alternate getnext and delete: 5008 calls in 5007 runs (the
+  // two opens merge), so the last 911 calls fall past the 4096-run cap.
+  MustExec("EXPLAIN PROFILE DELETE FROM t "
+           "WHERE Overlaps(e, '20000, UC, 15000, 17499')");
+  EXPECT_EQ(result_.affected, 2500u);
+  const std::string seq = ProfileLine("PROFILE sequence:");
+  const std::string head =
+      "PROFILE sequence: am_open x2 am_scancost am_close am_beginscan "
+      "am_getnext am_delete am_getnext am_delete ";
+  const std::string tail = " am_getnext am_delete ... +911 dropped";
+  ASSERT_GE(seq.size(), head.size() + tail.size());
+  EXPECT_EQ(seq.substr(0, head.size()), head);
+  EXPECT_EQ(seq.substr(seq.size() - tail.size()), tail);
+  EXPECT_EQ(seq.find(" x", head.size()), std::string::npos);  // no repeats
+  size_t kept_deletes = 0;
+  for (size_t at = seq.find(" am_delete"); at != std::string::npos;
+       at = seq.find(" am_delete", at + 1)) {
+    ++kept_deletes;
+  }
+  EXPECT_EQ(kept_deletes, 2046u);  // 4096 runs = 4 + 2046 pairs
+  EXPECT_EQ(ProfileLine("PROFILE am_getnext calls=")
+                .rfind("PROFILE am_getnext calls=2501 ", 0),
+            0u);
+  EXPECT_EQ(ProfileLine("PROFILE am_delete calls=")
+                .rfind("PROFILE am_delete calls=2500 ", 0),
+            0u);
+  EXPECT_EQ(ProfileLine("PROFILE rows_scanned="),
+            "PROFILE rows_scanned=2500 rows_returned=0");
 }
 
 // ---- metrics exporter -----------------------------------------------------

@@ -319,7 +319,6 @@ class ToyAmTest : public ServerTest {
 };
 
 TEST_F(ToyAmTest, Figure6InsertSequence) {
-  session_->ClearPurposeLog();
   MustExec("INSERT INTO nums VALUES (9, 'nine')");
   // Fig. 6(a): am_open -> am_insert -> am_close.
   EXPECT_EQ(session_->purpose_log(),
@@ -328,7 +327,6 @@ TEST_F(ToyAmTest, Figure6InsertSequence) {
 }
 
 TEST_F(ToyAmTest, Figure6SelectSequence) {
-  session_->ClearPurposeLog();
   MustExec("SELECT n FROM nums WHERE IsEven(n)");
   EXPECT_EQ(result_.rows.size(), 4u);
   // Fig. 6(b): am_open -> am_beginscan -> am_getnext* -> am_endscan ->
@@ -394,7 +392,6 @@ TEST_F(ToyAmTest, CreateIndexBuildsFromExistingRows) {
   // The fixture created the index before inserting: recreate after.
   MustExec("DROP INDEX toy_idx");
   ToyStore().clear();
-  session_->ClearPurposeLog();
   MustExec("CREATE INDEX toy_idx2 ON nums(n) USING toy_am");
   EXPECT_EQ(ToyStore()["toy_idx2"].entries.size(), 8u);
   const auto& log = session_->purpose_log();
@@ -560,27 +557,6 @@ TEST(ServerSessions, CloseSessionIsScopedAndChecksRegistration) {
   EXPECT_EQ(b->memory().LiveBlocks(MiDuration::kPerSession), 1u);
   EXPECT_EQ(b->memory().violation_count(), 0u);
   EXPECT_TRUE(server.CloseSession(b).ok());
-}
-
-// The per-session purpose-call log is bounded; exact totals live in
-// purpose_counts() (what the T2 bench aggregates), and the drop counter
-// accounts for every discarded entry.
-TEST(ServerSessions, PurposeLogIsBounded) {
-  Server server;
-  ServerSession* session = server.CreateSession();
-  const size_t total = 3 * ServerSession::kPurposeLogCapacity;
-  for (size_t i = 0; i < total; ++i) session->LogPurposeCall("am_getnext");
-  EXPECT_LE(session->purpose_log().size(), ServerSession::kPurposeLogCapacity);
-  EXPECT_EQ(session->purpose_counts().at("am_getnext"), total);
-  EXPECT_EQ(session->purpose_log().size() + session->purpose_log_dropped(),
-            total);
-  // The retained tail is the most recent calls, oldest first.
-  EXPECT_EQ(session->purpose_log().back(), "am_getnext");
-  session->ClearPurposeLog();
-  EXPECT_TRUE(session->purpose_log().empty());
-  EXPECT_TRUE(session->purpose_counts().empty());
-  EXPECT_EQ(session->purpose_log_dropped(), 0u);
-  server.CloseSession(session);
 }
 
 }  // namespace
