@@ -31,7 +31,10 @@ struct RunResult {
   uint64_t statements = 0;
   uint64_t lock_waits = 0;
   uint64_t lock_timeouts = 0;
-  uint64_t lo_opens = 0;
+  uint64_t lock_acquisitions = 0;  // table and LO locks
+  // Reads and write-backs the index's node cache sent to the layout: on
+  // the per-node and per-subtree layouts, one LO open each.
+  uint64_t node_io = 0;
   uint64_t failed = 0;
 };
 
@@ -56,6 +59,9 @@ RunResult RunLayout(GRTreeBladeOptions::Storage storage,
                     ", NOW')");
   }
   server.lock_manager().ResetStats();
+  obs::Counter* misses = server.metrics().GetCounter("cache.misses");
+  obs::Counter* write_backs = server.metrics().GetCounter("cache.write_backs");
+  const uint64_t io_before = misses->value() + write_backs->value();
 
   std::atomic<uint64_t> statements{0};
   std::atomic<uint64_t> failed{0};
@@ -95,7 +101,8 @@ RunResult RunLayout(GRTreeBladeOptions::Storage storage,
   out.failed = failed;
   out.lock_waits = server.lock_manager().stats().waits;
   out.lock_timeouts = server.lock_manager().stats().timeouts;
-  // LO opens are tracked by the clustered layouts only (per-access opens).
+  out.lock_acquisitions = server.lock_manager().stats().acquisitions;
+  out.node_io = misses->value() + write_backs->value() - io_before;
   server.CloseSession(admin);
   return out;
 }
@@ -126,6 +133,7 @@ int main() {
 
   bench::TablePrinter table({"layout", "stmts/s", "lock waits",
                              "lock timeouts", "failed stmts",
+                             "lock acq/stmt", "node I/O/stmt",
                              "handle bytes/entry"});
   for (const Layout& layout : layouts) {
     RunResult result = RunLayout(layout.storage, layout.nodes_per_lo,
@@ -140,7 +148,14 @@ int main() {
                              0),
                   std::to_string(result.lock_waits),
                   std::to_string(result.lock_timeouts),
-                  std::to_string(result.failed), handle_cost});
+                  std::to_string(result.failed),
+                  bench::Fmt(static_cast<double>(result.lock_acquisitions) /
+                                 static_cast<double>(result.statements),
+                             2),
+                  bench::Fmt(static_cast<double>(result.node_io) /
+                                 static_cast<double>(result.statements),
+                             2),
+                  handle_cost});
   }
   table.Print();
 

@@ -6,11 +6,11 @@
 #include <memory>
 #include <vector>
 
+#include "blades/index_cache.h"
 #include "blades/locking_store.h"
 #include "blades/timeextent.h"
 #include "common/strings.h"
 #include "storage/layout.h"
-#include "storage/node_cache.h"
 #include "storage/wal_store.h"
 #include "temporal/predicates.h"
 
@@ -33,99 +33,80 @@ struct GrtScanState {
   int64_t ct = 0;
 };
 
-// The Tree object of Table 5, stashed in the index descriptor's user data.
-struct GrtTreeState {
+// The index's store stack, built once by grt_create and owned by the
+// server (IndexDef::am_state) until grt_drop: the base layout, the node
+// cache directly above it and, for kExternalFile, the WAL above the cache.
+// Every statement's tree runs on this one stack, so the cache stays warm
+// from statement to statement. Members are destroyed in reverse, WAL →
+// cache → base, so the cache's write-back lands in a live base store.
+struct GrtIndexState {
   GRTreeBladeOptions options;
   std::unique_ptr<NodeStore> base_store;
-  // Buffer-managed frame pool directly above the base layout; the WAL and
-  // lock decorators sit on top so their semantics are unchanged. Declared
-  // here so destruction (reverse order) tears down locking → WAL → cache
-  // → base and the cache's write-back lands in a live base store.
+  // Below the WAL: safe because the WAL flushes its inner store (here the
+  // cache, which writes back) before every log truncation.
   std::unique_ptr<NodeCache> node_cache;
   // kExternalFile only: the developer-built recovery layer of §5.3 — the
   // server's own logging covers sbspace LOs, an OS file gets nothing.
   std::unique_ptr<WalNodeStore> wal_store;
+  NodeId anchor = kInvalidNodeId;
+};
+
+// One statement's open index — the Tree object of Table 5, stashed in the
+// index descriptor's user data.
+struct GrtTreeState {
+  GrtIndexState* index = nullptr;
+  // §5.3 LO two-phase locking for this statement's transaction, above the
+  // shared cache (sbspace layouts only).
   std::unique_ptr<LockingNodeStore> locking_store;
   NodeStore* store = nullptr;
   std::unique_ptr<GRTree> tree;
   GrtScanState* active_scan = nullptr;
+  // Set by every call that writes nodes; am_close writes back only then.
+  bool wrote = false;
 };
 
-// Brackets one index mutation in a WAL transaction when the index lives in
-// an external file: the statement's node writes hit the log first, so a
-// mid-statement crash can no longer tear the tree.
+// Brackets one index mutation (which makes the statement a writer) in a
+// WAL transaction when the index lives in an external file: the
+// statement's node writes hit the log first, so a mid-statement crash can
+// no longer tear the tree.
 Status WithWalTxn(GrtTreeState* state, const std::function<Status()>& body) {
-  if (state->wal_store == nullptr) return body();
-  GRTDB_RETURN_IF_ERROR(state->wal_store->Begin());
+  state->wrote = true;
+  WalNodeStore* wal = state->index->wal_store.get();
+  if (wal == nullptr) return body();
+  GRTDB_RETURN_IF_ERROR(wal->Begin());
   Status status = body();
   if (!status.ok()) {
-    (void)state->wal_store->Rollback();
+    (void)wal->Rollback();
     return status;
   }
-  return state->wal_store->Commit();
+  return wal->Commit();
 }
 
 // ---------------------------------------------------- AM catalog records --
 // The record grt_create() inserts "in the table associated with the
-// grtree_am access method": which storage layout, the anchor node, and the
-// layout's handles.
+// grtree_am access method": which storage layout, the anchor node, and
+// where the layout keeps the tree. Written once; the live store stack
+// tracks the layout's growth from then on.
 
 struct StorageRecord {
   GRTreeBladeOptions::Storage kind = GRTreeBladeOptions::Storage::kSingleLo;
   NodeId anchor = kInvalidNodeId;
   uint64_t lo = 0;                     // kSingleLo
-  std::vector<LoHandle> clusters;      // kLoPerNode / kLoPerSubtree
-  uint64_t node_count = 0;             // ditto
   std::string path;                    // kExternalFile
 };
 
 std::vector<uint8_t> EncodeRecord(const StorageRecord& record) {
-  std::vector<uint8_t> out(1 + 8 + 8 + 8 + 4 + record.clusters.size() * 8 +
-                           4 + record.path.size());
+  std::vector<uint8_t> out(1 + 8 + 8 + 4 + record.path.size());
   uint8_t* p = out.data();
   *p++ = static_cast<uint8_t>(record.kind);
   StoreU64(p, record.anchor);
   p += 8;
   StoreU64(p, record.lo);
   p += 8;
-  StoreU64(p, record.node_count);
-  p += 8;
-  StoreU32(p, static_cast<uint32_t>(record.clusters.size()));
-  p += 4;
-  for (const LoHandle& handle : record.clusters) {
-    StoreU64(p, handle.id);
-    p += 8;
-  }
   StoreU32(p, static_cast<uint32_t>(record.path.size()));
   p += 4;
   std::memcpy(p, record.path.data(), record.path.size());
   return out;
-}
-
-Status DecodeRecord(const std::vector<uint8_t>& bytes,
-                    StorageRecord* record) {
-  if (bytes.size() < 29) {
-    return Status::Corruption("short grtree_am catalog record");
-  }
-  const uint8_t* p = bytes.data();
-  record->kind = static_cast<GRTreeBladeOptions::Storage>(*p++);
-  record->anchor = LoadU64(p);
-  p += 8;
-  record->lo = LoadU64(p);
-  p += 8;
-  record->node_count = LoadU64(p);
-  p += 8;
-  const uint32_t clusters = LoadU32(p);
-  p += 4;
-  record->clusters.clear();
-  for (uint32_t i = 0; i < clusters; ++i) {
-    record->clusters.push_back(LoHandle{LoadU64(p)});
-    p += 8;
-  }
-  const uint32_t path_len = LoadU32(p);
-  p += 4;
-  record->path.assign(reinterpret_cast<const char*>(p), path_len);
-  return Status::OK();
 }
 
 // ------------------------------------------------------------- utilities --
@@ -135,125 +116,82 @@ std::string ExternalPath(const GRTreeBladeOptions& options,
   return options.external_dir + "/grtree_" + ToLower(index->name) + ".dat";
 }
 
-// Builds the NodeStore for `index` according to the blade's storage option
-// (§5.3). When `creating`, fresh storage is allocated and `record` filled
-// in; otherwise storage is reattached from `record`.
-Status MakeStore(MiCallContext& ctx, GrtTreeState* state,
-                 const IndexDef* index, bool creating,
-                 StorageRecord* record) {
+// Builds the store stack of a new index according to the blade's storage
+// option (§5.3): fresh storage, the node cache above it and, for an OS
+// file, the WAL over a new, empty log. Fills in `record`.
+Status MakeStack(MiCallContext& ctx, GrtIndexState* state,
+                 const IndexDef* index, StorageRecord* record) {
   const GRTreeBladeOptions& options = state->options;
-  if (options.storage == GRTreeBladeOptions::Storage::kExternalFile) {
-    const std::string path =
-        creating ? ExternalPath(options, index) : record->path;
-    if (creating) {
-      std::remove(path.c_str());
-      std::remove((path + ".wal").c_str());
-      record->kind = options.storage;
-      record->path = path;
-    }
-    auto store_or = ExternalFileNodeStore::Open(path);
-    if (!store_or.ok()) return store_or.status();
-    state->base_store = std::move(store_or).value();
-    NodeStore* wal_inner = state->base_store.get();
-    if (options.node_cache_pages > 0) {
-      // Cache below the WAL: safe because the WAL flushes its inner store
-      // (here: the cache, which writes back) before every log truncation.
-      state->node_cache = std::make_unique<NodeCache>(
-          wal_inner, options.node_cache_pages);
-      state->node_cache->set_trace(&ctx.server->trace());
-      state->node_cache->set_heat(&ctx.server->heat_tracker(), index->name);
-      if (ctx.server->observability_enabled()) {
-        state->node_cache->set_metrics(&ctx.server->metrics());
-      }
-      wal_inner = state->node_cache.get();
-    }
-    // §5.3: with an OS file the DataBlade must provide all recovery
-    // itself. Every open replays whatever a previous crash left behind.
-    auto wal_or = WalNodeStore::Open(wal_inner, path + ".wal");
-    if (!wal_or.ok()) return wal_or.status();
-    state->wal_store = std::move(wal_or).value();
-    state->wal_store->set_trace(&ctx.server->trace());
-    if (ctx.server->observability_enabled()) {
-      state->wal_store->set_metrics(&ctx.server->metrics());
-    }
-    GRTDB_RETURN_IF_ERROR(state->wal_store->Recover());
-    state->store = state->wal_store.get();
-    return Status::OK();
-  }
-
-  Sbspace* sbspace = ctx.server->FindSbspace(index->space);
-  if (sbspace == nullptr) {
-    return Status::NotFound("sbspace '" + index->space + "'");
-  }
+  record->kind = options.storage;
   switch (options.storage) {
-    case GRTreeBladeOptions::Storage::kSingleLo: {
-      LoHandle handle;
-      if (!creating) handle.id = record->lo;
-      auto store_or = SingleLoNodeStore::Open(sbspace, handle);
+    case GRTreeBladeOptions::Storage::kExternalFile: {
+      record->path = ExternalPath(options, index);
+      std::remove(record->path.c_str());
+      std::remove((record->path + ".wal").c_str());
+      auto store_or = ExternalFileNodeStore::Open(record->path);
       if (!store_or.ok()) return store_or.status();
-      if (creating) {
-        record->kind = options.storage;
-        record->lo = store_or.value()->handle().id;
-      }
       state->base_store = std::move(store_or).value();
       break;
     }
+    case GRTreeBladeOptions::Storage::kSingleLo:
     case GRTreeBladeOptions::Storage::kLoPerNode:
     case GRTreeBladeOptions::Storage::kLoPerSubtree: {
-      const uint64_t nodes_per_lo =
-          options.storage == GRTreeBladeOptions::Storage::kLoPerNode
-              ? 1
-              : options.nodes_per_lo;
-      auto store = std::make_unique<ClusteredLoNodeStore>(sbspace,
-                                                          nodes_per_lo);
-      if (creating) {
-        record->kind = options.storage;
-      } else {
-        store->RestoreState(record->clusters, record->node_count);
+      Sbspace* sbspace = ctx.server->FindSbspace(index->space);
+      if (sbspace == nullptr) {
+        return Status::NotFound("sbspace '" + index->space + "'");
       }
-      state->base_store = std::move(store);
+      if (options.storage == GRTreeBladeOptions::Storage::kSingleLo) {
+        auto store_or = SingleLoNodeStore::Open(sbspace, LoHandle{});
+        if (!store_or.ok()) return store_or.status();
+        record->lo = store_or.value()->handle().id;
+        state->base_store = std::move(store_or).value();
+      } else {
+        state->base_store = std::make_unique<ClusteredLoNodeStore>(
+            sbspace, options.storage == GRTreeBladeOptions::Storage::kLoPerNode
+                         ? 1
+                         : options.nodes_per_lo);
+      }
       break;
     }
-    case GRTreeBladeOptions::Storage::kExternalFile:
-      break;  // handled above
   }
-  NodeStore* tree_store = state->base_store.get();
-  if (options.node_cache_pages > 0) {
-    state->node_cache =
-        std::make_unique<NodeCache>(tree_store, options.node_cache_pages);
-    state->node_cache->set_trace(&ctx.server->trace());
-    state->node_cache->set_heat(&ctx.server->heat_tracker(), index->name);
-    if (ctx.server->observability_enabled()) {
-      state->node_cache->set_metrics(&ctx.server->metrics());
-    }
-    tree_store = state->node_cache.get();
+  state->node_cache =
+      MakeIndexCache(ctx.server, state->base_store.get(), index);
+  if (options.storage != GRTreeBladeOptions::Storage::kExternalFile) {
+    return Status::OK();
   }
-  if (options.lock_large_objects) {
-    state->locking_store = std::make_unique<LockingNodeStore>(
-        tree_store, &ctx.server->lock_manager(), ctx.session);
-    state->store = state->locking_store.get();
-  } else {
-    state->store = tree_store;
+  // §5.3: with an OS file the DataBlade must provide all recovery itself.
+  auto wal_or = WalNodeStore::Open(state->node_cache.get(),
+                                   record->path + ".wal");
+  if (!wal_or.ok()) return wal_or.status();
+  state->wal_store = std::move(wal_or).value();
+  state->wal_store->set_trace(&ctx.server->trace());
+  if (ctx.server->observability_enabled()) {
+    state->wal_store->set_metrics(&ctx.server->metrics());
   }
   return Status::OK();
 }
 
-// Persists mutable layout state back into the AM catalog record (clustered
-// layouts grow their LO map as the tree grows).
-Status PersistRecord(MiCallContext& ctx, GrtTreeState* state,
-                     const IndexDef* index, const std::string& am_name) {
-  auto* clustered =
-      dynamic_cast<ClusteredLoNodeStore*>(state->base_store.get());
-  if (clustered == nullptr) return Status::OK();
-  std::vector<uint8_t> bytes;
-  GRTDB_RETURN_IF_ERROR(
-      ctx.server->AmCatalogGet(am_name, index->name, &bytes));
-  StorageRecord record;
-  GRTDB_RETURN_IF_ERROR(DecodeRecord(bytes, &record));
-  record.clusters = clustered->cluster_handles();
-  record.node_count = clustered->node_count();
-  return ctx.server->AmCatalogPut(am_name, index->name,
-                                  EncodeRecord(record));
+GrtIndexState* IndexStateOf(MiAmTableDesc* desc) {
+  return static_cast<GrtIndexState*>(desc->am_state->get());
+}
+
+// The statement's view of the index's shared stack: the WAL or the cache,
+// under this transaction's LO locks where the layout has LOs. No mutex and
+// no I/O: the stack was built by grt_create.
+std::unique_ptr<GrtTreeState> AttachStatement(MiCallContext& ctx,
+                                              GrtIndexState* index) {
+  auto state = std::make_unique<GrtTreeState>();
+  state->index = index;
+  if (index->wal_store != nullptr) {
+    state->store = index->wal_store.get();
+  } else if (index->options.lock_large_objects) {
+    state->locking_store = std::make_unique<LockingNodeStore>(
+        index->node_cache.get(), &ctx.server->lock_manager(), ctx.session);
+    state->store = state->locking_store.get();
+  } else {
+    state->store = index->node_cache.get();
+  }
+  return state;
 }
 
 StatusOr<PredicateOp> OpFromStrategyName(const std::string& name,
@@ -334,19 +272,16 @@ BladeFns MakeBladeFns(const GRTreeBladeOptions& options) {
   BladeFns fns;
   const std::string am_name = options.am_name;
 
-  auto open_tree = [options, am_name](MiCallContext& ctx,
-                                      MiAmTableDesc* desc) -> Status {
-    auto state = std::make_unique<GrtTreeState>();
-    state->options = options;
-    std::vector<uint8_t> bytes;
-    GRTDB_RETURN_IF_ERROR(
-        ctx.server->AmCatalogGet(am_name, desc->index->name, &bytes));
-    StorageRecord record;
-    GRTDB_RETURN_IF_ERROR(DecodeRecord(bytes, &record));
-    GRTDB_RETURN_IF_ERROR(
-        MakeStore(ctx, state.get(), desc->index, /*creating=*/false,
-                  &record));
-    auto tree_or = GRTree::Open(state->store, record.anchor, options.tree);
+  auto open_tree = [am_name](MiCallContext& ctx,
+                             MiAmTableDesc* desc) -> Status {
+    GrtIndexState* index = IndexStateOf(desc);
+    if (index == nullptr) {
+      return Status::Internal(am_name + " index '" + desc->index->name +
+                              "' has no store stack");
+    }
+    std::unique_ptr<GrtTreeState> state = AttachStatement(ctx, index);
+    auto tree_or = GRTree::Open(state->store, index->anchor,
+                                index->options.tree);
     if (!tree_or.ok()) return tree_or.status();
     state->tree = std::move(tree_or).value();
     desc->user_data = state.release();
@@ -382,24 +317,24 @@ BladeFns MakeBladeFns(const GRTreeBladeOptions& options) {
             " already exists on the same column(s): " + other->name);
       }
     }
-    // Steps 5-7: create the BLOB(s), record them in the AM's table, open.
-    auto state = std::make_unique<GrtTreeState>();
-    state->options = options;
+    // Steps 5-7: create the BLOB(s) and the store stack over them, record
+    // them in the AM's table, open. The stack then lives in the server's
+    // slot for the index until grt_drop.
+    auto index_state = std::make_shared<GrtIndexState>();
+    index_state->options = options;
     StorageRecord record;
-    GRTDB_RETURN_IF_ERROR(
-        MakeStore(ctx, state.get(), index, /*creating=*/true, &record));
-    NodeId anchor;
-    auto tree_or = GRTree::Create(state->store, options.tree, &anchor);
+    GRTDB_RETURN_IF_ERROR(MakeStack(ctx, index_state.get(), index, &record));
+    std::unique_ptr<GrtTreeState> state =
+        AttachStatement(ctx, index_state.get());
+    state->wrote = true;
+    auto tree_or =
+        GRTree::Create(state->store, options.tree, &index_state->anchor);
     if (!tree_or.ok()) return tree_or.status();
     state->tree = std::move(tree_or).value();
-    record.anchor = anchor;
-    if (auto* clustered =
-            dynamic_cast<ClusteredLoNodeStore*>(state->base_store.get())) {
-      record.clusters = clustered->cluster_handles();
-      record.node_count = clustered->node_count();
-    }
+    record.anchor = index_state->anchor;
     GRTDB_RETURN_IF_ERROR(
         ctx.server->AmCatalogPut(am_name, index->name, EncodeRecord(record)));
+    *desc->am_state = std::move(index_state);
     desc->user_data = state.release();
     ctx.server->trace().Tprintf("grtree", 1, "created index %s",
                                 index->name.c_str());
@@ -414,20 +349,19 @@ BladeFns MakeBladeFns(const GRTreeBladeOptions& options) {
     return open_tree(ctx, desc);
   };
 
-  fns.close = [am_name](MiCallContext& ctx, MiAmTableDesc* desc) -> Status {
+  fns.close = [](MiCallContext& ctx, MiAmTableDesc* desc) -> Status {
     GrtTreeState* state = StateOf(desc);
     if (state == nullptr) return Status::OK();
     Status status = Status::OK();
-    if (state->tree != nullptr) {
+    if (state->tree != nullptr && state->tree->has_pending_condense()) {
+      state->wrote = true;
       status = state->tree->FlushPending(ScanTime(ctx));
     }
-    Status persist = PersistRecord(ctx, state, desc->index, am_name);
-    if (status.ok()) status = persist;
-    // Write dirty cached nodes back to the (server-shared) base storage
-    // while this statement's exclusive LO locks are still held — the next
-    // opener builds a fresh cache and must see them.
-    if (state->node_cache != nullptr) {
-      Status flushed = state->node_cache->Flush();
+    if (state->wrote) {
+      // Make the statement's writes durable in the base storage while its
+      // exclusive LO locks are still held. A read-only statement leaves
+      // the cache as it is: it has nothing to write back.
+      Status flushed = state->index->node_cache->Flush();
       if (status.ok()) status = flushed;
     }
     if (state->locking_store != nullptr) {
@@ -438,51 +372,45 @@ BladeFns MakeBladeFns(const GRTreeBladeOptions& options) {
     return status;
   };
 
-  fns.drop = [options, am_name, open_tree](MiCallContext& ctx,
-                                           MiAmTableDesc* desc) -> Status {
+  fns.drop = [am_name, open_tree](MiCallContext& ctx,
+                                  MiAmTableDesc* desc) -> Status {
     if (desc->user_data == nullptr) {
       GRTDB_RETURN_IF_ERROR(open_tree(ctx, desc));
     }
     GrtTreeState* state = StateOf(desc);
     Status status = state->tree->Drop();
-    // Release the storage: the single LO, the cluster LOs, or the file.
-    std::vector<uint8_t> bytes;
-    if (status.ok()) {
-      status = ctx.server->AmCatalogGet(am_name, desc->index->name, &bytes);
+    delete state;
+    desc->user_data = nullptr;
+    // Note where the index lives — the single LO, the cluster LOs, or the
+    // file — and release the store stack before that storage goes.
+    GrtIndexState* index = IndexStateOf(desc);
+    std::vector<LoHandle> los;
+    if (auto* single =
+            dynamic_cast<SingleLoNodeStore*>(index->base_store.get())) {
+      los.push_back(single->handle());
+    } else if (auto* clustered = dynamic_cast<ClusteredLoNodeStore*>(
+                   index->base_store.get())) {
+      los = clustered->cluster_handles();
     }
+    const std::string path =
+        index->wal_store != nullptr ? ExternalPath(index->options, desc->index)
+                                    : std::string();
+    desc->am_state->reset();
     if (status.ok()) {
-      StorageRecord record;
-      status = DecodeRecord(bytes, &record);
-      if (status.ok()) {
-        Sbspace* sbspace = ctx.server->FindSbspace(desc->index->space);
-        switch (record.kind) {
-          case GRTreeBladeOptions::Storage::kSingleLo:
-            if (sbspace != nullptr) {
-              status = sbspace->DropLo(LoHandle{record.lo});
-            }
-            break;
-          case GRTreeBladeOptions::Storage::kLoPerNode:
-          case GRTreeBladeOptions::Storage::kLoPerSubtree:
-            if (sbspace != nullptr) {
-              for (const LoHandle& handle : record.clusters) {
-                if (handle.valid()) {
-                  Status drop = sbspace->DropLo(handle);
-                  if (status.ok()) status = drop;
-                }
-              }
-            }
-            break;
-          case GRTreeBladeOptions::Storage::kExternalFile:
-            std::remove(record.path.c_str());
-            std::remove((record.path + ".wal").c_str());
-            break;
+      Sbspace* sbspace = ctx.server->FindSbspace(desc->index->space);
+      for (const LoHandle& handle : los) {
+        if (sbspace != nullptr && handle.valid()) {
+          Status drop = sbspace->DropLo(handle);
+          if (status.ok()) status = drop;
         }
+      }
+      if (!path.empty()) {
+        std::remove(path.c_str());
+        std::remove((path + ".wal").c_str());
       }
     }
     Status forget = ctx.server->AmCatalogDelete(am_name, desc->index->name);
     if (status.ok()) status = forget;
-    delete state;
-    desc->user_data = nullptr;
     return status;
   };
 
@@ -494,7 +422,7 @@ BladeFns MakeBladeFns(const GRTreeBladeOptions& options) {
     auto scan = std::make_unique<GrtScanState>();
     scan->ct = ScanTime(ctx);
     scan->qual = sd->qual;
-    scan->dynamic = state->options.dynamic_dispatch;
+    scan->dynamic = state->index->options.dynamic_dispatch;
     std::vector<std::pair<PredicateOp, TimeExtent>> terms;
     GRTDB_RETURN_IF_ERROR(TranslateQual(*sd->qual, &terms));
     if (terms.empty()) {
@@ -574,10 +502,12 @@ BladeFns MakeBladeFns(const GRTreeBladeOptions& options) {
     auto* scan = static_cast<GrtScanState*>(sd->user_data);
     Status status = Status::OK();
     if (state != nullptr && state->tree != nullptr &&
-        state->options.tree.deletion_policy ==
-            DeletionPolicy::kPostponeReinsert) {
+        state->index->options.tree.deletion_policy ==
+            DeletionPolicy::kPostponeReinsert &&
+        state->tree->has_pending_condense()) {
       // Deferred re-insertions happen once the scan no longer needs a
       // stable tree (§5.5).
+      state->wrote = true;
       status = state->tree->FlushPending(ScanTime(ctx));
     }
     if (state != nullptr) state->active_scan = nullptr;
@@ -615,7 +545,7 @@ BladeFns MakeBladeFns(const GRTreeBladeOptions& options) {
       // §5.5 deletion policies: restart the open scan always, or only when
       // the tree actually condensed (the cursor detects epoch changes
       // itself, so only kRestartAlways needs a push here).
-      if (state->options.tree.deletion_policy ==
+      if (state->index->options.tree.deletion_policy ==
               DeletionPolicy::kRestartAlways &&
           epoch_before == state->tree->condense_epoch()) {
         state->active_scan->cursor->Reset();

@@ -36,10 +36,6 @@ struct GRTreeBladeOptions {
   // Informix's automatic LO-granularity two-phase locking; irrelevant (and
   // absent, as §5.3 laments) for kExternalFile.
   bool lock_large_objects = true;
-
-  // Frames in the buffer-managed node cache placed directly above the
-  // layout's base store (below locking and the WAL); 0 disables caching.
-  size_t node_cache_pages = 64;
 };
 
 // Installs the GR-tree DataBlade into `server`: exports the purpose

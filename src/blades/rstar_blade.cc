@@ -4,10 +4,10 @@
 #include <memory>
 #include <vector>
 
+#include "blades/index_cache.h"
 #include "blades/locking_store.h"
 #include "blades/timeextent.h"
 #include "storage/layout.h"
-#include "storage/node_cache.h"
 #include "temporal/predicates.h"
 
 namespace grtdb {
@@ -31,19 +31,41 @@ struct RstScanState {
   int64_t ct = 0;
 };
 
-struct RstTreeState {
-  RStarBladeOptions options;
-  std::unique_ptr<NodeStore> base_store;
-  // Frame pool above the base store; locking decorates the cache so the
-  // destruction order (locking → cache → base) keeps write-back safe.
+// The index's store stack, built once by rst_create and owned by the
+// server (IndexDef::am_state) until rst_drop: the single-LO store and the
+// node cache above it, which every statement's tree shares. Destroyed
+// cache first, so its write-back lands in a live base store.
+struct RstIndexState {
+  std::unique_ptr<SingleLoNodeStore> base_store;
   std::unique_ptr<NodeCache> node_cache;
+  NodeId anchor = kInvalidNodeId;
+};
+
+// One statement's open index: its LO locks above the shared cache, and
+// the tree.
+struct RstTreeState {
+  RstIndexState* index = nullptr;
   std::unique_ptr<LockingNodeStore> locking_store;
-  NodeStore* store = nullptr;
   std::unique_ptr<RStarTree> tree;
+  // Set by every call that writes nodes; am_close writes back only then.
+  bool wrote = false;
 };
 
 RstTreeState* StateOf(MiAmTableDesc* desc) {
   return static_cast<RstTreeState*>(desc->user_data);
+}
+
+RstIndexState* IndexStateOf(MiAmTableDesc* desc) {
+  return static_cast<RstIndexState*>(desc->am_state->get());
+}
+
+std::unique_ptr<RstTreeState> AttachStatement(MiCallContext& ctx,
+                                              RstIndexState* index) {
+  auto state = std::make_unique<RstTreeState>();
+  state->index = index;
+  state->locking_store = std::make_unique<LockingNodeStore>(
+      index->node_cache.get(), &ctx.server->lock_manager(), ctx.session);
+  return state;
 }
 
 std::vector<uint8_t> EncodeRecord(uint64_t lo, NodeId anchor) {
@@ -96,76 +118,52 @@ BladeFns MakeBladeFns(const RStarBladeOptions& options) {
   BladeFns fns;
   const std::string am_name = options.am_name;
 
-  auto make_store = [options](MiCallContext& ctx, RstTreeState* state,
-                              const IndexDef* index, LoHandle handle,
-                              LoHandle* out_handle) -> Status {
-    Sbspace* sbspace = ctx.server->FindSbspace(index->space);
-    if (sbspace == nullptr) {
-      return Status::NotFound("sbspace '" + index->space + "'");
+  auto open_tree = [options, am_name](MiCallContext& ctx,
+                                      MiAmTableDesc* desc) -> Status {
+    RstIndexState* index = IndexStateOf(desc);
+    if (index == nullptr) {
+      return Status::Internal(am_name + " index '" + desc->index->name +
+                              "' has no store stack");
     }
-    auto store_or = SingleLoNodeStore::Open(sbspace, handle);
-    if (!store_or.ok()) return store_or.status();
-    *out_handle = store_or.value()->handle();
-    state->base_store = std::move(store_or).value();
-    NodeStore* tree_store = state->base_store.get();
-    if (options.node_cache_pages > 0) {
-      state->node_cache =
-          std::make_unique<NodeCache>(tree_store, options.node_cache_pages);
-      state->node_cache->set_trace(&ctx.server->trace());
-      state->node_cache->set_heat(&ctx.server->heat_tracker(), index->name);
-      if (ctx.server->observability_enabled()) {
-        state->node_cache->set_metrics(&ctx.server->metrics());
-      }
-      tree_store = state->node_cache.get();
-    }
-    state->locking_store = std::make_unique<LockingNodeStore>(
-        tree_store, &ctx.server->lock_manager(), ctx.session);
-    state->store = state->locking_store.get();
-    return Status::OK();
-  };
-
-  auto open_tree = [options, am_name, make_store](
-                       MiCallContext& ctx, MiAmTableDesc* desc) -> Status {
-    auto state = std::make_unique<RstTreeState>();
-    state->options = options;
-    std::vector<uint8_t> bytes;
-    GRTDB_RETURN_IF_ERROR(
-        ctx.server->AmCatalogGet(am_name, desc->index->name, &bytes));
-    if (bytes.size() != 16) {
-      return Status::Corruption("bad rstar_am catalog record");
-    }
-    LoHandle handle{LoadU64(bytes.data())};
-    const NodeId anchor = LoadU64(bytes.data() + 8);
-    LoHandle out_handle;
-    GRTDB_RETURN_IF_ERROR(
-        make_store(ctx, state.get(), desc->index, handle, &out_handle));
-    auto tree_or =
-        RStarTree::Open(state->store, anchor, options.tree);
+    std::unique_ptr<RstTreeState> state = AttachStatement(ctx, index);
+    auto tree_or = RStarTree::Open(state->locking_store.get(), index->anchor,
+                                   options.tree);
     if (!tree_or.ok()) return tree_or.status();
     state->tree = std::move(tree_or).value();
     desc->user_data = state.release();
     return Status::OK();
   };
 
-  fns.create = [options, am_name, make_store](MiCallContext& ctx,
-                                              MiAmTableDesc* desc) -> Status {
+  fns.create = [options, am_name](MiCallContext& ctx,
+                                  MiAmTableDesc* desc) -> Status {
     if (desc->key_types.size() != 1 ||
         desc->key_types[0].base != TypeDesc::Base::kOpaque ||
         desc->key_types[0].opaque_id != TimeExtentTypeId(ctx.server)) {
       return Status::InvalidArgument(
           am_name + " indexes exactly one grt_timeextent column");
     }
-    auto state = std::make_unique<RstTreeState>();
-    state->options = options;
-    LoHandle handle;
-    GRTDB_RETURN_IF_ERROR(
-        make_store(ctx, state.get(), desc->index, LoHandle{}, &handle));
-    NodeId anchor;
-    auto tree_or = RStarTree::Create(state->store, options.tree, &anchor);
+    Sbspace* sbspace = ctx.server->FindSbspace(desc->index->space);
+    if (sbspace == nullptr) {
+      return Status::NotFound("sbspace '" + desc->index->space + "'");
+    }
+    auto index_state = std::make_shared<RstIndexState>();
+    auto store_or = SingleLoNodeStore::Open(sbspace, LoHandle{});
+    if (!store_or.ok()) return store_or.status();
+    index_state->base_store = std::move(store_or).value();
+    index_state->node_cache = MakeIndexCache(
+        ctx.server, index_state->base_store.get(), desc->index);
+    std::unique_ptr<RstTreeState> state =
+        AttachStatement(ctx, index_state.get());
+    state->wrote = true;
+    auto tree_or = RStarTree::Create(state->locking_store.get(), options.tree,
+                                     &index_state->anchor);
     if (!tree_or.ok()) return tree_or.status();
     state->tree = std::move(tree_or).value();
     GRTDB_RETURN_IF_ERROR(ctx.server->AmCatalogPut(
-        am_name, desc->index->name, EncodeRecord(handle.id, anchor)));
+        am_name, desc->index->name,
+        EncodeRecord(index_state->base_store->handle().id,
+                     index_state->anchor)));
+    *desc->am_state = std::move(index_state);
     desc->user_data = state.release();
     return Status::OK();
   };
@@ -179,14 +177,10 @@ BladeFns MakeBladeFns(const RStarBladeOptions& options) {
     RstTreeState* state = StateOf(desc);
     if (state == nullptr) return Status::OK();
     Status status = Status::OK();
-    // Write back dirty cached nodes while this statement's exclusive LO
-    // locks are still held; the next opener builds a fresh cache.
-    if (state->node_cache != nullptr) {
-      status = state->node_cache->Flush();
-    }
-    if (state->locking_store != nullptr) {
-      state->locking_store->ReleaseSharedOnClose();
-    }
+    // Write the statement's dirty nodes back while its exclusive LO locks
+    // are still held; a read-only statement has nothing to write back.
+    if (state->wrote) status = state->index->node_cache->Flush();
+    state->locking_store->ReleaseSharedOnClose();
     delete state;
     desc->user_data = nullptr;
     return status;
@@ -199,19 +193,15 @@ BladeFns MakeBladeFns(const RStarBladeOptions& options) {
     }
     RstTreeState* state = StateOf(desc);
     Status status = state->tree->Drop();
-    std::vector<uint8_t> bytes;
-    if (status.ok() &&
-        ctx.server->AmCatalogGet(am_name, desc->index->name, &bytes).ok() &&
-        bytes.size() == 16) {
-      Sbspace* sbspace = ctx.server->FindSbspace(desc->index->space);
-      if (sbspace != nullptr) {
-        status = sbspace->DropLo(LoHandle{LoadU64(bytes.data())});
-      }
-    }
-    Status forget = ctx.server->AmCatalogDelete(am_name, desc->index->name);
-    if (status.ok()) status = forget;
     delete state;
     desc->user_data = nullptr;
+    // Release the store stack before its large object goes.
+    const LoHandle lo = IndexStateOf(desc)->base_store->handle();
+    desc->am_state->reset();
+    Sbspace* sbspace = ctx.server->FindSbspace(desc->index->space);
+    if (status.ok() && sbspace != nullptr) status = sbspace->DropLo(lo);
+    Status forget = ctx.server->AmCatalogDelete(am_name, desc->index->name);
+    if (status.ok()) status = forget;
     return status;
   };
 
@@ -284,6 +274,7 @@ BladeFns MakeBladeFns(const RStarBladeOptions& options) {
                          const Row& keyrow, uint64_t rowid) -> Status {
     RstTreeState* state = StateOf(desc);
     if (state == nullptr) return Status::Internal("index not open");
+    state->wrote = true;
     TimeExtent extent;
     GRTDB_RETURN_IF_ERROR(ExtentFromValue(keyrow.at(0), &extent));
     return state->tree->Insert(
@@ -294,6 +285,7 @@ BladeFns MakeBladeFns(const RStarBladeOptions& options) {
                          const Row& keyrow, uint64_t rowid) -> Status {
     RstTreeState* state = StateOf(desc);
     if (state == nullptr) return Status::Internal("index not open");
+    state->wrote = true;
     TimeExtent extent;
     GRTDB_RETURN_IF_ERROR(ExtentFromValue(keyrow.at(0), &extent));
     bool found = false;
@@ -347,7 +339,7 @@ BladeFns MakeBladeFns(const RStarBladeOptions& options) {
     report.access_method = desc->index->access_method;
     report.size = state->tree->size();
     report.height = state->tree->height();
-    report.free_list = state->store->FreeListLength();
+    report.free_list = state->locking_store->FreeListLength();
     report.computed_at = BladeCurrentTime(ctx);
     const size_t max_entries = state->tree->max_entries();
     uint64_t total_entries = 0;

@@ -25,9 +25,6 @@ struct RStarBladeOptions {
   // The substitute for UC/NOW; must exceed every ground timestamp in the
   // workload.
   int64_t max_timestamp = 200000;  // ~ year 2517
-  // Frames in the buffer-managed node cache above the single-LO store;
-  // 0 disables caching.
-  size_t node_cache_pages = 64;
 };
 
 Status RegisterRStarBlade(Server* server,

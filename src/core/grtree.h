@@ -172,6 +172,8 @@ class GRTree {
 
   // Re-balances nodes left underfull by kPostponeReinsert deletions.
   Status FlushPending(int64_t ct);
+  // Whether FlushPending has work to do (and so will write nodes).
+  bool has_pending_condense() const { return has_pending_condense_; }
 
   // Structural invariants (am_check): levels, fill, bound containment at
   // `ct` and at sampled future times (growing bounds must stay valid).

@@ -125,6 +125,10 @@ std::vector<const IndexDef*> Catalog::AllIndexes() const {
   return out;
 }
 
+void Catalog::ReleaseIndexStates() {
+  for (auto& [key, index] : indices_) index.am_state.reset();
+}
+
 std::vector<IndexDef*> Catalog::IndexesOnTable(const std::string& table) {
   std::vector<IndexDef*> out;
   for (auto& [key, index] : indices_) {

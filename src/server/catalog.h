@@ -46,6 +46,11 @@ struct IndexDef {
   std::vector<std::string> opclasses;  // parallel to columns
   std::vector<int> key_columns;        // resolved column numbers
   std::vector<TypeDesc> key_types;
+  // The access method's per-index state (its store stack and node cache),
+  // built by am_create and shared by every statement that opens the index.
+  // Purpose functions reach it through MiAmTableDesc::am_state; it dies
+  // with this entry, or earlier when am_drop releases it.
+  std::shared_ptr<void> am_state;
 };
 
 // The system catalog: tables plus the SYSAMS / SYSOPCLASSES / SYSINDICES
@@ -79,6 +84,9 @@ class Catalog {
   Status DropIndex(const std::string& name);
   std::vector<IndexDef*> IndexesOnTable(const std::string& table);
   std::vector<const IndexDef*> AllIndexes() const;
+  // Drops every index's am_state while the storage it writes into is
+  // still alive (the server calls this first on shutdown).
+  void ReleaseIndexStates();
 
  private:
   std::map<std::string, std::unique_ptr<Table>> tables_;     // lower-case key

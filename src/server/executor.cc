@@ -9,11 +9,6 @@ namespace grtdb {
 
 namespace {
 
-ResourceId TableResource(const std::string& name) {
-  return ResourceId{ResourceKind::kTable,
-                    std::hash<std::string>{}(ToLower(name))};
-}
-
 // Collects the top-level AND conjuncts of a WHERE tree.
 void FlattenConjuncts(const sql::Expr* expr,
                       std::vector<const sql::Expr*>* out) {
@@ -28,6 +23,15 @@ void FlattenConjuncts(const sql::Expr* expr,
 }
 
 }  // namespace
+
+Status Server::LockTable(ServerSession* session, const std::string& table,
+                         LockMode mode) {
+  return lock_manager_.Acquire(
+      session->txn_session().current_txn()->id(),
+      ResourceId{ResourceKind::kTable,
+                 std::hash<std::string>{}(ToLower(table))},
+      mode);
+}
 
 Status Server::CoerceLiteral(const sql::Literal& literal,
                              const TypeDesc& type, Value* out) const {
@@ -606,12 +610,9 @@ Status Server::InsertRow(ServerSession* session, Table* table,
   bool implicit = false;
   GRTDB_RETURN_IF_ERROR(
       txn_manager_.EnsureTxn(&session->txn_session(), &implicit));
-  const TxnId txn = session->txn_session().current_txn()->id();
   MiCallContext ctx{this, session, current_time_};
 
-  Status status =
-      lock_manager_.Acquire(txn, TableResource(table_name),
-                            LockMode::kExclusive);
+  Status status = LockTable(session, table_name, LockMode::kExclusive);
   RecordId id;
   if (status.ok()) status = table->Insert(std::move(row), &id);
   if (status.ok()) {
@@ -745,11 +746,9 @@ Status Server::ExecSelect(ServerSession* session, const sql::SelectStmt& stmt,
   bool implicit = false;
   GRTDB_RETURN_IF_ERROR(
       txn_manager_.EnsureTxn(&session->txn_session(), &implicit));
-  const TxnId txn = session->txn_session().current_txn()->id();
   MiCallContext ctx{this, session, current_time_};
 
-  Status status = lock_manager_.Acquire(txn, TableResource(stmt.table),
-                                        LockMode::kShared);
+  Status status = LockTable(session, stmt.table, LockMode::kShared);
   uint64_t count = 0;
   const RowVisitor emit = [&](RecordId, const Row& row) -> Status {
     ++count;
@@ -810,11 +809,9 @@ Status Server::ExecDelete(ServerSession* session, const sql::DeleteStmt& stmt,
   bool implicit = false;
   GRTDB_RETURN_IF_ERROR(
       txn_manager_.EnsureTxn(&session->txn_session(), &implicit));
-  const TxnId txn = session->txn_session().current_txn()->id();
   MiCallContext ctx{this, session, current_time_};
 
-  Status status = lock_manager_.Acquire(txn, TableResource(stmt.table),
-                                        LockMode::kExclusive);
+  Status status = LockTable(session, stmt.table, LockMode::kExclusive);
 
   // Open every index on the table once for the statement.
   std::vector<std::unique_ptr<OpenIndex>> opens;
@@ -901,11 +898,9 @@ Status Server::ExecUpdate(ServerSession* session, const sql::UpdateStmt& stmt,
   bool implicit = false;
   GRTDB_RETURN_IF_ERROR(
       txn_manager_.EnsureTxn(&session->txn_session(), &implicit));
-  const TxnId txn = session->txn_session().current_txn()->id();
   MiCallContext ctx{this, session, current_time_};
 
-  Status status = lock_manager_.Acquire(txn, TableResource(stmt.table),
-                                        LockMode::kExclusive);
+  Status status = LockTable(session, stmt.table, LockMode::kExclusive);
 
   // Collect matching rows with a sequential scan (updates via index scans
   // would self-invalidate when the new key re-qualifies; Informix also

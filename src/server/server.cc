@@ -135,7 +135,12 @@ Server::Server(const ServerOptions& options)
   obs::FlightRecorder::InstallSignalHandler();
 }
 
-Server::~Server() = default;
+Server::~Server() {
+  // Index states write into sbspaces (and their caches report to the
+  // trace, heat and metrics facilities) that are destroyed before the
+  // catalog, so they go first.
+  catalog_.ReleaseIndexStates();
+}
 
 Status Server::CreateSbspace(const std::string& name) {
   const std::string key = ToLower(name);
@@ -931,6 +936,7 @@ Status Server::ExecDropIndex(ServerSession* session,
   desc.table = catalog_.FindTable(index->table);
   desc.key_columns = index->key_columns;
   desc.key_types = index->key_types;
+  desc.am_state = &index->am_state;
   Status status = Status::OK();
   if (am->hooks.am_drop) {
     PurposeCallScope call(this, session, am, obs::PurposeFn::kAmDrop);
@@ -1101,7 +1107,8 @@ Status Server::ExecCheckIndex(ServerSession* session,
       txn_manager_.EnsureTxn(&session->txn_session(), &implicit));
   MiCallContext ctx{this, session, current_time_};
   std::unique_ptr<OpenIndex> open;
-  Status status = OpenIndexDesc(session, index, false, ctx, &open);
+  Status status = LockTable(session, index->table, LockMode::kShared);
+  if (status.ok()) status = OpenIndexDesc(session, index, false, ctx, &open);
   if (status.ok()) {
     {
       PurposeCallScope call(this, session, am, obs::PurposeFn::kAmCheck);
@@ -1124,7 +1131,8 @@ Status Server::RunIndexStats(ServerSession* session, IndexDef* index,
   }
   MiCallContext ctx{this, session, current_time_};
   std::unique_ptr<OpenIndex> open;
-  Status status = OpenIndexDesc(session, index, false, ctx, &open);
+  Status status = LockTable(session, index->table, LockMode::kShared);
+  if (status.ok()) status = OpenIndexDesc(session, index, false, ctx, &open);
   if (status.ok()) {
     {
       PurposeCallScope call(this, session, am, obs::PurposeFn::kAmStats);
@@ -1194,6 +1202,7 @@ Status Server::OpenIndexDesc(ServerSession* session, IndexDef* index,
   open->desc.key_columns = index->key_columns;
   open->desc.key_types = index->key_types;
   open->desc.just_created = just_created;
+  open->desc.am_state = &index->am_state;
   if (am->hooks.am_open) {
     PurposeCallScope call(this, session, am, obs::PurposeFn::kAmOpen);
     GRTDB_RETURN_IF_ERROR(am->hooks.am_open(ctx, &open->desc));
@@ -1307,6 +1316,7 @@ Status Server::ExecCreateIndex(ServerSession* session,
   create_desc.table = table;
   create_desc.key_columns = stored->key_columns;
   create_desc.key_types = stored->key_types;
+  create_desc.am_state = &stored->am_state;
   if (am->hooks.am_create) {
     Status status;
     {

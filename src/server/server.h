@@ -472,6 +472,13 @@ class Server {
   Status BindPlanMemo(ServerSession* session, const PlanMemo& memo,
                       Plan* plan);
 
+  // Takes `table`'s lock in `mode` for the session's transaction, to its
+  // end: S to read the table or any index on it, X to write either. No
+  // reader of an index overlaps a writer of it, which keeps the index's
+  // one shared node cache coherent.
+  Status LockTable(ServerSession* session, const std::string& table,
+                   LockMode mode);
+
   // Purpose-function plumbing (Fig. 6 call sequences).
   Status OpenIndexDesc(ServerSession* session, IndexDef* index,
                        bool just_created, MiCallContext& ctx,

@@ -57,12 +57,18 @@ Status EvaluateQualOnValue(MiCallContext& ctx, const MiAmQualDesc& qual,
 // needs to know about the index instance it manipulates. The server fills
 // everything except `user_data`, which belongs to the access method (the
 // paper's purpose functions stash the Tree object pointer there).
+//
+// `am_state` points at the index's server-owned slot (IndexDef::am_state):
+// state the access method keeps from am_create to am_drop, shared by every
+// statement. Outside DDL the slot is only read: am_create fills it and
+// am_drop empties it, both under the exclusive statement gate.
 struct MiAmTableDesc {
   const IndexDef* index = nullptr;
   Table* table = nullptr;
   std::vector<int> key_columns;      // base-table column numbers
   std::vector<TypeDesc> key_types;   // the row descriptor (MI_AM_ROW_DESC)
   bool just_created = false;  // true when am_open follows am_create directly
+  std::shared_ptr<void>* am_state = nullptr;
   void* user_data = nullptr;
 };
 

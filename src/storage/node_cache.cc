@@ -21,11 +21,7 @@ namespace {
 }  // namespace
 
 NodeCache::NodeCache(NodeStore* inner, size_t capacity)
-    : inner_(inner), frames_(capacity == 0 ? 1 : capacity) {
-  for (Frame& frame : frames_) {
-    frame.data = std::make_unique<uint8_t[]>(kPageSize);
-  }
-}
+    : inner_(inner), frames_(capacity == 0 ? 1 : capacity) {}
 
 NodeCache::~NodeCache() {
   // Best-effort write-back so a cache dropped without Flush() does not
@@ -68,6 +64,13 @@ Status NodeCache::WriteBackLocked(Frame& frame) {
 }
 
 Status NodeCache::GrabFrameLocked(size_t* frame) {
+  if (first_unused_ < frames_.size()) {
+    // Frames get their page on first use, in order: a cache larger than
+    // its working set never allocates the frames it does not need.
+    frames_[first_unused_].data = std::make_unique<uint8_t[]>(kPageSize);
+    *frame = first_unused_++;
+    return Status::OK();
+  }
   size_t victim = frames_.size();
   uint64_t victim_tick = ~0ull;
   for (size_t i = 0; i < frames_.size(); ++i) {

@@ -32,7 +32,8 @@ namespace grtdb {
 // cache — the pin discipline DESIGN.md documents.
 class NodeCache final : public NodeStore {
  public:
-  // `inner` must outlive the cache. `capacity` is the frame count (>=1).
+  // `inner` must outlive the cache. `capacity` is the frame count (>=1);
+  // each frame's page is allocated when the frame is first used.
   NodeCache(NodeStore* inner, size_t capacity);
   ~NodeCache() override;
 
@@ -109,6 +110,8 @@ class NodeCache final : public NodeStore {
 
   mutable std::shared_mutex latch_;
   std::vector<Frame> frames_;
+  // Frames at and past this index have never held a node (no page yet).
+  size_t first_unused_ = 0;
   std::unordered_map<NodeId, size_t> node_table_;
   std::atomic<uint64_t> tick_{0};
 

@@ -184,8 +184,8 @@ class ClusteredLoNodeStore final : public NodeStore {
     return nodes_per_lo_ == 1 ? LoHandle::kSerializedSize : 0;
   }
 
-  // State persistence: the cluster map lives in the access method's
-  // catalog record (the free list is rebuilt lazily and may leak slots
+  // The cluster map, for freeing the LOs and for reopening a store over
+  // existing LOs (the free list is rebuilt lazily and may leak slots
   // across reopens, which only wastes space).
   const std::vector<LoHandle>& cluster_handles() const {
     return cluster_handles_;

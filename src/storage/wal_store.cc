@@ -470,7 +470,7 @@ void WalNodeStore::RunLeaderRound(std::unique_lock<std::mutex>& lk) {
       m_group_commits_->Add();
     }
   }
-  if (trace_ != nullptr && batch.size() > 1) {
+  if (trace_ != nullptr) {
     trace_->Tprintf("wal", 2, "group commit: %llu txns, %llu bytes, 1 fsync",
                     static_cast<unsigned long long>(batch.size()),
                     static_cast<unsigned long long>(blob.size()));

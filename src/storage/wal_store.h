@@ -91,7 +91,7 @@ struct WalStats {
 class WalNodeStore final : public NodeStore {
  public:
   // Opens the log at `log_path` (created if absent) over `inner`. Call
-  // Recover() before any other operation.
+  // Recover() before any other operation unless the log is new.
   static StatusOr<std::unique_ptr<WalNodeStore>> Open(
       NodeStore* inner, const std::string& log_path, WalOptions options = {});
 

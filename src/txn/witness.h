@@ -1,6 +1,7 @@
 #ifndef GRTDB_TXN_WITNESS_H_
 #define GRTDB_TXN_WITNESS_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -126,11 +127,13 @@ class Witness {
 class LockClass {
  public:
   explicit LockClass(const char* name) : name_(name) {}
+  // Threads that first use a class race to resolve it; RegisterClass is
+  // idempotent under the witness mutex, so every racer stores the same id.
   int id() {
-    int id = id_;
+    int id = id_.load(std::memory_order_relaxed);
     if (id == kUnresolved) {
       id = Witness::Global().RegisterClass(name_);
-      id_ = id;
+      id_.store(id, std::memory_order_relaxed);
     }
     return id;
   }
@@ -139,7 +142,7 @@ class LockClass {
  private:
   static constexpr int kUnresolved = -2;
   const char* name_;
-  int id_ = kUnresolved;
+  std::atomic<int> id_{kUnresolved};
 };
 
 // RAII acquire/release of a witness class (tracks the scope of a

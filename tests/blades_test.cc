@@ -2,7 +2,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
+#include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <set>
 #include <string>
 
@@ -10,6 +13,8 @@
 #include "blades/rstar_blade.h"
 #include "blades/timeextent.h"
 #include "common/random.h"
+#include "obs/fast_clock.h"
+#include "obs/flight_recorder.h"
 #include "server/server.h"
 #include "workload/workload.h"
 
@@ -338,6 +343,265 @@ INSTANTIATE_TEST_SUITE_P(
                       GRTreeBladeOptions::Storage::kLoPerNode,
                       GRTreeBladeOptions::Storage::kLoPerSubtree,
                       GRTreeBladeOptions::Storage::kExternalFile));
+
+// ------------------------------------------------ the shared store stack --
+// Each GR-tree and R*-tree index keeps one store stack and node cache from
+// CREATE INDEX to DROP INDEX, shared by every statement that opens it.
+
+struct IndexVariant {
+  const char* name;
+  const char* access_method;
+  const char* opclass;
+  GRTreeBladeOptions::Storage storage;  // GR-tree layout
+};
+
+void PrintTo(const IndexVariant& variant, std::ostream* os) {
+  *os << variant.name;
+}
+
+class SharedStackTest : public ::testing::TestWithParam<IndexVariant> {
+ protected:
+  void SetUp() override {
+    ServerOptions options;
+    options.lock_timeout = std::chrono::milliseconds(100);
+    server_ = std::make_unique<Server>(options);
+    GRTreeBladeOptions grtree;
+    grtree.storage = GetParam().storage;
+    grtree.nodes_per_lo = 4;
+    external_dir_ =
+        ::testing::TempDir() + "shared_stack_" + std::to_string(::getpid());
+    grtree.external_dir = external_dir_;
+    std::filesystem::create_directories(external_dir_);
+    ASSERT_TRUE(RegisterGRTreeBlade(server_.get(), grtree).ok());
+    ASSERT_TRUE(RegisterRStarBlade(server_.get()).ok());
+    session_ = server_->CreateSession();
+    // `t` carries the index; `s` holds the same rows without one, so its
+    // answers are the sequential scan's.
+    MustExec("CREATE TABLE t (id int, e grt_timeextent)");
+    MustExec("CREATE TABLE s (id int, e grt_timeextent)");
+    MustExec("SET CURRENT_TIME TO 20000");
+  }
+
+  // Each case starts without the files an earlier one left behind.
+  void TearDown() override {
+    server_.reset();
+    std::filesystem::remove_all(external_dir_);
+  }
+
+  Status Exec(ServerSession* session, const std::string& sql) {
+    return server_->Execute(session, sql, &result_);
+  }
+  void MustExec(const std::string& sql) {
+    Status status = Exec(session_, sql);
+    ASSERT_TRUE(status.ok()) << sql << " -> " << status.ToString();
+  }
+
+  std::string CreateIndex() const {
+    return std::string("CREATE INDEX t_idx ON t(e ") + GetParam().opclass +
+           ") USING " + GetParam().access_method;
+  }
+
+  static std::string Row(int id) {
+    return "(" + std::to_string(id) + ", '20000, UC, " +
+           std::to_string(19900 + id % 100) + ", NOW')";
+  }
+  void LoadRows(int from, int to) {
+    for (int id = from; id < to; ++id) {
+      MustExec("INSERT INTO t VALUES " + Row(id));
+      MustExec("INSERT INTO s VALUES " + Row(id));
+    }
+  }
+
+  std::set<std::string> Ids(const std::string& table,
+                            const std::string& where) {
+    Status status =
+        Exec(session_, "SELECT id FROM " + table + " WHERE " + where);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    std::set<std::string> out;
+    for (const auto& row : result_.rows) out.insert(row[0]);
+    return out;
+  }
+
+  // The index answers every probe the way the sequential scan does.
+  void ExpectIndexAgreesWithScan() {
+    for (const char* where :
+         {"Overlaps(e, '20000, 20000, 19930, 19935')",
+          "ContainedIn(e, '19000, UC, 19000, NOW')",
+          "Overlaps(e, '20000, UC, 19990, NOW')"}) {
+      EXPECT_EQ(Ids("t", where), Ids("s", where)) << where;
+    }
+    MustExec("CHECK INDEX t_idx");
+  }
+
+  // {node_reads, cache_hits} from an EXPLAIN PROFILE of `stmt`.
+  std::pair<uint64_t, uint64_t> ProfiledNodeReads(const std::string& stmt) {
+    MustExec("EXPLAIN PROFILE " + stmt);
+    for (const std::string& line : result_.messages) {
+      unsigned long long reads = 0;
+      unsigned long long hits = 0;
+      if (std::sscanf(line.c_str(), "PROFILE node_reads=%llu cache_hits=%llu",
+                      &reads, &hits) == 2) {
+        return {reads, hits};
+      }
+    }
+    ADD_FAILURE() << "no node_reads line in the profile of " << stmt;
+    return {0, 0};
+  }
+
+  bool IsExternalFile() const {
+    return std::string(GetParam().access_method) == "grtree_am" &&
+           GetParam().storage == GRTreeBladeOptions::Storage::kExternalFile;
+  }
+
+  uint64_t LiveLos() {
+    uint64_t count = 0;
+    EXPECT_TRUE(server_->FindSbspace("default")->CountLos(&count).ok());
+    return count;
+  }
+
+  std::unique_ptr<Server> server_;
+  ServerSession* session_ = nullptr;
+  ResultSet result_;
+  std::string external_dir_;
+};
+
+TEST_P(SharedStackTest, RepeatedProbeIsServedFromTheCache) {
+  MustExec(CreateIndex());
+  LoadRows(0, 60);
+  const std::string probe =
+      "SELECT id FROM t WHERE Overlaps(e, '20000, 20000, 19930, 19935')";
+  ProfiledNodeReads(probe);
+  const auto [reads, hits] = ProfiledNodeReads(probe);
+  EXPECT_GT(reads, 0u);  // the index served the probe
+  EXPECT_EQ(hits, reads);
+}
+
+TEST_P(SharedStackTest, DropAndRecreateAnswersLikeASequentialScan) {
+  MustExec(CreateIndex());
+  LoadRows(0, 40);
+  ExpectIndexAgreesWithScan();
+  MustExec("DROP INDEX t_idx");
+  LoadRows(40, 80);
+  MustExec(CreateIndex());
+  ExpectIndexAgreesWithScan();
+  EXPECT_GT(ProfiledNodeReads("SELECT id FROM t WHERE "
+                              "Overlaps(e, '20000, 20000, 19930, 19935')")
+                .first,
+            0u);
+}
+
+// DROP INDEX frees the index's storage from its live store stack: every
+// LO the tree grew into, or the file and its log.
+TEST_P(SharedStackTest, DropFreesTheIndexStorage) {
+  const uint64_t los_before = LiveLos();
+  MustExec(CreateIndex());
+  LoadRows(0, 80);
+  const std::string file = external_dir_ + "/grtree_t_idx.dat";
+  EXPECT_EQ(IsExternalFile(), std::filesystem::exists(file));
+  EXPECT_EQ(IsExternalFile(), LiveLos() == los_before);
+  MustExec("DROP INDEX t_idx");
+  EXPECT_EQ(LiveLos(), los_before);
+  EXPECT_FALSE(std::filesystem::exists(file));
+  EXPECT_FALSE(std::filesystem::exists(file + ".wal"));
+}
+
+TEST_P(SharedStackTest, FailedBuildThenRetryAnswersLikeASequentialScan) {
+  LoadRows(0, 20);
+  // A NULL key fails the build pass halfway through the table.
+  MustExec("INSERT INTO t VALUES (999, NULL)");
+  LoadRows(20, 40);
+  EXPECT_FALSE(Exec(session_, CreateIndex()).ok());
+  MustExec("DELETE FROM t WHERE id = 999");
+  MustExec(CreateIndex());
+  ExpectIndexAgreesWithScan();
+}
+
+TEST_P(SharedStackTest, StatementsRunNoRecovery) {
+  const uint64_t start = obs::Ticks();
+  MustExec(CreateIndex());
+  LoadRows(0, 10);
+  for (int i = 0; i < 10; ++i) {
+    Ids("t", "Overlaps(e, '20000, UC, 19990, NOW')");
+  }
+  size_t recoveries = 0;
+  for (const obs::FlightEventRecord& record :
+       obs::FlightRecorder::Global().Dump()) {
+    if (record.ticks >= start &&
+        record.event == obs::FlightEvent::kRecoveryBegin) {
+      ++recoveries;
+    }
+  }
+  // Only the OS-file layout has a WAL, created empty at CREATE INDEX:
+  // there is nothing to replay, and no statement opens the log again.
+  EXPECT_EQ(recoveries, 0u);
+}
+
+TEST_P(SharedStackTest, CommittedInsertIsSeenByAnotherSession) {
+  MustExec(CreateIndex());
+  LoadRows(0, 30);
+  const std::string count =
+      "SELECT COUNT(*) FROM t WHERE Overlaps(e, '20000, UC, 19910, NOW')";
+  ServerSession* reader = server_->CreateSession();
+  ASSERT_TRUE(Exec(reader, count).ok());
+  const int before = std::stoi(result_.rows[0][0]);
+
+  MustExec("BEGIN WORK");
+  MustExec("INSERT INTO t VALUES (500, '20000, UC, 19920, NOW')");
+  MustExec("COMMIT WORK");
+  ASSERT_TRUE(Exec(reader, count).ok());
+  EXPECT_EQ(std::stoi(result_.rows[0][0]), before + 1);
+
+  MustExec("DELETE FROM t WHERE id = 500 AND "
+           "Equal(e, '20000, UC, 19920, NOW')");
+  ASSERT_TRUE(Exec(reader, count).ok());
+  EXPECT_EQ(std::stoi(result_.rows[0][0]), before);
+  EXPECT_TRUE(server_->CloseSession(reader).ok());
+}
+
+TEST_P(SharedStackTest, CheckIndexWaitsOnAWritersTableLock) {
+  MustExec(CreateIndex());
+  LoadRows(0, 10);
+  MustExec("BEGIN WORK");
+  MustExec("INSERT INTO t VALUES (500, '20000, UC, 19920, NOW')");
+  // The writer holds t's X lock to its commit; CHECK INDEX and UPDATE
+  // STATISTICS read the index under t's S lock, as SELECT does.
+  ServerSession* checker = server_->CreateSession();
+  EXPECT_TRUE(Exec(checker, "CHECK INDEX t_idx").IsLockTimeout());
+  EXPECT_TRUE(
+      Exec(checker, "UPDATE STATISTICS FOR INDEX t_idx").IsLockTimeout());
+  MustExec("COMMIT WORK");
+  EXPECT_TRUE(Exec(checker, "CHECK INDEX t_idx").ok());
+  EXPECT_TRUE(Exec(checker, "UPDATE STATISTICS FOR INDEX t_idx").ok());
+  EXPECT_TRUE(server_->CloseSession(checker).ok());
+}
+
+// Clean under ASan: the index states go before the sbspaces they write to.
+TEST_P(SharedStackTest, ServerDestroyedRightAfterWrites) {
+  MustExec(CreateIndex());
+  LoadRows(0, 50);
+  MustExec("UPDATE t SET e = '20000, 20000, 19000, 19500' WHERE id < 5");
+  MustExec("DELETE FROM t WHERE id >= 45");
+  MustExec("BEGIN WORK");
+  MustExec("INSERT INTO t VALUES (500, '20000, UC, 19920, NOW')");
+  server_.reset();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Indexes, SharedStackTest,
+    ::testing::Values(
+        IndexVariant{"GrtSingleLo", "grtree_am", "grt_opclass",
+                     GRTreeBladeOptions::Storage::kSingleLo},
+        IndexVariant{"GrtLoPerNode", "grtree_am", "grt_opclass",
+                     GRTreeBladeOptions::Storage::kLoPerNode},
+        IndexVariant{"GrtLoPerSubtree", "grtree_am", "grt_opclass",
+                     GRTreeBladeOptions::Storage::kLoPerSubtree},
+        IndexVariant{"GrtExternalFile", "grtree_am", "grt_opclass",
+                     GRTreeBladeOptions::Storage::kExternalFile},
+        IndexVariant{"RStar", "rstar_am", "rst_opclass",
+                     GRTreeBladeOptions::Storage::kSingleLo}),
+    [](const ::testing::TestParamInfo<IndexVariant>& info) {
+      return std::string(info.param.name);
+    });
 
 // §5.2: dynamic strategy-function dispatch returns the same answers as the
 // hard-coded prototype.
