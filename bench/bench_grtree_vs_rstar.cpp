@@ -6,6 +6,8 @@
 // exact geometry (extra false positives = extra I/O).
 
 #include <cstdio>
+#include <cstring>
+#include <set>
 #include <unordered_map>
 
 #include "bench/bench_util.h"
@@ -24,6 +26,11 @@ using bench::Fmt;
 using bench::TablePrinter;
 
 constexpr int64_t kMaxTimestamp = 200000;
+// --smoke shrinks the run for the ctest smoke label; the answer check holds
+// either way.
+int g_actions = 12000;
+int g_sweep_queries = 400;
+int g_queries = 300;
 
 struct Pair {
   MemorySpace grt_space;
@@ -135,7 +142,7 @@ QueryResult RunQueries(Pair& pair, int64_t ct, uint64_t seed, int count,
                             &candidates),
         "rst search");
     out.rst_reads += static_cast<double>(pair.rst_store->stats().node_reads);
-    uint64_t verified = 0;
+    std::set<uint64_t> verified;
     const Region query_region = ResolveExtent(query, ct);
     for (const auto& candidate : candidates) {
       // Exact-geometry check against the data tuple (the §3 final step);
@@ -143,12 +150,14 @@ QueryResult RunQueries(Pair& pair, int64_t ct, uint64_t seed, int count,
       auto it = pair.live_by_payload.find(candidate.payload);
       if (it != pair.live_by_payload.end() &&
           ResolveExtent(it->second, ct).Overlaps(query_region)) {
-        ++verified;
+        verified.insert(candidate.payload);
       }
     }
     out.rst_false_positives +=
-        static_cast<double>(candidates.size() - verified);
-    if (verified != grt_results.size()) ++out.mismatches;
+        static_cast<double>(candidates.size() - verified.size());
+    std::set<uint64_t> grt_answers;
+    for (const auto& entry : grt_results) grt_answers.insert(entry.payload);
+    if (grt_answers != verified) ++out.mismatches;
   }
   out.grt_reads /= count;
   out.rst_reads /= count;
@@ -156,11 +165,24 @@ QueryResult RunQueries(Pair& pair, int64_t ct, uint64_t seed, int count,
   return out;
 }
 
+const char* Agree(const QueryResult& result) {
+  return result.mismatches == 0 ? "yes" : "NO";
+}
+
 }  // namespace
 }  // namespace grtdb
 
-int main() {
+// Exits 1 when the two trees' answers differ on any query.
+int main(int argc, char** argv) {
   using namespace grtdb;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      g_actions = 1500;
+      g_sweep_queries = 50;
+      g_queries = 40;
+    }
+  }
+  uint64_t mismatches = 0;
   std::printf("T5: GR-tree vs R*-tree(max-timestamp transform) on "
               "now-relative bitemporal data\n");
   std::printf("(identical page stores; reads = tree node accesses per "
@@ -168,7 +190,8 @@ int main() {
               "per false positive)\n");
 
   std::printf("\nSweep over the now-relative fraction "
-              "(12000 actions, 400 overlap queries):\n\n");
+              "(%d actions, %d overlap queries):\n\n",
+              g_actions, g_sweep_queries);
   bench::TablePrinter sweep(
       {"now-rel fraction", "live tuples", "GR reads/q", "R* reads/q",
        "R* false pos/q", "effective R*/GR", "GR writes/op", "R* writes/op",
@@ -176,8 +199,10 @@ int main() {
   for (double fraction : {0.0, 0.25, 0.5, 0.75, 1.0}) {
     Pair pair;
     int64_t ct;
-    BuildPair(pair, fraction, 77, 12000, &ct);
-    QueryResult result = RunQueries(pair, ct, 1234, 400, 60, false);
+    BuildPair(pair, fraction, 77, g_actions, &ct);
+    QueryResult result =
+        RunQueries(pair, ct, 1234, g_sweep_queries, 60, false);
+    mismatches += result.mismatches;
     const double rst_effective = result.rst_reads + result.rst_false_positives;
     sweep.AddRow(
         {Fmt(fraction, 2), std::to_string(pair.live.size()),
@@ -190,25 +215,29 @@ int main() {
          Fmt(static_cast<double>(pair.rst_insert_writes) /
                  static_cast<double>(pair.ops),
              2),
-         result.mismatches == 0 ? "yes" : "NO"});
+         Agree(result)});
   }
   sweep.Print();
 
   std::printf("\nSweep over query extent (now-rel fraction 0.75):\n\n");
   bench::TablePrinter spans({"query span (days)", "GR reads/q", "R* reads/q",
-                             "R* false pos/q", "effective R*/GR"});
+                             "R* false pos/q", "effective R*/GR",
+                             "answers agree"});
   {
     Pair pair;
     int64_t ct;
-    BuildPair(pair, 0.75, 78, 12000, &ct);
+    BuildPair(pair, 0.75, 78, g_actions, &ct);
     for (int64_t span : {5, 30, 120, 365}) {
-      QueryResult result = RunQueries(pair, ct, 4321 + span, 300, span, false);
+      QueryResult result =
+          RunQueries(pair, ct, 4321 + span, g_queries, span, false);
+      mismatches += result.mismatches;
       spans.AddRow(
           {std::to_string(span), Fmt(result.grt_reads, 1),
            Fmt(result.rst_reads, 1), Fmt(result.rst_false_positives, 1),
            Fmt((result.rst_reads + result.rst_false_positives) /
                    result.grt_reads,
-               2)});
+               2),
+           Agree(result)});
     }
   }
   spans.Print();
@@ -216,36 +245,46 @@ int main() {
   std::printf("\nNow-relative (stair-shaped) queries — \"current and valid "
               "since vt1\" (now-rel fraction 0.75):\n\n");
   bench::TablePrinter stairs({"now-rel fraction", "GR reads/q", "R* reads/q",
-                              "R* false pos/q", "effective R*/GR"});
+                              "R* false pos/q", "effective R*/GR",
+                              "answers agree"});
   for (double fraction : {0.25, 0.75}) {
     Pair pair;
     int64_t ct;
-    BuildPair(pair, fraction, 80, 12000, &ct);
-    QueryResult result = RunQueries(pair, ct, 555, 300, 30, true);
+    BuildPair(pair, fraction, 80, g_actions, &ct);
+    QueryResult result = RunQueries(pair, ct, 555, g_queries, 30, true);
+    mismatches += result.mismatches;
     stairs.AddRow(
         {Fmt(fraction, 2), Fmt(result.grt_reads, 1),
          Fmt(result.rst_reads, 1), Fmt(result.rst_false_positives, 1),
          Fmt((result.rst_reads + result.rst_false_positives) /
                  result.grt_reads,
-             2)});
+             2),
+         Agree(result)});
   }
   stairs.Print();
 
   std::printf("\nAging: the same index queried at later current times "
               "(no maintenance in either tree):\n\n");
   bench::TablePrinter aging({"current time", "GR reads/q", "R* reads/q",
-                             "R* false pos/q"});
+                             "R* false pos/q", "answers agree"});
   {
     Pair pair;
     int64_t ct;
-    BuildPair(pair, 0.75, 79, 12000, &ct);
+    BuildPair(pair, 0.75, 79, g_actions, &ct);
     for (int64_t delta : {0, 365, 1825, 7300}) {
-      QueryResult result = RunQueries(pair, ct + delta, 777, 300, 60, false);
+      QueryResult result =
+          RunQueries(pair, ct + delta, 777, g_queries, 60, false);
+      mismatches += result.mismatches;
       aging.AddRow({"ct+" + std::to_string(delta), Fmt(result.grt_reads, 1),
                     Fmt(result.rst_reads, 1),
-                    Fmt(result.rst_false_positives, 1)});
+                    Fmt(result.rst_false_positives, 1), Agree(result)});
     }
   }
   aging.Print();
+  if (mismatches > 0) {
+    std::printf("\nbench_grtree_vs_rstar: answers differ on %llu queries\n",
+                static_cast<unsigned long long>(mismatches));
+    return 1;
+  }
   return 0;
 }

@@ -5,7 +5,7 @@
 #include <cstring>
 #include <deque>
 
-#include "storage/layout.h"
+#include "common/bytes.h"
 
 namespace grtdb {
 
@@ -36,6 +36,36 @@ TimeExtent ExtentFromBound(const BoundSpec& bound) {
   return TimeExtent(bound.tt_begin, bound.tt_end, bound.vt_begin,
                     bound.vt_end);
 }
+
+// One node page pinned for reading, its entries decoded in place. Holds the
+// store's view, and with it a cache frame's read latch, until destroyed:
+// keep it to one function and drop it before writing the store.
+class NodePage {
+ public:
+  Status Pin(NodeStore* store, NodeId id) {
+    GRTDB_RETURN_IF_ERROR(store->ViewNode(id, &view_));
+    count_ = LoadU32(view_.data() + 4);
+    if (count_ > MaxEntriesForPage()) {
+      return Status::Corruption("GR-tree node entry count out of range");
+    }
+    return Status::OK();
+  }
+
+  uint32_t level() const { return LoadU32(view_.data()); }
+  uint32_t count() const { return count_; }
+  BoundSpec bound(uint32_t i) const { return BoundSpec::DecodeFrom(entry(i)); }
+  uint64_t payload(uint32_t i) const {
+    return LoadU64(entry(i) + BoundSpec::kBinarySize);
+  }
+
+ private:
+  const uint8_t* entry(uint32_t i) const {
+    return view_.data() + kNodeHeaderSize + i * kEntrySize;
+  }
+
+  NodeView view_;
+  uint32_t count_ = 0;
+};
 
 double CenterDistance2(const Region& a, const Region& b) {
   if (a.IsEmpty() || b.IsEmpty()) return 0.0;
@@ -145,25 +175,13 @@ Status GRTree::SaveAnchor() {
 }
 
 Status GRTree::ReadNode(NodeId id, Node* node) const {
-  // Zero-copy on cached stores: decode straight out of the pinned frame.
-  // The view (and the cache's read latch) is released on return, before
-  // any write can happen on this store from this thread.
-  NodeView view;
-  GRTDB_RETURN_IF_ERROR(store_->ViewNode(id, &view));
-  const uint8_t* page = view.data();
-  node->level = LoadU32(page);
-  const uint32_t count = LoadU32(page + 4);
-  if (count > MaxEntriesForPage()) {
-    return Status::Corruption("GR-tree node entry count out of range");
-  }
+  NodePage page;
+  GRTDB_RETURN_IF_ERROR(page.Pin(store_, id));
+  node->level = page.level();
   node->entries.clear();
-  node->entries.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    const uint8_t* p = page + kNodeHeaderSize + i * kEntrySize;
-    NodeEntry entry;
-    entry.bound = BoundSpec::DecodeFrom(p);
-    entry.payload = LoadU64(p + BoundSpec::kBinarySize);
-    node->entries.push_back(entry);
+  node->entries.reserve(page.count());
+  for (uint32_t i = 0; i < page.count(); ++i) {
+    node->entries.push_back(NodeEntry{page.bound(i), page.payload(i)});
   }
   return Status::OK();
 }
@@ -670,36 +688,30 @@ GRTree::Cursor::Cursor(GRTree* tree, PredicateOp op, TimeExtent query,
                        int64_t ct)
     : tree_(tree),
       op_(op),
-      query_extent_(query),
       query_(ResolveExtent(query, ct)),
       ct_(ct),
       epoch_(tree->condense_epoch()) {}
 
-bool GRTree::Cursor::InternalMatches(const BoundSpec& bound) const {
-  return GRTree::InternalTest(op_, bound.Resolve(ct_), query_);
-}
-
-bool GRTree::Cursor::LeafMatches(const BoundSpec& bound) const {
-  return GRTree::LeafTest(op_, bound.Resolve(ct_), query_);
-}
-
 Status GRTree::Cursor::PushNode(NodeId id) {
-  Node node;
-  GRTDB_RETURN_IF_ERROR(tree_->ReadNode(id, &node));
-  Frame frame;
-  frame.id = id;
-  frame.level = node.level;
-  frame.entries.reserve(node.entries.size());
-  for (const NodeEntry& entry : node.entries) {
-    frame.entries.emplace_back(entry.bound, entry.payload);
+  // Last entry first, so the first qualifier ends on top: nodes are
+  // visited and answers returned in entry order, depth first.
+  NodePage node;
+  GRTDB_RETURN_IF_ERROR(node.Pin(tree_->store_, id));
+  const bool leaf = node.level() == 0;
+  for (uint32_t i = node.count(); i-- > 0;) {
+    const BoundSpec bound = node.bound(i);
+    const Region region = bound.Resolve(ct_);
+    if (leaf ? LeafTest(op_, region, query_)
+             : InternalTest(op_, region, query_)) {
+      pending_.push_back(
+          Pending{Entry{ExtentFromBound(bound), node.payload(i)}, leaf});
+    }
   }
-  frame.next = 0;
-  stack_.push_back(std::move(frame));
   return Status::OK();
 }
 
 void GRTree::Cursor::Reset() {
-  stack_.clear();
+  pending_.clear();
   epoch_ = tree_->condense_epoch();
   needs_prime_ = true;
   ++restarts_;
@@ -716,24 +728,15 @@ Status GRTree::Cursor::Next(bool* has, Entry* out) {
     needs_prime_ = false;
     GRTDB_RETURN_IF_ERROR(PushNode(tree_->root_));
   }
-  while (!stack_.empty()) {
-    Frame& frame = stack_.back();
-    if (frame.next >= frame.entries.size()) {
-      stack_.pop_back();
-      continue;
-    }
-    const auto& [bound, payload] = frame.entries[frame.next];
-    ++frame.next;
-    if (frame.level == 0) {
-      if (LeafMatches(bound) && returned_.find(payload) == returned_.end()) {
-        returned_.insert(payload);
-        out->extent = ExtentFromBound(bound);
-        out->payload = payload;
-        *has = true;
-        return Status::OK();
-      }
-    } else if (InternalMatches(bound)) {
-      GRTDB_RETURN_IF_ERROR(PushNode(payload));
+  while (!pending_.empty()) {
+    const Pending top = pending_.back();
+    pending_.pop_back();
+    if (!top.answer) {
+      GRTDB_RETURN_IF_ERROR(PushNode(top.entry.payload));
+    } else if (returned_.insert(top.entry.payload).second) {
+      *out = top.entry;
+      *has = true;
+      return Status::OK();
     }
   }
   return Status::OK();
@@ -771,14 +774,14 @@ StatusOr<double> GRTree::EstimateScanCost(PredicateOp op,
     uint64_t overlapping = 0;
     bool children_are_leaves = false;
     for (NodeId id : frontier) {
-      Node node;
-      GRTDB_RETURN_IF_ERROR(ReadNode(id, &node));
-      if (node.level == 0) return cost;
-      children_are_leaves = node.level == 1;
-      for (const NodeEntry& entry : node.entries) {
-        if (InternalTest(op, entry.bound.Resolve(ct), query_region)) {
+      NodePage node;
+      GRTDB_RETURN_IF_ERROR(node.Pin(store_, id));
+      if (node.level() == 0) return cost;
+      children_are_leaves = node.level() == 1;
+      for (uint32_t i = 0; i < node.count(); ++i) {
+        if (InternalTest(op, node.bound(i).Resolve(ct), query_region)) {
           ++overlapping;
-          if (!children_are_leaves) next.push_back(entry.payload);
+          if (!children_are_leaves) next.push_back(node.payload(i));
         }
       }
     }

@@ -115,28 +115,29 @@ class GRTree {
    private:
     friend class GRTree;
 
-    struct Frame {
-      NodeId id = kInvalidNodeId;
-      uint32_t level = 0;
-      std::vector<std::pair<BoundSpec, uint64_t>> entries;
-      size_t next = 0;
+    // An entry of a visited node that passed the scan's test: an answer
+    // (leaf) or a child to descend into (internal; only entry.payload, the
+    // child's id, is set).
+    struct Pending {
+      Entry entry;
+      bool answer = false;
     };
 
     Cursor(GRTree* tree, PredicateOp op, TimeExtent query, int64_t ct);
 
+    // Tests each entry of node `id` on its pinned page and pushes the
+    // ones that pass.
     Status PushNode(NodeId id);
-    bool InternalMatches(const BoundSpec& bound) const;
-    bool LeafMatches(const BoundSpec& bound) const;
 
     GRTree* tree_;
     PredicateOp op_;
-    TimeExtent query_extent_;
     Region query_;
     int64_t ct_;
     uint64_t epoch_;
     uint64_t restarts_ = 0;
     bool needs_prime_ = true;
-    std::vector<Frame> stack_;
+    // Depth-first work list; the next entry to take is at the back.
+    std::vector<Pending> pending_;
     std::set<uint64_t> returned_;
   };
 

@@ -2,36 +2,12 @@
 #define GRTDB_STORAGE_LAYOUT_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <cstring>
+
+#include "common/bytes.h"
 
 namespace grtdb {
-
-// Unaligned little-endian loads/stores used by all on-page layouts.
-
-inline uint32_t LoadU32(const uint8_t* p) {
-  uint32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-inline void StoreU32(uint8_t* p, uint32_t v) { std::memcpy(p, &v, sizeof(v)); }
-
-inline uint64_t LoadU64(const uint8_t* p) {
-  uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-inline void StoreU64(uint8_t* p, uint64_t v) { std::memcpy(p, &v, sizeof(v)); }
-
-inline int64_t LoadI64(const uint8_t* p) {
-  int64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-inline void StoreI64(uint8_t* p, int64_t v) { std::memcpy(p, &v, sizeof(v)); }
 
 // CRC-32 (IEEE 802.3 polynomial, reflected) used to frame WAL records so
 // torn tails and bit rot are detected positively rather than by parse

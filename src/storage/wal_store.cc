@@ -129,6 +129,11 @@ Status WalNodeStore::Recover() {
     uint64_t crc_failures = 0;
     uint64_t bytes_scanned = 0;
     std::vector<uint8_t> payload;
+    // Frees wait for the end of the log. Allocations are not logged, so a
+    // later transaction may have reallocated a freed node and written it;
+    // its write cancels the free, or the next allocation would zero a live
+    // node.
+    std::vector<NodeId> frees;
 
     for (;;) {
       uint8_t header[wal::kFrameHeaderSize];
@@ -188,6 +193,12 @@ Status WalNodeStore::Recover() {
           if (!open) {
             return Status::Corruption("WAL COMMIT record without BEGIN");
           }
+          for (const auto& write : txn.writes) std::erase(frees, write.first);
+          for (NodeId id : txn.frees) {
+            std::erase(frees, id);
+            frees.push_back(id);
+          }
+          txn.frees.clear();
           {
             std::lock_guard<std::mutex> il(inner_mu_);
             GRTDB_RETURN_IF_ERROR(ApplyTxnInnerLocked(txn));
@@ -202,6 +213,10 @@ Status WalNodeStore::Recover() {
       if (open) ++discarded;  // frame ended with the transaction open
     }
     if (reader.failed()) return Status::IOError("read of WAL failed");
+    {
+      std::lock_guard<std::mutex> il(inner_mu_);
+      for (NodeId id : frees) GRTDB_RETURN_IF_ERROR(inner_->FreeNode(id));
+    }
 
     {
       std::lock_guard<std::mutex> lock(stats_mu_);

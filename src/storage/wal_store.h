@@ -100,7 +100,8 @@ class WalNodeStore final : public NodeStore {
   // Replays committed-but-unapplied transactions into the inner store and
   // truncates the log. Safe to call on a clean log and idempotent: a
   // second call (or a crash during the first) replays the same physical
-  // images again.
+  // images again. Frees are applied after the whole log, less those whose
+  // node a later record writes (the node was reallocated).
   Status Recover();
 
   // Single-session transaction brackets (legacy, not thread-safe against

@@ -1,7 +1,5 @@
 #include "temporal/extent.h"
 
-#include <cstring>
-
 #include "common/strings.h"
 
 namespace grtdb {
@@ -100,40 +98,6 @@ std::string TimeExtent::ToString() const {
 std::string TimeExtent::ToChrononString() const {
   return tt_begin.ToChrononString() + ", " + tt_end.ToChrononString() + ", " +
          vt_begin.ToChrononString() + ", " + vt_end.ToChrononString();
-}
-
-namespace {
-
-void PutLittleEndian64(uint8_t* out, int64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    out[i] = static_cast<uint8_t>(static_cast<uint64_t>(value) >> (8 * i));
-  }
-}
-
-int64_t GetLittleEndian64(const uint8_t* in) {
-  uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) {
-    value |= static_cast<uint64_t>(in[i]) << (8 * i);
-  }
-  return static_cast<int64_t>(value);
-}
-
-}  // namespace
-
-void TimeExtent::EncodeTo(uint8_t* out) const {
-  PutLittleEndian64(out, tt_begin.raw());
-  PutLittleEndian64(out + 8, tt_end.raw());
-  PutLittleEndian64(out + 16, vt_begin.raw());
-  PutLittleEndian64(out + 24, vt_end.raw());
-}
-
-TimeExtent TimeExtent::DecodeFrom(const uint8_t* in) {
-  TimeExtent extent;
-  extent.tt_begin = Timestamp::FromRaw(GetLittleEndian64(in));
-  extent.tt_end = Timestamp::FromRaw(GetLittleEndian64(in + 8));
-  extent.vt_begin = Timestamp::FromRaw(GetLittleEndian64(in + 16));
-  extent.vt_end = Timestamp::FromRaw(GetLittleEndian64(in + 24));
-  return extent;
 }
 
 }  // namespace grtdb

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/bytes.h"
 #include "common/status.h"
 #include "temporal/timestamp.h"
 
@@ -78,10 +79,22 @@ struct TimeExtent {
   std::string ToChrononString() const;
 
   // Fixed-size binary encoding (4 little-endian int64s) — the "binary
-  // send/receive" representation of the opaque type.
+  // send/receive" representation of the opaque type, and the first 32
+  // bytes of a GR-tree entry's BoundSpec. Inline: tree scans decode every
+  // entry they test straight off the pinned page.
   static constexpr size_t kBinarySize = 32;
-  void EncodeTo(uint8_t* out) const;
-  static TimeExtent DecodeFrom(const uint8_t* in);
+  void EncodeTo(uint8_t* out) const {
+    StoreI64(out, tt_begin.raw());
+    StoreI64(out + 8, tt_end.raw());
+    StoreI64(out + 16, vt_begin.raw());
+    StoreI64(out + 24, vt_end.raw());
+  }
+  static TimeExtent DecodeFrom(const uint8_t* in) {
+    return TimeExtent(Timestamp::FromRaw(LoadI64(in)),
+                      Timestamp::FromRaw(LoadI64(in + 8)),
+                      Timestamp::FromRaw(LoadI64(in + 16)),
+                      Timestamp::FromRaw(LoadI64(in + 24)));
+  }
 
   friend bool operator==(const TimeExtent& a, const TimeExtent& b) {
     return a.tt_begin == b.tt_begin && a.tt_end == b.tt_end &&

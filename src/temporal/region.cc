@@ -380,41 +380,4 @@ std::string BoundSpec::ToString() const {
   return out;
 }
 
-namespace {
-
-void PutLittleEndian64(uint8_t* out, int64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    out[i] = static_cast<uint8_t>(static_cast<uint64_t>(value) >> (8 * i));
-  }
-}
-
-int64_t GetLittleEndian64(const uint8_t* in) {
-  uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) {
-    value |= static_cast<uint64_t>(in[i]) << (8 * i);
-  }
-  return static_cast<int64_t>(value);
-}
-
-}  // namespace
-
-void BoundSpec::EncodeTo(uint8_t* out) const {
-  PutLittleEndian64(out, tt_begin.raw());
-  PutLittleEndian64(out + 8, tt_end.raw());
-  PutLittleEndian64(out + 16, vt_begin.raw());
-  PutLittleEndian64(out + 24, vt_end.raw());
-  out[32] = static_cast<uint8_t>((rectangle ? 1 : 0) | (hidden ? 2 : 0));
-}
-
-BoundSpec BoundSpec::DecodeFrom(const uint8_t* in) {
-  BoundSpec spec;
-  spec.tt_begin = Timestamp::FromRaw(GetLittleEndian64(in));
-  spec.tt_end = Timestamp::FromRaw(GetLittleEndian64(in + 8));
-  spec.vt_begin = Timestamp::FromRaw(GetLittleEndian64(in + 16));
-  spec.vt_end = Timestamp::FromRaw(GetLittleEndian64(in + 24));
-  spec.rectangle = (in[32] & 1) != 0;
-  spec.hidden = (in[32] & 2) != 0;
-  return spec;
-}
-
 }  // namespace grtdb

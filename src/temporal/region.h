@@ -136,10 +136,26 @@ struct BoundSpec {
            a.rectangle == b.rectangle && a.hidden == b.hidden;
   }
 
-  // Fixed-size binary encoding: 4 raw timestamps + 1 flag byte.
-  static constexpr size_t kBinarySize = 33;
-  void EncodeTo(uint8_t* out) const;
-  static BoundSpec DecodeFrom(const uint8_t* in);
+  // Fixed-size binary encoding: the four timestamps in TimeExtent's
+  // encoding, then one flag byte (bit 0 Rectangle, bit 1 Hidden).
+  static constexpr size_t kBinarySize = TimeExtent::kBinarySize + 1;
+  void EncodeTo(uint8_t* out) const {
+    TimeExtent(tt_begin, tt_end, vt_begin, vt_end).EncodeTo(out);
+    out[TimeExtent::kBinarySize] =
+        static_cast<uint8_t>((rectangle ? 1 : 0) | (hidden ? 2 : 0));
+  }
+  static BoundSpec DecodeFrom(const uint8_t* in) {
+    const TimeExtent extent = TimeExtent::DecodeFrom(in);
+    const uint8_t flags = in[TimeExtent::kBinarySize];
+    BoundSpec spec;
+    spec.tt_begin = extent.tt_begin;
+    spec.tt_end = extent.tt_end;
+    spec.vt_begin = extent.vt_begin;
+    spec.vt_end = extent.vt_end;
+    spec.rectangle = (flags & 1) != 0;
+    spec.hidden = (flags & 2) != 0;
+    return spec;
+  }
 };
 
 }  // namespace grtdb

@@ -5,9 +5,11 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "blades/grtree_blade.h"
 #include "blades/rstar_blade.h"
@@ -273,22 +275,70 @@ TEST_P(DifferentialTest, ThreeWayAgreement) {
     }
   }
 
+  // The WHERE clauses to compare: ground rectangles under each
+  // predicate, the benchmark's current stairs 'c, UC, c, NOW' for days c
+  // before the current time, and Equal probes on stored versions, current
+  // and closed ones alike.
   Random rng(GetParam() ^ 0xBEEF);
+  std::vector<std::string> wheres;
   for (int q = 0; q < 12; ++q) {
     TimeExtent query = workload.GroundRectQuery(150);
     const char* pred = (q % 3 == 0)   ? "Overlaps"
                        : (q % 3 == 1) ? "ContainedIn"
                                       : "Contains";
-    const std::string where =
-        std::string(pred) + "(e, '" + query.ToString() + "')";
-    MustExec("SELECT id FROM h WHERE " + where);
-    const std::set<std::string> grt = Column0();
-    MustExec("SELECT id FROM h2 WHERE " + where);
-    const std::set<std::string> rst = Column0();
-    MustExec("SELECT id FROM h3 WHERE " + where);
-    const std::set<std::string> seq = Column0();
-    EXPECT_EQ(grt, seq) << pred << " '" << query.ToString() << "'";
-    EXPECT_EQ(rst, seq) << pred << " '" << query.ToString() << "'";
+    wheres.push_back(std::string(pred) + "(e, '" + query.ToString() + "')");
+  }
+  for (int64_t back : {0, 1, 5, 31}) {
+    const std::string c = std::to_string(last_ct - back);
+    wheres.push_back("Overlaps(e, '" + c + ", UC, " + c + ", NOW')");
+  }
+  std::vector<TimeExtent> current;
+  std::vector<TimeExtent> closed;
+  std::map<uint64_t, TimeExtent> versions(workload.live().begin(),
+                                          workload.live().end());
+  for (const auto& [id, extent] : versions) {
+    (extent.IsCurrent() ? current : closed).push_back(extent);
+  }
+  ASSERT_FALSE(current.empty());
+  ASSERT_FALSE(closed.empty());
+  std::vector<std::string> probes;
+  for (int i = 0; i < 5; ++i) {
+    for (const std::vector<TimeExtent>* pool : {&current, &closed}) {
+      const TimeExtent& extent = (*pool)[rng.Uniform(pool->size())];
+      probes.push_back("'" + extent.ToString() + "'");
+      wheres.push_back("Equal(e, " + probes.back() + ")");
+    }
+  }
+  for (const char* table : {"h", "h2", "h3"}) {
+    MustExec(std::string("PREPARE eq_") + table + " AS SELECT id FROM " +
+             table + " WHERE Equal(e, ?)");
+  }
+
+  // Every query at the last insertion's time and at two later times, with
+  // no index maintenance in between: growing regions must be resolved the
+  // same way by both trees and the sequential scan.
+  for (int64_t ct : {last_ct, last_ct + 30, last_ct + 400}) {
+    MustExec("SET CURRENT_TIME TO " + std::to_string(ct));
+    auto answers = [&](const std::string& h, const std::string& h2,
+                       const std::string& h3, const std::string& what) {
+      MustExec(h);
+      const std::set<std::string> grt = Column0();
+      MustExec(h2);
+      const std::set<std::string> rst = Column0();
+      MustExec(h3);
+      const std::set<std::string> seq = Column0();
+      EXPECT_EQ(grt, seq) << what << " at ct " << ct;
+      EXPECT_EQ(rst, seq) << what << " at ct " << ct;
+    };
+    for (const std::string& where : wheres) {
+      answers("SELECT id FROM h WHERE " + where,
+              "SELECT id FROM h2 WHERE " + where,
+              "SELECT id FROM h3 WHERE " + where, where);
+    }
+    for (const std::string& probe : probes) {
+      answers("EXECUTE eq_h (" + probe + ")", "EXECUTE eq_h2 (" + probe + ")",
+              "EXECUTE eq_h3 (" + probe + ")", "prepared Equal " + probe);
+    }
   }
   MustExec("CHECK INDEX h_grt");
   MustExec("CHECK INDEX h2_rst");

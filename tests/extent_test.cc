@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "common/random.h"
 #include "temporal/predicates.h"
 #include "temporal/region.h"
@@ -217,6 +220,25 @@ TEST(ExtentBinary, RoundTrip) {
   EXPECT_EQ(TimeExtent::DecodeFrom(buffer), extent);
 }
 
+// The encoding is the opaque type's binary send/receive form and the first
+// 32 bytes of every GR-tree entry on disk: these bytes must not change.
+TEST(ExtentBinary, GoldenBytes) {
+  const TimeExtent extent(Timestamp::FromChronon(0x0102030405060708),
+                          Timestamp::UC(), Timestamp::FromChronon(-2),
+                          Timestamp::NOW());
+  const std::vector<uint8_t> golden = {
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // TTbegin
+      0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F,  // UC
+      0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,  // chronon -2
+      0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F,  // NOW
+  };
+  ASSERT_EQ(golden.size(), TimeExtent::kBinarySize);
+  std::vector<uint8_t> buffer(TimeExtent::kBinarySize);
+  extent.EncodeTo(buffer.data());
+  EXPECT_EQ(buffer, golden);
+  EXPECT_EQ(TimeExtent::DecodeFrom(golden.data()), extent);
+}
+
 // -------------------------------------------------------------- BoundSpec --
 
 TEST(BoundSpec, FromExtentSetsStairFlag) {
@@ -238,6 +260,34 @@ TEST(BoundSpec, BinaryRoundTrip) {
   uint8_t buffer[BoundSpec::kBinarySize];
   spec.EncodeTo(buffer);
   EXPECT_EQ(BoundSpec::DecodeFrom(buffer), spec);
+}
+
+// A GR-tree entry's bound as it sits on the page: four timestamps, then
+// the flag byte (bit 0 Rectangle, bit 1 Hidden).
+TEST(BoundSpec, GoldenBytes) {
+  BoundSpec spec;
+  spec.tt_begin = Timestamp::FromChronon(-2);
+  spec.tt_end = Timestamp::UC();
+  spec.vt_begin = Timestamp::FromChronon(0x0102030405060708);
+  spec.vt_end = Timestamp::NOW();
+  std::vector<uint8_t> golden = {
+      0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,  // chronon -2
+      0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F,  // UC
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // VTbegin
+      0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F,  // NOW
+      0x00,                                            // flags
+  };
+  ASSERT_EQ(golden.size(), BoundSpec::kBinarySize);
+  for (uint8_t flags = 0; flags < 4; ++flags) {
+    spec.rectangle = (flags & 1) != 0;
+    spec.hidden = (flags & 2) != 0;
+    golden.back() = flags;
+    std::vector<uint8_t> buffer(BoundSpec::kBinarySize);
+    spec.EncodeTo(buffer.data());
+    EXPECT_EQ(buffer, golden) << "flags " << int{flags};
+    EXPECT_EQ(BoundSpec::DecodeFrom(golden.data()), spec)
+        << "flags " << int{flags};
+  }
 }
 
 TEST(BoundSpec, HiddenFlagSwitchesToGrowingTop) {

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 
+#include "common/bytes.h"
 #include "common/random.h"
 #include "storage/pager.h"
 #include "storage/space.h"
@@ -463,6 +465,87 @@ TEST(GRTree, CursorRescanAfterResetSkipsNothingNew) {
     EXPECT_TRUE(seen.insert(entry.payload).second);
   }
   EXPECT_EQ(seen.size(), 50u);
+}
+
+// Serves every node page of one level with a garbled entry count, as a torn
+// or bit-rotted page would hold. A node page starts with its level (u32)
+// and its entry count (u32); the anchor page starts with a magic number,
+// never a level.
+class BadCountStore final : public NodeStore {
+ public:
+  BadCountStore(NodeStore* inner, uint32_t level, uint32_t count)
+      : inner_(inner), level_(level), count_(count) {}
+
+  Status AllocateNode(NodeId* id) override { return inner_->AllocateNode(id); }
+  Status FreeNode(NodeId id) override { return inner_->FreeNode(id); }
+  Status ReadNode(NodeId id, uint8_t* out) override {
+    GRTDB_RETURN_IF_ERROR(inner_->ReadNode(id, out));
+    if (LoadU32(out) == level_) StoreU32(out + 4, count_);
+    return Status::OK();
+  }
+  Status WriteNode(NodeId id, const uint8_t* data) override {
+    return inner_->WriteNode(id, data);
+  }
+  uint64_t LoOfNode(NodeId id) const override { return inner_->LoOfNode(id); }
+  Status Flush() override { return inner_->Flush(); }
+
+ private:
+  NodeStore* inner_;
+  uint32_t level_;
+  uint32_t count_;
+};
+
+// A count past what a page holds must stop every reader before it decodes
+// past the page: the scan, the cost estimate and the checker.
+TEST(GRTree, EntryCountPastPageCapacityIsCorruption) {
+  MemorySpace space;
+  Pager pager(&space, 512);
+  PagerNodeStore store(&pager);
+  GRTree::Options options;  // max_entries 0: nodes hold a full page
+  NodeId anchor;
+  auto tree_or = GRTree::Create(&store, options, &anchor);
+  ASSERT_TRUE(tree_or.ok());
+  std::unique_ptr<GRTree> tree = std::move(tree_or).value();
+  const int64_t ct = 5000;
+  for (uint64_t i = 0; i < 300; ++i) {
+    const int64_t t = 1000 + static_cast<int64_t>(i);
+    ASSERT_TRUE(
+        tree->Insert(TimeExtent::Ground(t, t + 5, t - 100, t), i, ct).ok());
+  }
+  ASSERT_EQ(tree->height(), 2u);
+  const TimeExtent everything = TimeExtent::Ground(0, 10000, 0, 10000);
+  const uint32_t capacity = static_cast<uint32_t>(tree->max_entries());
+
+  for (uint32_t count : {capacity + 1, UINT32_MAX}) {
+    for (uint32_t level : {0u, 1u}) {
+      SCOPED_TRACE("count " + std::to_string(count) + " on level " +
+                   std::to_string(level));
+      BadCountStore bad(&store, level, count);
+      auto opened_or = GRTree::Open(&bad, anchor, options);
+      ASSERT_TRUE(opened_or.ok());
+      std::unique_ptr<GRTree> opened = std::move(opened_or).value();
+
+      auto cursor_or = opened->Search(PredicateOp::kOverlaps, everything, ct);
+      ASSERT_TRUE(cursor_or.ok());
+      auto cursor = std::move(cursor_or).value();
+      Status status;
+      bool has = true;
+      GRTree::Entry entry;
+      while (has && status.ok()) status = cursor->Next(&has, &entry);
+      EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+
+      EXPECT_TRUE(opened->CheckConsistency(ct).IsCorruption());
+
+      // The estimate reads the internal levels only.
+      const StatusOr<double> cost =
+          opened->EstimateScanCost(PredicateOp::kOverlaps, everything, ct);
+      if (level == 0) {
+        EXPECT_TRUE(cost.ok());
+      } else {
+        EXPECT_TRUE(cost.status().IsCorruption());
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -334,6 +334,47 @@ TEST(WalCrashMatrix, RecoverIsIdempotent) {
   EXPECT_EQ(page[0], 0x42);
 }
 
+// Allocations are not logged, so the log of "write A; free A; reallocate A
+// and write it" holds a FREE of a node that is live at its end. Recovery
+// must not put that node back on the free list, where the next allocation
+// would zero it; a free no later record cancels still applies.
+TEST(WalCrashMatrix, RecoverKeepsAFreedNodeThatWasReallocated) {
+  Fixture fx("wal_crash_realloc.log");
+  NodeId a, b;
+  ASSERT_TRUE(fx.wal->AllocateNode(&a).ok());
+  ASSERT_TRUE(fx.wal->AllocateNode(&b).ok());
+  ASSERT_TRUE(fx.wal->Begin().ok());
+  fx.WriteByte(a, 0x51);
+  fx.WriteByte(b, 0x52);
+  ASSERT_TRUE(fx.wal->Commit().ok());
+  ASSERT_TRUE(fx.wal->Begin().ok());
+  ASSERT_TRUE(fx.wal->FreeNode(b).ok());
+  ASSERT_TRUE(fx.wal->FreeNode(a).ok());
+  ASSERT_TRUE(fx.wal->Commit().ok());
+  NodeId again;
+  ASSERT_TRUE(fx.wal->AllocateNode(&again).ok());
+  ASSERT_EQ(again, a);  // the free list hands back the last freed slot
+  ASSERT_TRUE(fx.wal->Begin().ok());
+  fx.WriteByte(a, 0x53);
+  ASSERT_TRUE(fx.wal->Commit().ok());
+
+  // Crash and reopen: a new inner store over the same pages (the free list
+  // lived in memory) and the log, which still holds all three transactions.
+  PagerNodeStore reopened(&fx.pager);
+  auto wal_or = WalNodeStore::Open(&reopened, fx.log_path);
+  ASSERT_TRUE(wal_or.ok());
+  auto recovered = std::move(wal_or).value();
+  ASSERT_TRUE(recovered->Recover().ok());
+  EXPECT_EQ(recovered->wal_stats().transactions_replayed, 3u);
+  EXPECT_EQ(reopened.FreeListLength(), 1u);
+  NodeId next;
+  ASSERT_TRUE(recovered->AllocateNode(&next).ok());
+  EXPECT_EQ(next, b);
+  uint8_t page[kPageSize];
+  ASSERT_TRUE(reopened.ReadNode(a, page).ok());
+  EXPECT_EQ(page[0], 0x53);
+}
+
 // Satellite 3 regression: several complete BEGIN-without-COMMIT frames must
 // each count as a discarded transaction, not collapse into one.
 TEST(WalCrashMatrix, EachDiscardedTransactionIsCounted) {
