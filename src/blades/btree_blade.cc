@@ -328,20 +328,16 @@ BladeFns MakeBladeFns(const BtreeBladeOptions& options) {
     return Status::OK();
   };
 
-  fns.getnext = [](MiCallContext& ctx, MiAmScanDesc* sd, bool* has,
-                   uint64_t* retrowid, Row* retrow) -> Status {
-    BtTreeState* state = StateOf(sd->table_desc);
+  fns.getnext = [](MiCallContext&, MiAmScanDesc* sd, bool* has,
+                   uint64_t* retrowid) -> Status {
     auto* scan = static_cast<BtScanState*>(sd->user_data);
-    if (scan == nullptr || state == nullptr) {
+    if (scan == nullptr) {
       return Status::Internal("bt_getnext without bt_beginscan");
     }
-    (void)ctx;
     *has = false;
     if (scan->next >= scan->results.size()) return Status::OK();
     const BtreeIndex::Entry& entry = scan->results[scan->next++];
     *retrowid = entry.payload;
-    retrow->clear();
-    retrow->push_back(ValueFromKey(state->key_type, entry.key));
     *has = true;
     return Status::OK();
   };

@@ -235,7 +235,7 @@ BladeFns MakeBladeFns(const GistBladeOptions& options) {
   };
 
   fns.getnext = [](MiCallContext& ctx, MiAmScanDesc* sd, bool* has,
-                   uint64_t* retrowid, Row* retrow) -> Status {
+                   uint64_t* retrowid) -> Status {
     auto* scan = static_cast<GsScanState*>(sd->user_data);
     if (scan == nullptr) {
       return Status::Internal("gs_getnext without gs_beginscan");
@@ -247,17 +247,15 @@ BladeFns MakeBladeFns(const GistBladeOptions& options) {
       const auto& entry = scan->results[scan->next++];
       // Verify the full qualification on the base tuple (compressed keys
       // may over-approximate, and conjunctions carry residual terms).
-      Row base_row;
+      const Row* base_row = nullptr;
       GRTDB_RETURN_IF_ERROR(
           table->Get(RecordId::Unpack(entry.payload), &base_row));
-      const Value& key = base_row.at(static_cast<size_t>(key_column));
+      const Value& key = base_row->at(static_cast<size_t>(key_column));
       bool matches = false;
       GRTDB_RETURN_IF_ERROR(
           EvaluateQualOnValue(ctx, *sd->qual, key, &matches));
       if (!matches) continue;
       *retrowid = entry.payload;
-      retrow->clear();
-      retrow->push_back(key);
       *has = true;
       return Status::OK();
     }

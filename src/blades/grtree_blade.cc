@@ -441,8 +441,7 @@ BladeFns MakeBladeFns(const GRTreeBladeOptions& options) {
   };
 
   fns.getnext = [](MiCallContext& ctx, MiAmScanDesc* sd, bool* has,
-                   uint64_t* retrowid, Row* retrow) -> Status {
-    GrtTreeState* state = StateOf(sd->table_desc);
+                   uint64_t* retrowid) -> Status {
     auto* scan = static_cast<GrtScanState*>(sd->user_data);
     if (scan == nullptr) {
       return Status::Internal("grt_getnext without grt_beginscan");
@@ -473,10 +472,7 @@ BladeFns MakeBladeFns(const GRTreeBladeOptions& options) {
       }
       if (!matches) continue;
       *retrowid = entry.payload;
-      retrow->clear();
-      retrow->push_back(ValueFromExtent(ctx.server, entry.extent));
       *has = true;
-      (void)state;
       return Status::OK();
     }
   };

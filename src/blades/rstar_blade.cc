@@ -227,7 +227,7 @@ BladeFns MakeBladeFns(const RStarBladeOptions& options) {
   };
 
   fns.getnext = [](MiCallContext& ctx, MiAmScanDesc* sd, bool* has,
-                   uint64_t* retrowid, Row* retrow) -> Status {
+                   uint64_t* retrowid) -> Status {
     auto* scan = static_cast<RstScanState*>(sd->user_data);
     if (scan == nullptr) {
       return Status::Internal("rst_getnext without rst_beginscan");
@@ -240,17 +240,14 @@ BladeFns MakeBladeFns(const RStarBladeOptions& options) {
       // The transformed leaf rectangles over-approximate, so every
       // candidate is verified against the exact geometry of the data
       // tuple (§3's final step).
-      Row base_row;
-      GRTDB_RETURN_IF_ERROR(
-          table->Get(RecordId::Unpack(rowid), &base_row));
-      const Value& key = base_row.at(static_cast<size_t>(key_column));
+      const Row* base_row = nullptr;
+      GRTDB_RETURN_IF_ERROR(table->Get(RecordId::Unpack(rowid), &base_row));
+      const Value& key = base_row->at(static_cast<size_t>(key_column));
       bool matches = false;
       GRTDB_RETURN_IF_ERROR(
           EvaluateQualOnValue(ctx, *scan->qual, key, &matches));
       if (!matches) continue;
       *retrowid = rowid;
-      retrow->clear();
-      retrow->push_back(key);
       *has = true;
       return Status::OK();
     }

@@ -9,8 +9,9 @@ namespace grtdb {
 
 // Unaligned loads/stores of the little-endian integers every on-page and
 // on-wire encoding uses (node pages, WAL frames, the opaque-type binary
-// form). They copy the host's bytes as they are, so the byte order on disk
-// is the host's: a big-endian host would need byte swaps here.
+// form, the wire protocol). They copy the host's bytes as they are, so the
+// byte order on disk is the host's: a big-endian host would need byte swaps
+// here.
 static_assert(std::endian::native == std::endian::little,
               "grtdb's encodings assume a little-endian host");
 

@@ -6,6 +6,8 @@
 #include <cerrno>
 #include <cstring>
 
+#include "common/bytes.h"
+
 namespace grtdb {
 namespace net {
 
@@ -16,15 +18,15 @@ void PutU8(std::string* out, uint8_t v) {
 }
 
 void PutU32(std::string* out, uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out->push_back(static_cast<char>((v >> shift) & 0xFF));
-  }
+  uint8_t bytes[4];
+  StoreU32(bytes, v);
+  out->append(reinterpret_cast<const char*>(bytes), sizeof(bytes));
 }
 
 void PutU64(std::string* out, uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out->push_back(static_cast<char>((v >> shift) & 0xFF));
-  }
+  uint8_t bytes[8];
+  StoreU64(bytes, v);
+  out->append(reinterpret_cast<const char*>(bytes), sizeof(bytes));
 }
 
 void PutString(std::string* out, const std::string& s) {
@@ -35,6 +37,13 @@ void PutString(std::string* out, const std::string& s) {
 void PutStringList(std::string* out, const std::vector<std::string>& list) {
   PutU32(out, static_cast<uint32_t>(list.size()));
   for (const std::string& s : list) PutString(out, s);
+}
+
+// The bytes PutStringList writes for `list`.
+size_t StringListBytes(const std::vector<std::string>& list) {
+  size_t bytes = 4;
+  for (const std::string& s : list) bytes += 4 + s.size();
+  return bytes;
 }
 
 // Bounds-checked cursor over a received payload. Every getter returns
@@ -51,21 +60,15 @@ class Reader {
 
   bool GetU32(uint32_t* v) {
     if (pos_ + 4 > data_.size()) return false;
-    *v = 0;
-    for (int shift = 0; shift < 32; shift += 8) {
-      *v |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_++]))
-            << shift;
-    }
+    *v = LoadU32(at());
+    pos_ += 4;
     return true;
   }
 
   bool GetU64(uint64_t* v) {
     if (pos_ + 8 > data_.size()) return false;
-    *v = 0;
-    for (int shift = 0; shift < 64; shift += 8) {
-      *v |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_++]))
-            << shift;
-    }
+    *v = LoadU64(at());
+    pos_ += 8;
     return true;
   }
 
@@ -98,6 +101,10 @@ class Reader {
   bool AtEnd() const { return pos_ == data_.size(); }
 
  private:
+  const uint8_t* at() const {
+    return reinterpret_cast<const uint8_t*>(data_.data()) + pos_;
+  }
+
   const std::string& data_;
   size_t pos_ = 0;
 };
@@ -245,16 +252,24 @@ Status DecodeRequest(const std::string& payload, Request* out) {
 }
 
 std::string EncodeResponse(const Response& response) {
+  const ResultSet& result = response.result;
+  size_t size = 1 + 4 + response.status.message().size() + 8 +
+                StringListBytes(result.columns) + 4 +
+                StringListBytes(result.messages);
+  for (const std::vector<std::string>& row : result.rows) {
+    size += StringListBytes(row);
+  }
   std::string out;
+  out.reserve(size);
   PutU8(&out, static_cast<uint8_t>(response.status.code()));
   PutString(&out, response.status.message());
-  PutU64(&out, response.result.affected);
-  PutStringList(&out, response.result.columns);
-  PutU32(&out, static_cast<uint32_t>(response.result.rows.size()));
-  for (const std::vector<std::string>& row : response.result.rows) {
+  PutU64(&out, result.affected);
+  PutStringList(&out, result.columns);
+  PutU32(&out, static_cast<uint32_t>(result.rows.size()));
+  for (const std::vector<std::string>& row : result.rows) {
     PutStringList(&out, row);
   }
-  PutStringList(&out, response.result.messages);
+  PutStringList(&out, result.messages);
   return out;
 }
 
@@ -340,14 +355,11 @@ Status ReadExact(int fd, char* buf, size_t n, bool* clean_eof) {
 }  // namespace
 
 Status ReadFrame(int fd, std::string* payload) {
-  char header[4];
+  uint8_t header[4];
   bool clean_eof = false;
-  GRTDB_RETURN_IF_ERROR(ReadExact(fd, header, 4, &clean_eof));
-  uint32_t length = 0;
-  for (int i = 0; i < 4; ++i) {
-    length |= static_cast<uint32_t>(static_cast<uint8_t>(header[i]))
-              << (8 * i);
-  }
+  GRTDB_RETURN_IF_ERROR(ReadExact(fd, reinterpret_cast<char*>(header),
+                                  sizeof(header), &clean_eof));
+  const uint32_t length = LoadU32(header);
   if (length > kMaxFrameBytes) {
     return Status::InvalidArgument("frame of " + std::to_string(length) +
                                    " bytes exceeds limit");

@@ -622,10 +622,10 @@ Status Server::InsertRow(ServerSession* session, Table* table,
       status = OpenIndexDesc(session, index, false, ctx, &open);
       if (!status.ok()) break;
       if (open->am->hooks.am_insert) {
-        Row base_row;
+        const Row* base_row = nullptr;
         status = table->Get(id, &base_row);
         if (status.ok()) {
-          Row key_row = KeyRowFor(open->desc, base_row);
+          Row key_row = KeyRowFor(open->desc, *base_row);
           PurposeCallScope call(this, session, open->am,
                                 obs::PurposeFn::kAmInsert);
           status =
@@ -657,24 +657,23 @@ Status Server::IndexScan(MiCallContext& ctx, OpenIndex* open,
   while (status.ok()) {
     bool has = false;
     uint64_t retrowid = 0;
-    Row retrow;
     {
       PurposeCallScope call(this, ctx.session, open->am,
                             obs::PurposeFn::kAmGetNext);
-      status = hooks.am_getnext(ctx, &scan, &has, &retrowid, &retrow);
+      status = hooks.am_getnext(ctx, &scan, &has, &retrowid);
     }
     if (!status.ok() || !has) break;
     const RecordId id = RecordId::Unpack(retrowid);
-    Row row;
+    const Row* row = nullptr;
     status = table.Get(id, &row);
     if (!status.ok()) break;
     ++ctx.session->profile().rows_scanned;
     bool matches = true;
     for (const sql::Expr* residual : plan.residual) {
-      status = RowMatches(ctx, residual, table, row, &matches);
+      status = RowMatches(ctx, residual, table, *row, &matches);
       if (!status.ok() || !matches) break;
     }
-    if (status.ok() && matches) status = visit(id, row);
+    if (status.ok() && matches) status = visit(id, *row);
   }
   if (hooks.am_endscan) {
     PurposeCallScope call(this, ctx.session, open->am,
@@ -824,15 +823,21 @@ Status Server::ExecDelete(ServerSession* session, const sql::DeleteStmt& stmt,
     }
   }
 
+  // An index scan visits the stored row, which Table::Delete frees: take
+  // every index's key row before deleting.
+  std::vector<Row> key_rows(opens.size());
   auto delete_row = [&](RecordId id, const Row& row) -> Status {
+    for (size_t i = 0; i < opens.size(); ++i) {
+      key_rows[i] = KeyRowFor(opens[i]->desc, row);
+    }
     GRTDB_RETURN_IF_ERROR(table->Delete(id));
-    for (auto& open : opens) {
-      if (!open->am->hooks.am_delete) continue;
-      Row key_row = KeyRowFor(open->desc, row);
-      PurposeCallScope call(this, session, open->am,
+    for (size_t i = 0; i < opens.size(); ++i) {
+      OpenIndex& open = *opens[i];
+      if (!open.am->hooks.am_delete) continue;
+      PurposeCallScope call(this, session, open.am,
                             obs::PurposeFn::kAmDelete);
-      GRTDB_RETURN_IF_ERROR(
-          open->am->hooks.am_delete(ctx, &open->desc, key_row, id.Pack()));
+      GRTDB_RETURN_IF_ERROR(open.am->hooks.am_delete(ctx, &open.desc,
+                                                     key_rows[i], id.Pack()));
     }
     ++out->affected;
     return Status::OK();

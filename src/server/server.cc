@@ -324,6 +324,9 @@ Status Server::RunStatement(ServerSession* session, const std::string& text,
   // allocator, so two concurrent statements cannot free each other's blocks.
   session->memory().EndDuration(MiDuration::kPerFunction);
   session->memory().EndDuration(MiDuration::kPerStatement);
+  // A failed statement returns no rows: a scan that errs part-way has
+  // emitted some already. Its messages (the SET EXPLAIN plan) stay.
+  if (!status.ok()) out->rows.clear();
   return status;
 }
 

@@ -358,7 +358,8 @@ class Server {
   // The envelope Execute, ExecuteScript, Prepare and ExecutePrepared run
   // each parsed statement in: opens the statement-scoped durations, runs
   // ExecuteStatement, offers the statement to slow-query retention under
-  // `text`, and ends the durations whatever the outcome.
+  // `text`, and ends the durations whatever the outcome. A failed
+  // statement's rows are dropped; its messages are kept.
   Status RunStatement(ServerSession* session, const std::string& text,
                       const sql::Statement& stmt, ResultSet* out);
   // The trace a request entry point roots: none when one is already

@@ -31,7 +31,7 @@ Status Table::Insert(Row row, RecordId* id) {
   return Status::OK();
 }
 
-Status Table::Get(RecordId id, Row* row) const {
+Status Table::Get(RecordId id, const Row** row) const {
   if (id.fragment >= fragments_.size() ||
       id.slot >= fragments_[id.fragment].size() ||
       !fragments_[id.fragment][id.slot].has_value()) {
@@ -39,7 +39,7 @@ Status Table::Get(RecordId id, Row* row) const {
                             std::to_string(id.fragment) + " slot " +
                             std::to_string(id.slot));
   }
-  *row = *fragments_[id.fragment][id.slot];
+  *row = &*fragments_[id.fragment][id.slot];
   return Status::OK();
 }
 

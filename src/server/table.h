@@ -38,6 +38,14 @@ struct ColumnDef {
 
 // A fragmented heap table. Fragments fill up in order; row slots are never
 // reused, so RecordIds stay stable for the lifetime of the table.
+//
+// Get and Scan hand out the stored row itself, not a copy. Each fragment
+// reserves its full capacity up front, and growing the fragment list moves
+// fragments, not their rows, so a stored row never moves: the pointer or
+// reference stays valid while the statement holds the table lock, until
+// that slot is updated or deleted (Update and Delete replace or free the
+// row; later Inserts do not touch it). A caller that deletes the row it is
+// visiting must take what it needs from the row first.
 class Table {
  public:
   Table(std::string name, std::vector<ColumnDef> columns,
@@ -56,7 +64,8 @@ class Table {
   int ColumnIndex(const std::string& column) const;
 
   Status Insert(Row row, RecordId* id);
-  Status Get(RecordId id, Row* row) const;
+  // Points *row at the stored row (see the lifetime rule above).
+  Status Get(RecordId id, const Row** row) const;
   Status Update(RecordId id, Row row);
   Status Delete(RecordId id);
 

@@ -85,10 +85,10 @@ struct MiAmScanDesc {
 using AmSimpleFn = std::function<Status(MiCallContext&, MiAmTableDesc*)>;
 using AmScanFn = std::function<Status(MiCallContext&, MiAmScanDesc*)>;
 // am_getnext returns one qualifying row per call: *has = false ends the
-// scan; retrowid is the packed RecordId; retrow holds the indexed fields.
+// scan; retrowid is the packed RecordId (paper Table 5), all the server
+// needs to read the stored row.
 using AmGetNextFn = std::function<Status(MiCallContext&, MiAmScanDesc*,
-                                         bool* has, uint64_t* retrowid,
-                                         Row* retrow)>;
+                                         bool* has, uint64_t* retrowid)>;
 using AmModifyFn = std::function<Status(MiCallContext&, MiAmTableDesc*,
                                         const Row& keyrow, uint64_t rowid)>;
 using AmUpdateFn = std::function<Status(

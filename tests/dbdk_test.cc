@@ -84,7 +84,7 @@ void ExportStubs(Server* server, const BladeProject& project) {
                   })));
   library->Export("iv_getnext",
                   std::any(AmGetNextFn([](MiCallContext&, MiAmScanDesc*,
-                                          bool* has, uint64_t*, Row*) {
+                                          bool* has, uint64_t*) {
                     *has = false;
                     return Status::OK();
                   })));

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <chrono>
+#include <cstring>
 #include <map>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -164,6 +168,258 @@ TEST(Protocol, MalformedPayloadsAreRejected) {
   EXPECT_TRUE(DecodeResponse(truncated, &response).IsInvalidArgument());
 }
 
+// Bytes from hex, ignoring the spaces that separate the fields.
+std::string Unhex(const std::string& hex) {
+  std::string out;
+  std::string digits;
+  for (char c : hex) {
+    if (c != ' ') digits.push_back(c);
+  }
+  for (size_t i = 0; i + 1 < digits.size(); i += 2) {
+    out.push_back(
+        static_cast<char>(std::stoi(digits.substr(i, 2), nullptr, 16)));
+  }
+  return out;
+}
+
+sql::Literal Param(sql::Literal::Kind kind) {
+  sql::Literal literal;
+  literal.kind = kind;
+  return literal;
+}
+
+// One request per opcode, each encoded with and without a trace id.
+std::vector<std::pair<Request, std::string>> GoldenRequests() {
+  Request execute;
+  execute.opcode = Opcode::kExecute;
+  execute.sql = "SELECT 1";
+  Request script;
+  script.opcode = Opcode::kScript;
+  script.sql = "a;b";
+  Request ping;
+  ping.opcode = Opcode::kPing;
+  Request prepare;
+  prepare.opcode = Opcode::kPrepare;
+  prepare.sql = "SELECT ?";
+  prepare.stmt_name = "q1";
+  Request prepared;
+  prepared.opcode = Opcode::kExecutePrepared;
+  prepared.stmt_name = "q1";
+  prepared.params = {Param(sql::Literal::Kind::kInteger),
+                     Param(sql::Literal::Kind::kFloat),
+                     Param(sql::Literal::Kind::kString),
+                     Param(sql::Literal::Kind::kNull)};
+  prepared.params[0].integer = -2;
+  prepared.params[1].real = 1.5;
+  prepared.params[2].text = "ab";
+
+  // opcode | u32 sql length, sql | opcode-specific fields.
+  std::vector<std::pair<Request, std::string>> golden = {
+      {execute, "01 08000000 53454c4543542031"},
+      {script, "02 03000000 613b62"},
+      {ping, "03 00000000"},
+      {prepare, "04 08000000 53454c454354203f 02000000 7131"},
+      {prepared,
+       "05 00000000 02000000 7131 04000000 01 feffffffffffffff"
+       " 02 000000000000f83f 03 02000000 6162 00"},
+  };
+  const size_t untraced = golden.size();
+  for (size_t i = 0; i < untraced; ++i) {
+    Request traced = golden[i].first;
+    traced.trace_id = 0x0102030405060708ull;
+    golden.emplace_back(traced, golden[i].second + " 0807060504030201");
+  }
+  return golden;
+}
+
+Response GoldenResponse() {
+  Response response;
+  response.status = Status::InvalidArgument("bad");
+  response.result.affected = 2;
+  response.result.columns = {"id", "e"};
+  response.result.rows = {{"1", "x"}, {"2", ""}};
+  response.result.messages = {"PLAN: seq"};
+  return response;
+}
+
+bool SameLiteral(const sql::Literal& a, const sql::Literal& b) {
+  // Floats compare by bits: a NaN must survive the wire as itself.
+  return a.kind == b.kind && a.integer == b.integer &&
+         std::memcmp(&a.real, &b.real, sizeof(a.real)) == 0 &&
+         a.text == b.text && a.param_index == b.param_index;
+}
+
+bool SameRequest(const Request& a, const Request& b) {
+  if (a.opcode != b.opcode || a.sql != b.sql || a.stmt_name != b.stmt_name ||
+      a.trace_id != b.trace_id || a.params.size() != b.params.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.params.size(); ++i) {
+    if (!SameLiteral(a.params[i], b.params[i])) return false;
+  }
+  return true;
+}
+
+bool SameResponse(const Response& a, const Response& b) {
+  return a.status.code() == b.status.code() &&
+         a.status.message() == b.status.message() &&
+         a.result.affected == b.result.affected &&
+         a.result.columns == b.result.columns &&
+         a.result.rows == b.result.rows &&
+         a.result.messages == b.result.messages;
+}
+
+TEST(Protocol, GoldenRequestBytes) {
+  for (const auto& [request, hex] : GoldenRequests()) {
+    const std::string bytes = Unhex(hex);
+    EXPECT_EQ(EncodeRequest(request), bytes) << hex;
+    Request decoded;
+    ASSERT_TRUE(DecodeRequest(bytes, &decoded).ok()) << hex;
+    EXPECT_TRUE(SameRequest(decoded, request)) << hex;
+  }
+}
+
+TEST(Protocol, GoldenResponseBytes) {
+  // u8 status | message | u64 affected | columns | rows | messages; every
+  // string is a u32 length and its bytes, every list a u32 count first.
+  const std::string hex =
+      "02 03000000 626164 0200000000000000"
+      " 02000000 02000000 6964 01000000 65"
+      " 02000000 02000000 01000000 31 01000000 78"
+      " 02000000 01000000 32 00000000"
+      " 01000000 09000000 504c414e3a20736571";
+  const Response response = GoldenResponse();
+  EXPECT_EQ(EncodeResponse(response), Unhex(hex));
+  Response decoded;
+  ASSERT_TRUE(DecodeResponse(Unhex(hex), &decoded).ok());
+  EXPECT_TRUE(SameResponse(decoded, response));
+}
+
+TEST(Protocol, GoldenFrameBytes) {
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  ASSERT_TRUE(WriteFrame(fds[1], "abc").ok());
+  char raw[7];
+  ASSERT_EQ(::read(fds[0], raw, sizeof(raw)), 7);
+  EXPECT_EQ(std::string(raw, sizeof(raw)), Unhex("03000000 616263"));
+
+  const std::string frame = Unhex("02000000 6869");
+  ASSERT_EQ(::write(fds[1], frame.data(), frame.size()),
+            static_cast<ssize_t>(frame.size()));
+  std::string payload;
+  ASSERT_TRUE(ReadFrame(fds[0], &payload).ok());
+  EXPECT_EQ(payload, "hi");
+
+  // A header one past the cap is refused before any payload is read.
+  const std::string oversized = Unhex("01000001");
+  ASSERT_EQ(::write(fds[1], oversized.data(), oversized.size()), 4);
+  EXPECT_TRUE(ReadFrame(fds[0], &payload).IsInvalidArgument());
+  ::close(fds[0]);
+  ::close(fds[1]);
+}
+
+// Applies one random mutation: bit flips, a truncation, an overwritten
+// length or count field, or inserted bytes.
+void Mutate(std::mt19937* rng, std::string* bytes) {
+  auto below = [rng](size_t n) {
+    return n == 0 ? size_t{0}
+                  : std::uniform_int_distribution<size_t>(0, n - 1)(*rng);
+  };
+  switch (below(4)) {
+    case 0: {
+      if (bytes->empty()) return;
+      const size_t flips = 1 + below(4);
+      for (size_t i = 0; i < flips; ++i) {
+        (*bytes)[below(bytes->size())] ^= static_cast<char>(1u << below(8));
+      }
+      return;
+    }
+    case 1:
+      bytes->resize(below(bytes->size() + 1));
+      return;
+    case 2: {
+      // Every u32 that fits the bytes after it could be a length or a
+      // count; overwrite one with a value chosen to mislead.
+      std::vector<size_t> fields;
+      for (size_t at = 0; at + 4 <= bytes->size(); ++at) {
+        uint32_t v = 0;
+        std::memcpy(&v, bytes->data() + at, 4);
+        if (v <= bytes->size() - at - 4) fields.push_back(at);
+      }
+      if (fields.empty()) return;
+      const uint32_t size = static_cast<uint32_t>(bytes->size());
+      const uint32_t values[] = {0, 1, size, size + 1, 0x7fffffffu,
+                                 0xffffffffu, static_cast<uint32_t>((*rng)())};
+      const uint32_t v = values[below(std::size(values))];
+      std::memcpy(bytes->data() + fields[below(fields.size())], &v, 4);
+      return;
+    }
+    default: {
+      const size_t count = 1 + below(8);
+      std::string inserted;
+      for (size_t i = 0; i < count; ++i) {
+        inserted.push_back(static_cast<char>(below(256)));
+      }
+      bytes->insert(below(bytes->size() + 1), inserted);
+      return;
+    }
+  }
+}
+
+// Seeded mutation fuzzing of both payload decoders. Each mutant must decode
+// to OK or InvalidArgument, and whatever decodes must re-encode to bytes
+// that decode to the same value.
+TEST(Protocol, SeededMutationFuzz) {
+  std::vector<std::string> requests;
+  for (const auto& golden : GoldenRequests()) {
+    requests.push_back(EncodeRequest(golden.first));
+  }
+  std::vector<std::string> responses = {EncodeResponse(GoldenResponse()),
+                                        EncodeResponse(Response{})};
+
+  std::mt19937 rng(20260417);
+  constexpr int kIterations = 50000;
+  int decoded_requests = 0;
+  int decoded_responses = 0;
+  for (int i = 0; i < kIterations; ++i) {
+    const bool request_side = i % 2 == 0;
+    const std::vector<std::string>& corpus =
+        request_side ? requests : responses;
+    std::string bytes = corpus[rng() % corpus.size()];
+    const int mutations = 1 + static_cast<int>(rng() % 3);
+    for (int m = 0; m < mutations; ++m) Mutate(&rng, &bytes);
+
+    if (request_side) {
+      Request request;
+      const Status status = DecodeRequest(bytes, &request);
+      ASSERT_TRUE(status.ok() || status.IsInvalidArgument())
+          << "iteration " << i << ": " << status.ToString();
+      if (!status.ok()) continue;
+      ++decoded_requests;
+      const std::string again = EncodeRequest(request);
+      Request round;
+      ASSERT_TRUE(DecodeRequest(again, &round).ok()) << "iteration " << i;
+      ASSERT_TRUE(SameRequest(round, request)) << "iteration " << i;
+      ASSERT_EQ(EncodeRequest(round), again) << "iteration " << i;
+    } else {
+      Response response;
+      const Status status = DecodeResponse(bytes, &response);
+      ASSERT_TRUE(status.ok() || status.IsInvalidArgument())
+          << "iteration " << i << ": " << status.ToString();
+      if (!status.ok()) continue;
+      ++decoded_responses;
+      const std::string again = EncodeResponse(response);
+      Response round;
+      ASSERT_TRUE(DecodeResponse(again, &round).ok()) << "iteration " << i;
+      ASSERT_TRUE(SameResponse(round, response)) << "iteration " << i;
+      ASSERT_EQ(EncodeResponse(round), again) << "iteration " << i;
+    }
+  }
+  // The mutants reach past the first check: some still decode.
+  EXPECT_GT(decoded_requests, 0);
+  EXPECT_GT(decoded_responses, 0);
+}
+
 // ----------------------------------------------------------- end-to-end ---
 
 class NetTest : public ::testing::Test {
@@ -217,6 +473,27 @@ TEST_F(NetTest, ServerErrorsComeBackTyped) {
   EXPECT_TRUE(
       client.Execute("CREATE TABLE t (a int)", &result).IsAlreadyExists());
   // The connection survives server-side errors.
+  EXPECT_TRUE(client.Ping().ok());
+}
+
+TEST_F(NetTest, FailedStatementSendsNoRows) {
+  NetClient client;
+  ASSERT_TRUE(Connect(&client).ok());
+  ResultSet result;
+  ASSERT_TRUE(client
+                  .ExecuteScript(
+                      "CREATE TABLE t (id int, d date, s text); "
+                      "INSERT INTO t VALUES (1, '01/01/2001', '01/01/2000'); "
+                      "INSERT INTO t VALUES (2, '01/01/2001', '06/01/2000'); "
+                      "INSERT INTO t VALUES (3, '01/01/2001', 'garbage'); "
+                      "INSERT INTO t VALUES (4, '01/01/2001', '02/01/2000');",
+                      &result)
+                  .ok());
+  // Rows 1 and 2 pass the WHERE before row 3 fails it; the error frame
+  // carries none of them.
+  Status status = client.Execute("SELECT id FROM t WHERE s < d", &result);
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_TRUE(result.rows.empty()) << result.ToString();
   EXPECT_TRUE(client.Ping().ok());
 }
 

@@ -46,12 +46,12 @@ TEST(Table, InsertGetUpdateDelete) {
   RecordId id;
   ASSERT_TRUE(table.Insert({Value::Integer(1), Value::Text("x")}, &id).ok());
   EXPECT_EQ(table.row_count(), 1u);
-  Row row;
+  const Row* row = nullptr;
   ASSERT_TRUE(table.Get(id, &row).ok());
-  EXPECT_EQ(row[1].text(), "x");
+  EXPECT_EQ((*row)[1].text(), "x");
   ASSERT_TRUE(table.Update(id, {Value::Integer(2), Value::Text("y")}).ok());
   ASSERT_TRUE(table.Get(id, &row).ok());
-  EXPECT_EQ(row[0].integer(), 2);
+  EXPECT_EQ((*row)[0].integer(), 2);
   ASSERT_TRUE(table.Delete(id).ok());
   EXPECT_TRUE(table.Get(id, &row).IsNotFound());
   EXPECT_TRUE(table.Delete(id).IsNotFound());
@@ -79,6 +79,29 @@ TEST(Table, FragmentsRollOver) {
   EXPECT_EQ(seen, 10u);
 }
 
+TEST(Table, StoredRowPointerSurvivesLaterInserts) {
+  Table table("t", {{"a", TypeDesc::Integer()}, {"b", TypeDesc::Text()}},
+              /*fragment_capacity=*/2);
+  RecordId id;
+  ASSERT_TRUE(
+      table.Insert({Value::Integer(1), Value::Text("first")}, &id).ok());
+  const Row* row = nullptr;
+  ASSERT_TRUE(table.Get(id, &row).ok());
+  // Fill the first fragment and three more: the fragment list grows (and
+  // reallocates) past the slot the pointer refers to.
+  for (int i = 2; i <= 7; ++i) {
+    RecordId other;
+    ASSERT_TRUE(
+        table.Insert({Value::Integer(i), Value::Text("later")}, &other).ok());
+  }
+  ASSERT_EQ(table.row_count(), 7u);
+  EXPECT_EQ((*row)[0].integer(), 1);
+  EXPECT_EQ((*row)[1].text(), "first");
+  const Row* again = nullptr;
+  ASSERT_TRUE(table.Get(id, &again).ok());
+  EXPECT_EQ(again, row);
+}
+
 // ----------------------------------------------------- server + plain SQL --
 
 class ServerTest : public ::testing::Test {
@@ -96,6 +119,24 @@ class ServerTest : public ::testing::Test {
   ServerSession* session_ = server_.CreateSession();
   ResultSet result_;
 };
+
+// A statement that fails part-way through its scan returns no rows, only
+// the error (and its messages, such as the plan).
+TEST_F(ServerTest, FailedStatementReturnsNoRows) {
+  MustExec("CREATE TABLE t (id int, d date, s text)");
+  MustExec("INSERT INTO t VALUES (1, '01/01/2001', '01/01/2000')");
+  MustExec("INSERT INTO t VALUES (2, '01/01/2001', '06/01/2000')");
+  MustExec("INSERT INTO t VALUES (3, '01/01/2001', 'garbage')");
+  MustExec("INSERT INTO t VALUES (4, '01/01/2001', '02/01/2000')");
+  MustExec("SET EXPLAIN ON");
+  Status status = Exec("SELECT id FROM t WHERE s < d");
+  ASSERT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_NE(status.message().find("cannot compare values of different types"),
+            std::string::npos);
+  EXPECT_TRUE(result_.rows.empty()) << result_.ToString();
+  ASSERT_EQ(result_.messages.size(), 1u);
+  EXPECT_EQ(result_.messages[0], "PLAN: sequential scan");
+}
 
 TEST_F(ServerTest, CreateInsertSelect) {
   MustExec("CREATE TABLE emp (name text, salary int, hired date)");
@@ -246,7 +287,7 @@ void RegisterToyBlade(Server* server) {
   library->Export(
       "toy_getnext",
       std::any(AmGetNextFn([](MiCallContext& ctx, MiAmScanDesc* sd,
-                              bool* has, uint64_t* retrowid, Row* retrow) {
+                              bool* has, uint64_t* retrowid) {
         auto* scan = static_cast<ToyScan*>(sd->user_data);
         auto& entries = ToyStore()[sd->table_desc->index->name].entries;
         *has = false;
@@ -257,7 +298,6 @@ void RegisterToyBlade(Server* server) {
               ctx, *sd->qual, Value::Integer(value), &matches));
           if (!matches) continue;
           *retrowid = rowid;
-          retrow->assign(1, Value::Integer(value));
           *has = true;
           break;
         }
