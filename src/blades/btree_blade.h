@@ -1,9 +1,6 @@
 #ifndef GRTDB_BLADES_BTREE_BLADE_H_
 #define GRTDB_BLADES_BTREE_BLADE_H_
 
-#include <string>
-
-#include "btree/btree.h"
 #include "common/status.h"
 #include "server/server.h"
 
@@ -19,21 +16,13 @@ namespace grtdb {
 // matching strategy UDRs) under a new operator class re-orders the index —
 // the paper's "0, -1, 1, -2, 2" example. RegisterAbsOpclass() installs
 // exactly that ordering (by absolute value, negatives first on ties).
-struct BtreeBladeOptions {
-  std::string am_name = "btree_am";
-  std::string prefix = "bt";
-  BtreeIndex::Options tree;
-};
-
-Status RegisterBtreeBlade(Server* server,
-                          const BtreeBladeOptions& options = {});
+Status RegisterBtreeBlade(Server* server);
 
 // Registers the alternative operator class bt_abs_opclass (strategies
-// AbsLessThan .. AbsGreaterThan, support abs_compare) for an already
+// AbsLessThan .. AbsGreaterThan, support Abscompare) for an already
 // registered btree_am — no purpose-function changes required, as §4
 // promises.
-Status RegisterAbsOpclass(Server* server,
-                          const std::string& am_name = "btree_am");
+Status RegisterAbsOpclass(Server* server);
 
 }  // namespace grtdb
 

@@ -1,10 +1,12 @@
 #include "blades/gist_blade.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdlib>
 #include <memory>
 #include <vector>
 
-#include "blades/locking_store.h"
+#include "blades/access_method.h"
 #include "common/strings.h"
 #include "storage/layout.h"
 
@@ -21,25 +23,25 @@ struct GsScanState {
   size_t next = 0;
 };
 
-struct GsTreeState {
-  std::unique_ptr<NodeStore> base_store;
-  std::unique_ptr<LockingNodeStore> locking_store;
-  NodeStore* store = nullptr;
-  std::unique_ptr<GistTree> tree;
+// What a statement resolves from the index's operator class.
+struct GistOpclass {
+  const OpClassDef* def = nullptr;
   GistExtension ext;
   GistCompressFn compress;
-  const OpClassDef* opclass = nullptr;
 };
 
-GsTreeState* StateOf(MiAmTableDesc* desc) {
-  return static_cast<GsTreeState*>(desc->user_data);
-}
+struct GsHandle : TreeHandle<GistTree> {
+  GistOpclass opclass;
+};
+
+GsHandle* StateOf(MiAmTableDesc* desc) { return HandleOf<GsHandle>(desc); }
+using TreeOr = StatusOr<std::unique_ptr<GistTree>>;
 
 // Resolves the five extension primitives from the operator class's SUPPORT
 // list — the dynamic dispatch §7 envisions ("specially designed operator
 // classes").
 Status ResolveExtension(MiCallContext& ctx, const IndexDef* index,
-                        GsTreeState* state) {
+                        GistOpclass* out) {
   const OpClassDef* opclass =
       ctx.server->catalog().FindOpClass(index->opclasses[0]);
   if (opclass == nullptr || opclass->supports.size() < 5) {
@@ -47,7 +49,7 @@ Status ResolveExtension(MiCallContext& ctx, const IndexDef* index,
         "gist_am operator classes declare five support functions: "
         "consistent, union, penalty, picksplit, compress");
   }
-  state->opclass = opclass;
+  out->def = opclass;
   auto symbol_of = [&](size_t position) -> const std::any* {
     const UdrDef* udr = ctx.server->udrs().FindAny(opclass->supports[position]);
     return udr == nullptr ? nullptr : &udr->symbol;
@@ -81,11 +83,11 @@ Status ResolveExtension(MiCallContext& ctx, const IndexDef* index,
       std::any_cast<GistCompressFn>(compress) == nullptr) {
     return cast_error(4, "Compress");
   }
-  state->ext.consistent = *std::any_cast<GistConsistentFn>(consistent);
-  state->ext.unite = *std::any_cast<GistUnionFn>(unite);
-  state->ext.penalty = *std::any_cast<GistPenaltyFn>(penalty);
-  state->ext.pick_split = *std::any_cast<GistPickSplitFn>(pick_split);
-  state->compress = *std::any_cast<GistCompressFn>(compress);
+  out->ext.consistent = *std::any_cast<GistConsistentFn>(consistent);
+  out->ext.unite = *std::any_cast<GistUnionFn>(unite);
+  out->ext.penalty = *std::any_cast<GistPenaltyFn>(penalty);
+  out->ext.pick_split = *std::any_cast<GistPickSplitFn>(pick_split);
+  out->compress = *std::any_cast<GistCompressFn>(compress);
   return Status::OK();
 }
 
@@ -115,127 +117,47 @@ Status StrategyOf(const OpClassDef* opclass, const MiAmQualDesc& qual,
                               "' is not in the operator class");
 }
 
-struct BladeFns {
-  AmSimpleFn create, drop, open, close, check, stats;
-  AmScanFn beginscan, endscan, rescan;
-  AmGetNextFn getnext;
-  AmModifyFn insert, remove;
-  AmUpdateFn update;
-  AmScanCostFn scancost;
-};
+PurposeFunctions MakeBladeFns() {
+  PurposeFunctions fns;
 
-BladeFns MakeBladeFns(const GistBladeOptions& options) {
-  BladeFns fns;
-  const std::string am_name = options.am_name;
-
-  auto make_state = [am_name](MiCallContext& ctx, MiAmTableDesc* desc,
-                              bool creating) -> Status {
-    auto state = std::make_unique<GsTreeState>();
-    GRTDB_RETURN_IF_ERROR(ResolveExtension(ctx, desc->index, state.get()));
-    Sbspace* sbspace = ctx.server->FindSbspace(desc->index->space);
-    if (sbspace == nullptr) {
-      return Status::NotFound("sbspace '" + desc->index->space + "'");
-    }
-    LoHandle handle;
-    NodeId anchor = kInvalidNodeId;
-    if (!creating) {
-      std::vector<uint8_t> record;
-      GRTDB_RETURN_IF_ERROR(
-          ctx.server->AmCatalogGet(am_name, desc->index->name, &record));
-      if (record.size() != 16) {
-        return Status::Corruption("bad gist_am catalog record");
-      }
-      handle.id = LoadU64(record.data());
-      anchor = LoadU64(record.data() + 8);
-    }
-    auto store_or = SingleLoNodeStore::Open(sbspace, handle);
-    if (!store_or.ok()) return store_or.status();
-    const LoHandle opened = store_or.value()->handle();
-    state->base_store = std::move(store_or).value();
-    state->locking_store = std::make_unique<LockingNodeStore>(
-        state->base_store.get(), &ctx.server->lock_manager(), ctx.session);
-    state->store = state->locking_store.get();
-    if (creating) {
-      NodeId new_anchor;
-      auto tree_or = GistTree::Create(state->store, &new_anchor);
-      if (!tree_or.ok()) return tree_or.status();
-      state->tree = std::move(tree_or).value();
-      std::vector<uint8_t> record(16);
-      StoreU64(record.data(), opened.id);
-      StoreU64(record.data() + 8, new_anchor);
-      GRTDB_RETURN_IF_ERROR(
-          ctx.server->AmCatalogPut(am_name, desc->index->name, record));
-    } else {
-      auto tree_or = GistTree::Open(state->store, anchor);
-      if (!tree_or.ok()) return tree_or.status();
-      state->tree = std::move(tree_or).value();
-    }
-    desc->user_data = state.release();
-    return Status::OK();
+  fns.am_create = [](MiCallContext& ctx, MiAmTableDesc* desc) -> Status {
+    GistOpclass opclass;
+    GRTDB_RETURN_IF_ERROR(ResolveExtension(ctx, desc->index, &opclass));
+    GRTDB_RETURN_IF_ERROR(BuildIndexStack(ctx, desc));
+    GRTDB_RETURN_IF_ERROR(OpenHandle<GsHandle>(ctx, desc, [&](GsHandle* h) {
+      h->wrote = true;
+      h->opclass = std::move(opclass);
+      return GistTree::Create(h->store, &h->stack->anchor);
+    }));
+    return PutLoRecord(ctx, desc);
   };
 
-  fns.create = [make_state](MiCallContext& ctx,
-                            MiAmTableDesc* desc) -> Status {
-    return make_state(ctx, desc, /*creating=*/true);
+  fns.am_open = [](MiCallContext& ctx, MiAmTableDesc* desc) -> Status {
+    return OpenHandle<GsHandle>(ctx, desc, [&](GsHandle* h) -> TreeOr {
+      GRTDB_RETURN_IF_ERROR(ResolveExtension(ctx, desc->index, &h->opclass));
+      return GistTree::Open(h->store, h->stack->anchor);
+    });
   };
 
-  fns.open = [make_state](MiCallContext& ctx, MiAmTableDesc* desc) -> Status {
-    if (desc->just_created || desc->user_data != nullptr) return Status::OK();
-    return make_state(ctx, desc, /*creating=*/false);
-  };
-
-  fns.close = [](MiCallContext&, MiAmTableDesc* desc) -> Status {
-    GsTreeState* state = StateOf(desc);
-    if (state == nullptr) return Status::OK();
-    if (state->locking_store != nullptr) {
-      state->locking_store->ReleaseSharedOnClose();
-    }
-    delete state;
-    desc->user_data = nullptr;
-    return Status::OK();
-  };
-
-  fns.drop = [make_state, am_name](MiCallContext& ctx,
-                                   MiAmTableDesc* desc) -> Status {
-    if (desc->user_data == nullptr) {
-      GRTDB_RETURN_IF_ERROR(make_state(ctx, desc, /*creating=*/false));
-    }
-    GsTreeState* state = StateOf(desc);
-    Status status = state->tree->Drop();
-    std::vector<uint8_t> record;
-    if (status.ok() &&
-        ctx.server->AmCatalogGet(am_name, desc->index->name, &record).ok() &&
-        record.size() == 16) {
-      Sbspace* sbspace = ctx.server->FindSbspace(desc->index->space);
-      if (sbspace != nullptr) {
-        status = sbspace->DropLo(LoHandle{LoadU64(record.data())});
-      }
-    }
-    Status forget = ctx.server->AmCatalogDelete(am_name, desc->index->name);
-    if (status.ok()) status = forget;
-    delete state;
-    desc->user_data = nullptr;
-    return status;
-  };
-
-  fns.beginscan = [](MiCallContext&, MiAmScanDesc* sd) -> Status {
-    GsTreeState* state = StateOf(sd->table_desc);
+  fns.am_beginscan = [](MiCallContext&, MiAmScanDesc* sd) -> Status {
+    GsHandle* state = StateOf(sd->table_desc);
     if (state == nullptr) return Status::Internal("index not open");
+    const GistOpclass& opclass = state->opclass;
     auto scan = std::make_unique<GsScanState>();
     const QualTerm* term = nullptr;
     GRTDB_RETURN_IF_ERROR(
-        StrategyOf(state->opclass, *sd->qual, &scan->strategy, &term));
-    auto key_or = state->compress(term->constant);
+        StrategyOf(opclass.def, *sd->qual, &scan->strategy, &term));
+    auto key_or = opclass.compress(term->constant);
     if (!key_or.ok()) return key_or.status();
     scan->query = std::move(key_or).value();
     GRTDB_RETURN_IF_ERROR(state->tree->SearchAll(
-        scan->query, scan->strategy, state->ext, &scan->results));
+        scan->query, scan->strategy, opclass.ext, &scan->results));
     sd->user_data = scan.release();
     return Status::OK();
   };
 
-  fns.getnext = [](MiCallContext& ctx, MiAmScanDesc* sd, bool* has,
-                   uint64_t* retrowid) -> Status {
+  fns.am_getnext = [](MiCallContext& ctx, MiAmScanDesc* sd, bool* has,
+                      uint64_t* retrowid) -> Status {
     auto* scan = static_cast<GsScanState*>(sd->user_data);
     if (scan == nullptr) {
       return Status::Internal("gs_getnext without gs_beginscan");
@@ -262,172 +184,95 @@ BladeFns MakeBladeFns(const GistBladeOptions& options) {
     return Status::OK();
   };
 
-  fns.rescan = [](MiCallContext&, MiAmScanDesc* sd) -> Status {
+  fns.am_rescan = [](MiCallContext&, MiAmScanDesc* sd) -> Status {
     auto* scan = static_cast<GsScanState*>(sd->user_data);
     if (scan == nullptr) return Status::Internal("rescan without beginscan");
     scan->next = 0;
     return Status::OK();
   };
 
-  fns.endscan = [](MiCallContext&, MiAmScanDesc* sd) -> Status {
+  fns.am_endscan = [](MiCallContext&, MiAmScanDesc* sd) -> Status {
     delete static_cast<GsScanState*>(sd->user_data);
     sd->user_data = nullptr;
     return Status::OK();
   };
 
-  fns.insert = [](MiCallContext&, MiAmTableDesc* desc, const Row& keyrow,
-                  uint64_t rowid) -> Status {
-    GsTreeState* state = StateOf(desc);
+  fns.am_insert = [](MiCallContext&, MiAmTableDesc* desc, const Row& keyrow,
+                     uint64_t rowid) -> Status {
+    GsHandle* state = StateOf(desc);
     if (state == nullptr) return Status::Internal("index not open");
-    auto key_or = state->compress(keyrow.at(0));
+    state->wrote = true;
+    auto key_or = state->opclass.compress(keyrow.at(0));
     if (!key_or.ok()) return key_or.status();
-    return state->tree->Insert(key_or.value(), rowid, state->ext);
+    return state->tree->Insert(key_or.value(), rowid, state->opclass.ext);
   };
 
-  fns.remove = [](MiCallContext&, MiAmTableDesc* desc, const Row& keyrow,
-                  uint64_t rowid) -> Status {
-    GsTreeState* state = StateOf(desc);
+  fns.am_delete = [](MiCallContext&, MiAmTableDesc* desc, const Row& keyrow,
+                     uint64_t rowid) -> Status {
+    GsHandle* state = StateOf(desc);
     if (state == nullptr) return Status::Internal("index not open");
-    auto key_or = state->compress(keyrow.at(0));
+    state->wrote = true;
+    auto key_or = state->opclass.compress(keyrow.at(0));
     if (!key_or.ok()) return key_or.status();
     bool found = false;
-    GRTDB_RETURN_IF_ERROR(
-        state->tree->Delete(key_or.value(), rowid, state->ext, &found));
+    GRTDB_RETURN_IF_ERROR(state->tree->Delete(key_or.value(), rowid,
+                                              state->opclass.ext, &found));
     if (!found) return Status::NotFound("GiST entry to delete not found");
     return Status::OK();
   };
 
-  fns.update = [fns](MiCallContext& ctx, MiAmTableDesc* desc,
-                     const Row& oldrow, uint64_t oldrowid, const Row& newrow,
-                     uint64_t newrowid) -> Status {
-    GRTDB_RETURN_IF_ERROR(fns.remove(ctx, desc, oldrow, oldrowid));
-    return fns.insert(ctx, desc, newrow, newrowid);
-  };
-
-  fns.scancost = [](MiCallContext& ctx, MiAmTableDesc* desc,
-                    const MiAmQualDesc* qual, double* cost) -> Status {
-    GsTreeState* state = StateOf(desc);
+  fns.am_scancost = [](MiCallContext&, MiAmTableDesc* desc,
+                       const MiAmQualDesc* qual, double* cost) -> Status {
+    GsHandle* state = StateOf(desc);
     if (state == nullptr) return Status::Internal("index not open");
     int strategy = 0;
     const QualTerm* term = nullptr;
-    GRTDB_RETURN_IF_ERROR(StrategyOf(state->opclass, *qual, &strategy, &term));
-    auto key_or = state->compress(term->constant);
+    GRTDB_RETURN_IF_ERROR(
+        StrategyOf(state->opclass.def, *qual, &strategy, &term));
+    auto key_or = state->opclass.compress(term->constant);
     if (!key_or.ok()) return key_or.status();
-    auto cost_or =
-        state->tree->EstimateScanCost(key_or.value(), strategy, state->ext);
+    auto cost_or = state->tree->EstimateScanCost(key_or.value(), strategy,
+                                                 state->opclass.ext);
     if (!cost_or.ok()) return cost_or.status();
     *cost = cost_or.value();
-    // Cap the estimate at the node count measured by UPDATE STATISTICS.
-    IndexStatsReport measured;
-    if (ctx.server->GetIndexStats(desc->index->name, &measured)) {
-      *cost = std::min(*cost, static_cast<double>(measured.nodes));
-    }
     return Status::OK();
   };
 
-  fns.check = [](MiCallContext&, MiAmTableDesc* desc) -> Status {
-    GsTreeState* state = StateOf(desc);
+  fns.am_check = [](MiCallContext&, MiAmTableDesc* desc) -> Status {
+    GsHandle* state = StateOf(desc);
     if (state == nullptr) return Status::Internal("index not open");
-    return state->tree->CheckConsistency(state->ext);
+    return state->tree->CheckConsistency(state->opclass.ext);
   };
 
-  fns.stats = [](MiCallContext& ctx, MiAmTableDesc* desc) -> Status {
-    GsTreeState* state = StateOf(desc);
+  fns.am_stats = [](MiCallContext& ctx, MiAmTableDesc* desc) -> Status {
+    GsHandle* state = StateOf(desc);
     if (state == nullptr) return Status::Internal("index not open");
     std::vector<GistLevelStats> levels;
     GRTDB_RETURN_IF_ERROR(state->tree->LevelStats(&levels));
-    IndexStatsReport report;
-    report.index = desc->index->name;
-    report.access_method = desc->index->access_method;
-    report.size = state->tree->size();
-    report.height = state->tree->height();
-    report.free_list = state->store->FreeListLength();
-    report.computed_at = ctx.statement_time;
+    // Keys are variable-length, so a per-entry capacity (and thus an
+    // occupancy ratio) is undefined for this blade.
+    IndexStatsBuilder stats(desc, /*max_entries=*/0);
+    stats.report().size = state->tree->size();
+    stats.report().height = state->tree->height();
+    stats.report().computed_at = ctx.statement_time;
     for (const GistLevelStats& level : levels) {
-      report.nodes += level.nodes;
-      if (level.level == 0) report.entries = level.entries;
-      IndexLevelStats out;
-      out.level = level.level;
-      out.nodes = level.nodes;
-      out.entries = level.entries;
-      // Keys are variable-length, so a per-entry capacity (and thus an
-      // occupancy ratio) is undefined for this blade.
-      report.levels.push_back(out);
+      stats.AddLevel(level.level, level.nodes, level.entries);
     }
-    ctx.server->ReportIndexStats(report);
+    stats.Publish(ctx.server);
     return Status::OK();
   };
 
+  AddSharedHooks<GsHandle>(&fns);
   return fns;
-}
-
-// --------------------------------------------------------- registration ---
-
-std::string PurposeSql(const std::string& prefix) {
-  std::string script;
-  for (const char* suffix :
-       {"_create", "_drop", "_open", "_close", "_beginscan", "_endscan",
-        "_rescan", "_getnext", "_insert", "_delete", "_update", "_stats",
-        "_check"}) {
-    script += "CREATE FUNCTION " + prefix + suffix +
-              "(pointer) RETURNING int EXTERNAL NAME '" +
-              std::string(kGistLibrary) + "(" + prefix + suffix +
-              ")' LANGUAGE c;\n";
-  }
-  script += "CREATE FUNCTION " + prefix +
-            "_scancost(pointer) RETURNING float EXTERNAL NAME '" +
-            std::string(kGistLibrary) + "(" + prefix +
-            "_scancost)' LANGUAGE c;\n";
-  return script;
 }
 
 }  // namespace
 
-Status RegisterGistBlade(Server* server, const GistBladeOptions& options) {
-  if (server->catalog().FindAccessMethod(options.am_name) != nullptr) {
-    return Status::AlreadyExists("access method '" + options.am_name + "'");
-  }
-  BladeFns fns = MakeBladeFns(options);
-  BladeLibrary* library = server->blade_libraries().Load(kGistLibrary);
-  const std::string& p = options.prefix;
-  library->Export(p + "_create", std::any(AmSimpleFn(fns.create)));
-  library->Export(p + "_drop", std::any(AmSimpleFn(fns.drop)));
-  library->Export(p + "_open", std::any(AmSimpleFn(fns.open)));
-  library->Export(p + "_close", std::any(AmSimpleFn(fns.close)));
-  library->Export(p + "_beginscan", std::any(AmScanFn(fns.beginscan)));
-  library->Export(p + "_endscan", std::any(AmScanFn(fns.endscan)));
-  library->Export(p + "_rescan", std::any(AmScanFn(fns.rescan)));
-  library->Export(p + "_getnext", std::any(AmGetNextFn(fns.getnext)));
-  library->Export(p + "_insert", std::any(AmModifyFn(fns.insert)));
-  library->Export(p + "_delete", std::any(AmModifyFn(fns.remove)));
-  library->Export(p + "_update", std::any(AmUpdateFn(fns.update)));
-  library->Export(p + "_scancost", std::any(AmScanCostFn(fns.scancost)));
-  library->Export(p + "_stats", std::any(AmSimpleFn(fns.stats)));
-  library->Export(p + "_check", std::any(AmSimpleFn(fns.check)));
-
-  std::string script = PurposeSql(p);
-  script += "CREATE SECONDARY ACCESS_METHOD " + options.am_name + " (\n";
-  script += "  am_create = " + p + "_create,\n";
-  script += "  am_drop = " + p + "_drop,\n";
-  script += "  am_open = " + p + "_open,\n";
-  script += "  am_close = " + p + "_close,\n";
-  script += "  am_beginscan = " + p + "_beginscan,\n";
-  script += "  am_endscan = " + p + "_endscan,\n";
-  script += "  am_rescan = " + p + "_rescan,\n";
-  script += "  am_getnext = " + p + "_getnext,\n";
-  script += "  am_insert = " + p + "_insert,\n";
-  script += "  am_delete = " + p + "_delete,\n";
-  script += "  am_update = " + p + "_update,\n";
-  script += "  am_scancost = " + p + "_scancost,\n";
-  script += "  am_stats = " + p + "_stats,\n";
-  script += "  am_check = " + p + "_check,\n";
-  script += "  am_sptype = 'S'\n);\n";
-  ServerSession* session = server->CreateSession();
-  ResultSet result;
-  Status status = server->ExecuteScript(session, script, &result);
-  Status close = server->CloseSession(session);
-  if (status.ok()) status = close;
-  return status;
+Status RegisterGistBlade(Server* server) {
+  BladeAccessMethod am;
+  am.name = "gist_am";
+  return RegisterAccessMethod(server, kGistLibrary, "gs", MakeBladeFns(),
+                              std::move(am));
 }
 
 // ----------------------------------------------- extension 1: intrange ---
@@ -466,8 +311,17 @@ Status ParseRangeText(const std::string& text, IntRange* out) {
   if (pieces.size() != 2) {
     return Status::InvalidArgument("intrange expects two bounds");
   }
-  out->lo = std::strtoll(pieces[0].c_str(), nullptr, 10);
-  out->hi = std::strtoll(pieces[1].c_str(), nullptr, 10);
+  int64_t* bounds[2] = {&out->lo, &out->hi};
+  for (size_t i = 0; i < 2; ++i) {
+    const char* begin = pieces[i].c_str();
+    char* end = nullptr;
+    errno = 0;
+    *bounds[i] = std::strtoll(begin, &end, 10);
+    if (end == begin || *end != '\0' || errno == ERANGE) {
+      return Status::InvalidArgument("intrange bound '" + pieces[i] +
+                                     "' is not a 64-bit integer");
+    }
+  }
   if (out->lo > out->hi) {
     return Status::InvalidArgument("intrange bounds inverted");
   }
@@ -494,9 +348,9 @@ bool IntRangeConsistent(const GistKey& key, const GistKey& query,
 
 }  // namespace
 
-Status RegisterIntRangeOpclass(Server* server, const std::string& am_name) {
-  if (server->catalog().FindAccessMethod(am_name) == nullptr) {
-    return Status::NotFound("access method '" + am_name + "'");
+Status RegisterIntRangeOpclass(Server* server) {
+  if (server->catalog().FindAccessMethod("gist_am") == nullptr) {
+    return Status::NotFound("access method 'gist_am'");
   }
   // The opaque type.
   if (server->types().FindOpaqueByName("intrange") == nullptr) {
@@ -601,9 +455,7 @@ Status RegisterIntRangeOpclass(Server* server, const std::string& am_name) {
   library->Export("ir_overlaps_fn", std::any(strategy_udr(false)));
   library->Export("ir_contains_fn", std::any(strategy_udr(true)));
 
-  ServerSession* session = server->CreateSession();
-  ResultSet result;
-  Status status = server->ExecuteScript(session, R"SQL(
+  return server->RunRegistrationScript(R"SQL(
     CREATE FUNCTION RangeOverlaps(intrange, intrange) RETURNING boolean
       EXTERNAL NAME 'usr/functions/gist.bld(ir_overlaps_fn)' LANGUAGE c;
     CREATE FUNCTION RangeContains(intrange, intrange) RETURNING boolean
@@ -618,20 +470,11 @@ Status RegisterIntRangeOpclass(Server* server, const std::string& am_name) {
       EXTERNAL NAME 'usr/functions/gist.bld(ir_picksplit)' LANGUAGE c;
     CREATE FUNCTION ir_compress(pointer) RETURNING int
       EXTERNAL NAME 'usr/functions/gist.bld(ir_compress)' LANGUAGE c;
-  )SQL",
-                                        &result);
-  if (status.ok()) {
-    status = server->ExecuteScript(
-        session,
-        "CREATE OPCLASS ir_opclass FOR " + am_name +
-            " STRATEGIES(RangeOverlaps, RangeContains)"
-            " SUPPORT(ir_consistent, ir_union, ir_penalty, ir_picksplit, "
-            "ir_compress);",
-        &result);
-  }
-  Status close = server->CloseSession(session);
-  if (status.ok()) status = close;
-  return status;
+    CREATE OPCLASS ir_opclass FOR gist_am
+      STRATEGIES(RangeOverlaps, RangeContains)
+      SUPPORT(ir_consistent, ir_union, ir_penalty, ir_picksplit,
+              ir_compress);
+  )SQL");
 }
 
 // ------------------------------------------------ extension 2: prefixes ---
@@ -674,9 +517,9 @@ bool PrefixConsistent(const GistKey& key, const GistKey& query, int strategy,
 
 }  // namespace
 
-Status RegisterPrefixOpclass(Server* server, const std::string& am_name) {
-  if (server->catalog().FindAccessMethod(am_name) == nullptr) {
-    return Status::NotFound("access method '" + am_name + "'");
+Status RegisterPrefixOpclass(Server* server) {
+  if (server->catalog().FindAccessMethod("gist_am") == nullptr) {
+    return Status::NotFound("access method 'gist_am'");
   }
   BladeLibrary* library = server->blade_libraries().Load(kGistLibrary);
   library->Export("px_consistent",
@@ -733,9 +576,7 @@ Status RegisterPrefixOpclass(Server* server, const std::string& am_name) {
         return Value::Boolean(args[0].text() == args[1].text());
       })));
 
-  ServerSession* session = server->CreateSession();
-  ResultSet result;
-  Status status = server->ExecuteScript(session, R"SQL(
+  return server->RunRegistrationScript(R"SQL(
     CREATE FUNCTION PrefixMatch(text, text) RETURNING boolean
       EXTERNAL NAME 'usr/functions/gist.bld(px_prefix_fn)' LANGUAGE c;
     CREATE FUNCTION TextEquals(text, text) RETURNING boolean
@@ -750,20 +591,11 @@ Status RegisterPrefixOpclass(Server* server, const std::string& am_name) {
       EXTERNAL NAME 'usr/functions/gist.bld(px_picksplit)' LANGUAGE c;
     CREATE FUNCTION px_compress(pointer) RETURNING int
       EXTERNAL NAME 'usr/functions/gist.bld(px_compress)' LANGUAGE c;
-  )SQL",
-                                        &result);
-  if (status.ok()) {
-    status = server->ExecuteScript(
-        session,
-        "CREATE OPCLASS px_opclass FOR " + am_name +
-            " STRATEGIES(PrefixMatch, TextEquals)"
-            " SUPPORT(px_consistent, px_union, px_penalty, px_picksplit, "
-            "px_compress);",
-        &result);
-  }
-  Status close = server->CloseSession(session);
-  if (status.ok()) status = close;
-  return status;
+    CREATE OPCLASS px_opclass FOR gist_am
+      STRATEGIES(PrefixMatch, TextEquals)
+      SUPPORT(px_consistent, px_union, px_penalty, px_picksplit,
+              px_compress);
+  )SQL");
 }
 
 }  // namespace grtdb

@@ -1,7 +1,7 @@
 #ifndef GRTDB_BLADES_GIST_BLADE_H_
 #define GRTDB_BLADES_GIST_BLADE_H_
 
-#include <string>
+#include <functional>
 
 #include "common/status.h"
 #include "gist/gist.h"
@@ -28,25 +28,18 @@ using GistPickSplitFn = decltype(GistExtension::pick_split);
 // Compress: SQL value (column or query constant) -> GiST key bytes.
 using GistCompressFn = std::function<StatusOr<GistKey>(const Value&)>;
 
-struct GistBladeOptions {
-  std::string am_name = "gist_am";
-  std::string prefix = "gs";
-};
-
-Status RegisterGistBlade(Server* server, const GistBladeOptions& options = {});
+Status RegisterGistBlade(Server* server);
 
 // Extension 1: 1-D integer ranges. Registers the opaque type `intrange`
 // ("[lo,hi]" text form), the strategy functions RangeOverlaps and
 // RangeContains, the five extension primitives, and the operator class
-// ir_opclass for `am_name`.
-Status RegisterIntRangeOpclass(Server* server,
-                               const std::string& am_name = "gist_am");
+// ir_opclass for gist_am.
+Status RegisterIntRangeOpclass(Server* server);
 
 // Extension 2: text with longest-common-prefix keys. Registers the
 // strategy functions PrefixMatch and TextEquals plus px_opclass — a second
 // data type through the same purpose functions.
-Status RegisterPrefixOpclass(Server* server,
-                             const std::string& am_name = "gist_am");
+Status RegisterPrefixOpclass(Server* server);
 
 }  // namespace grtdb
 

@@ -3,6 +3,7 @@
 
 #include <string>
 
+#include "blades/access_method.h"
 #include "common/status.h"
 #include "core/grtree.h"
 #include "server/server.h"
@@ -28,14 +29,13 @@ struct GRTreeBladeOptions {
   // and invokes the registered strategy UDRs on every candidate entry.
   bool dynamic_dispatch = false;
 
-  // §5.3 storage options.
-  enum class Storage { kSingleLo, kLoPerNode, kLoPerSubtree, kExternalFile };
+  // §5.3 storage options. The sbspace layouts get Informix's automatic
+  // LO-granularity two-phase locking; kExternalFile gets none (as §5.3
+  // laments) and its own WAL instead.
+  using Storage = IndexLayout;
   Storage storage = Storage::kSingleLo;
   uint64_t nodes_per_lo = 16;          // kLoPerSubtree cluster size
   std::string external_dir = "/tmp";   // kExternalFile directory
-  // Informix's automatic LO-granularity two-phase locking; irrelevant (and
-  // absent, as §5.3 laments) for kExternalFile.
-  bool lock_large_objects = true;
 };
 
 // Installs the GR-tree DataBlade into `server`: exports the purpose

@@ -1,10 +1,8 @@
 #ifndef GRTDB_BLADES_RSTAR_BLADE_H_
 #define GRTDB_BLADES_RSTAR_BLADE_H_
 
-#include <string>
-
 #include "common/status.h"
-#include "rstar/rstar_tree.h"
+#include "rstar/rect.h"
 #include "server/server.h"
 #include "temporal/extent.h"
 
@@ -18,17 +16,11 @@ namespace grtdb {
 // "check using the exact geometry" step of paper §3), so answers stay
 // correct at the price of false index positives and huge dead space —
 // precisely what the GR-tree removes (bench T5).
-struct RStarBladeOptions {
-  std::string am_name = "rstar_am";
-  std::string prefix = "rst";
-  RStarTree::Options tree;
-  // The substitute for UC/NOW; must exceed every ground timestamp in the
-  // workload.
-  int64_t max_timestamp = 200000;  // ~ year 2517
-};
+Status RegisterRStarBlade(Server* server);
 
-Status RegisterRStarBlade(Server* server,
-                          const RStarBladeOptions& options = {});
+// The substitute for UC/NOW; exceeds every ground timestamp the workloads
+// use.
+inline constexpr int64_t kRStarMaxTimestamp = 200000;  // ~ year 2517
 
 // The transform itself, exposed for tests and benches.
 Rect TransformExtent(const TimeExtent& extent, int64_t max_timestamp);

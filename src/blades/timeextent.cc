@@ -62,6 +62,30 @@ uint32_t TimeExtentTypeId(Server* server) {
   return type != nullptr ? type->id : 0;
 }
 
+Status CheckExtentKey(MiCallContext& ctx, const MiAmTableDesc* desc) {
+  if (desc->key_types.size() != 1 ||
+      desc->key_types[0].base != TypeDesc::Base::kOpaque ||
+      desc->key_types[0].opaque_id != TimeExtentTypeId(ctx.server)) {
+    return Status::InvalidArgument(desc->index->access_method +
+                                   " indexes exactly one grt_timeextent "
+                                   "column");
+  }
+  return Status::OK();
+}
+
+BladeAccessMethod ExtentAccessMethod(const std::string& name,
+                                     const std::string& prefix) {
+  BladeAccessMethod am;
+  am.name = name;
+  am.opclass_name = prefix + "_opclass";
+  am.strategies = {"Overlaps", "Contains", "ContainedIn", "Equal"};
+  // The trees hard-code the support functions' logic internally (§5.2),
+  // but the operator class declares them, as the paper's CREATE OPCLASS
+  // example shows.
+  am.supports = {"grt_union", "grt_size", "grt_intersection"};
+  return am;
+}
+
 Status ExtentFromValue(const Value& value, TimeExtent* out) {
   if (value.is_null() || value.base() != TypeDesc::Base::kOpaque ||
       value.opaque().size() != TimeExtent::kBinarySize) {
@@ -183,9 +207,7 @@ Status RegisterTimeExtentType(Server* server) {
 
   // Register the strategy functions as SQL-callable UDRs (paper §4 Step 2:
   // CREATE FUNCTION ... EXTERNAL NAME "usr/functions/grtree.bld(...)").
-  ServerSession* session = server->CreateSession();
-  ResultSet result;
-  Status status = server->ExecuteScript(session, R"SQL(
+  return server->RunRegistrationScript(R"SQL(
     CREATE FUNCTION Overlaps(grt_timeextent, grt_timeextent) RETURNING boolean
       EXTERNAL NAME 'usr/functions/grtree.bld(grt_overlaps)' LANGUAGE c NOT VARIANT;
     CREATE FUNCTION Contains(grt_timeextent, grt_timeextent) RETURNING boolean
@@ -200,11 +222,7 @@ Status RegisterTimeExtentType(Server* server) {
       EXTERNAL NAME 'usr/functions/grtree.bld(grt_size_fn)' LANGUAGE c;
     CREATE FUNCTION grt_intersection(grt_timeextent, grt_timeextent) RETURNING float
       EXTERNAL NAME 'usr/functions/grtree.bld(grt_inter_fn)' LANGUAGE c;
-  )SQL",
-                                        &result);
-  Status close = server->CloseSession(session);
-  if (status.ok()) status = close;
-  return status;
+  )SQL");
 }
 
 }  // namespace grtdb

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "common/status.h"
+#include "dbdk/bladesmith.h"
 #include "server/server.h"
 #include "temporal/extent.h"
 
@@ -25,6 +26,16 @@ Status RegisterTimeExtentType(Server* server);
 
 // The opaque-type id assigned to grt_timeextent (0 if not registered).
 uint32_t TimeExtentTypeId(Server* server);
+
+// am_create's key check for the blades that index grt_timeextent: exactly
+// one column, of that type.
+Status CheckExtentKey(MiCallContext& ctx, const MiAmTableDesc* desc);
+
+// An access method over grt_timeextent with its default operator class
+// <prefix>_opclass: the four bitemporal strategies and the three support
+// functions RegisterTimeExtentType registers.
+BladeAccessMethod ExtentAccessMethod(const std::string& name,
+                                     const std::string& prefix);
 
 // Converts between the SQL Value and the C struct behind the opaque type.
 Status ExtentFromValue(const Value& value, TimeExtent* out);

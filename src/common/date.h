@@ -36,6 +36,12 @@ Status ParseDate(const std::string& text, int64_t* day_number);
 // Formats a day number as "mm/dd/yyyy".
 std::string FormatDate(int64_t day_number);
 
+// The day numbers FormatDate renders with a four-digit year that ParseDate
+// reads back as the same day: 01/01/0100 .. 12/31/9999. (Years below 100
+// would read back as two-digit years.)
+inline constexpr int64_t kMinDayNumber = -683003;
+inline constexpr int64_t kMaxDayNumber = 2932896;
+
 }  // namespace grtdb
 
 #endif  // GRTDB_COMMON_DATE_H_

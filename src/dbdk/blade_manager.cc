@@ -48,12 +48,8 @@ Status BladeManager::Register(Server* server, const BladeProject& project,
         server->types().RegisterOpaque(std::move(registered), &id));
   }
 
-  ServerSession* session = server->CreateSession();
-  ResultSet result;
-  Status status = server->ExecuteScript(
-      session, BladeSmith::GenerateRegistrationSql(project), &result);
-  Status close = server->CloseSession(session);
-  if (status.ok()) status = close;
+  Status status = server->RunRegistrationScript(
+      BladeSmith::GenerateRegistrationSql(project));
   if (!status.ok()) {
     // Roll the type registrations back so a failed registration leaves no
     // residue (BladeManager re-registration during testing relies on it).
@@ -66,13 +62,8 @@ Status BladeManager::Register(Server* server, const BladeProject& project,
 }
 
 Status BladeManager::Unregister(Server* server, const BladeProject& project) {
-  ServerSession* session = server->CreateSession();
-  ResultSet result;
-  Status status = server->ExecuteScript(
-      session, BladeSmith::GenerateUnregistrationSql(project), &result);
-  Status close = server->CloseSession(session);
-  if (status.ok()) status = close;
-  if (!status.ok()) return status;
+  GRTDB_RETURN_IF_ERROR(server->RunRegistrationScript(
+      BladeSmith::GenerateUnregistrationSql(project)));
   for (const BladeOpaqueType& type : project.types) {
     GRTDB_RETURN_IF_ERROR(server->types().Unregister(type.name));
   }

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "common/strings.h"
+#include "obs/query_profile.h"
 
 namespace grtdb {
 
@@ -28,7 +29,23 @@ std::string Guard(const BladeProject& project) {
   return ToUpper(project.name) + "_BLADE_H_";
 }
 
+size_t PurposeRank(const std::string& property) {
+  size_t fn = 0;
+  while (fn < obs::kPurposeFnCount &&
+         property != obs::PurposeFnName(static_cast<obs::PurposeFn>(fn))) {
+    ++fn;
+  }
+  return fn;
+}
+
 }  // namespace
+
+bool PurposeOrder::operator()(const std::string& a,
+                              const std::string& b) const {
+  const size_t rank_a = PurposeRank(a);
+  const size_t rank_b = PurposeRank(b);
+  return rank_a != rank_b ? rank_a < rank_b : a < b;
+}
 
 Status BladeSmith::Validate(const BladeProject& project) {
   if (project.name.empty() || project.library.empty()) {

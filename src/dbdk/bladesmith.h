@@ -42,13 +42,20 @@ struct BladeRoutine {
   bool not_variant = false;
 };
 
+// Orders am_* properties as the VII numbers its purpose functions
+// (obs::PurposeFn, the Fig. 6 table), so a generated CREATE SECONDARY
+// ACCESS_METHOD lists them in that order; other names sort after them.
+struct PurposeOrder {
+  bool operator()(const std::string& a, const std::string& b) const;
+};
+
 // A secondary access method: purpose-function property map plus the
 // operator class declaration.
 struct BladeAccessMethod {
   std::string name;
   char sptype = 'S';
   // am_create -> grt_create, ... (values must name project routines).
-  std::map<std::string, std::string> purpose;
+  std::map<std::string, std::string, PurposeOrder> purpose;
   std::string opclass_name;
   bool opclass_is_default = true;
   std::vector<std::string> strategies;

@@ -476,6 +476,12 @@ Status Server::ComputePlanMemo(ServerSession* session, Table* table,
                                 obs::PurposeFn::kAmScanCost);
           status = am->hooks.am_scancost(ctx, &open->desc, &qual, &cost);
         }
+        // A scan never reads more nodes than the tree holds: the count the
+        // last UPDATE STATISTICS measured caps every estimate.
+        IndexStatsReport measured;
+        if (status.ok() && GetIndexStats(index->name, &measured)) {
+          cost = std::min(cost, static_cast<double>(measured.nodes));
+        }
         Status close = CloseIndexDesc(ctx, open.get());
         if (status.ok()) status = close;
       }

@@ -304,6 +304,15 @@ Status Server::ExecuteScript(ServerSession* session,
   return Status::OK();
 }
 
+Status Server::RunRegistrationScript(const std::string& script) {
+  ServerSession* session = CreateSession();
+  ResultSet result;
+  Status status = ExecuteScript(session, script, &result);
+  Status close = CloseSession(session);
+  if (status.ok()) status = close;
+  return status;
+}
+
 Status Server::RunStatement(ServerSession* session, const std::string& text,
                             const sql::Statement& stmt, ResultSet* out) {
   out->Clear();

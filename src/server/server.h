@@ -303,6 +303,10 @@ class Server {
   // after every statement, including the one that failed.
   Status ExecuteScript(ServerSession* session, const std::string& script,
                        ResultSet* out);
+  // Runs a blade's registration script (CREATE FUNCTION, CREATE
+  // SECONDARY ACCESS_METHOD, CREATE OPCLASS, ...) in a session of its own,
+  // closed afterwards.
+  Status RunRegistrationScript(const std::string& script);
 
   // ---- prepared statements (wire-level entry points) --------------------
   // Same contracts as Execute (statement gate, slow-query retention,

@@ -17,18 +17,24 @@ Status Timestamp::Parse(const std::string& text, Timestamp* out) {
     *out = Timestamp::NOW();
     return Status::OK();
   }
+  int64_t day = 0;
   if (trimmed.find('/') != std::string::npos) {
-    int64_t day = 0;
     GRTDB_RETURN_IF_ERROR(ParseDate(trimmed, &day));
-    *out = Timestamp::FromChronon(day);
-    return Status::OK();
+  } else {
+    char* end = nullptr;
+    day = std::strtoll(trimmed.c_str(), &end, 10);
+    if (end == trimmed.c_str() || *end != '\0') {
+      return Status::InvalidArgument("cannot parse timestamp '" + text + "'");
+    }
   }
-  char* end = nullptr;
-  long long value = std::strtoll(trimmed.c_str(), &end, 10);
-  if (end == trimmed.c_str() || *end != '\0') {
-    return Status::InvalidArgument("cannot parse timestamp '" + text + "'");
+  // Only chronons ToString renders and Parse reads back: this also keeps
+  // a ground value off the UC/NOW encodings and strtoll's clamped
+  // out-of-range results.
+  if (day < kMinDayNumber || day > kMaxDayNumber) {
+    return Status::InvalidArgument("timestamp '" + text +
+                                   "' is outside 01/01/0100 .. 12/31/9999");
   }
-  *out = Timestamp::FromChronon(value);
+  *out = Timestamp::FromChronon(day);
   return Status::OK();
 }
 

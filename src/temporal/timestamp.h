@@ -46,7 +46,8 @@ class Timestamp {
   constexpr int64_t raw() const { return value_; }
   static constexpr Timestamp FromRaw(int64_t raw) { return Timestamp(raw); }
 
-  // Parses "UC", "NOW", an mm/dd/yyyy date, or a bare integer chronon.
+  // Parses "UC", "NOW", an mm/dd/yyyy date, or a bare integer chronon;
+  // ground values must lie in kMinDayNumber .. kMaxDayNumber (date.h).
   static Status Parse(const std::string& text, Timestamp* out);
 
   // "UC", "NOW", or the mm/dd/yyyy date.

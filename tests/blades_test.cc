@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "blades/btree_blade.h"
+#include "blades/gist_blade.h"
 #include "blades/grtree_blade.h"
 #include "blades/rstar_blade.h"
 #include "blades/timeextent.h"
@@ -27,8 +29,7 @@ class BladeTest : public ::testing::Test {
  protected:
   void SetUp() override {
     ASSERT_TRUE(RegisterGRTreeBlade(&server_).ok());
-    RStarBladeOptions rstar;
-    ASSERT_TRUE(RegisterRStarBlade(&server_, rstar).ok());
+    ASSERT_TRUE(RegisterRStarBlade(&server_).ok());
     session_ = server_.CreateSession();
   }
 
@@ -395,7 +396,7 @@ INSTANTIATE_TEST_SUITE_P(
                       GRTreeBladeOptions::Storage::kExternalFile));
 
 // ------------------------------------------------ the shared store stack --
-// Each GR-tree and R*-tree index keeps one store stack and node cache from
+// Each index of the four blades keeps one store stack and node cache from
 // CREATE INDEX to DROP INDEX, shared by every statement that opens it.
 
 struct IndexVariant {
@@ -403,10 +404,42 @@ struct IndexVariant {
   const char* access_method;
   const char* opclass;
   GRTreeBladeOptions::Storage storage;  // GR-tree layout
+  const char* column_type;              // the indexed column e's type
+  std::string (*key)(int id);           // row `id`'s e, as a literal
+  // WHERE clauses on e the index serves; the first is the repeated probe.
+  std::vector<std::string> probes;
+  // e of a late row (id 500), a probe that counts it, and one that
+  // matches it.
+  const char* late_key;
+  const char* late_count;
+  const char* late_equal;
+  const char* update_key;  // the e an UPDATE sets
 };
 
 void PrintTo(const IndexVariant& variant, std::ostream* os) {
   *os << variant.name;
+}
+
+std::string ExtentKey(int id) {
+  return "'20000, UC, " + std::to_string(19900 + id % 100) + ", NOW'";
+}
+
+IndexVariant ExtentVariant(const char* name, const char* access_method,
+                           const char* opclass,
+                           GRTreeBladeOptions::Storage storage) {
+  return {name,
+          access_method,
+          opclass,
+          storage,
+          "grt_timeextent",
+          ExtentKey,
+          {"Overlaps(e, '20000, 20000, 19930, 19935')",
+           "ContainedIn(e, '19000, UC, 19000, NOW')",
+           "Overlaps(e, '20000, UC, 19990, NOW')"},
+          "'20000, UC, 19920, NOW'",
+          "Overlaps(e, '20000, UC, 19910, NOW')",
+          "Equal(e, '20000, UC, 19920, NOW')",
+          "'20000, 20000, 19000, 19500'"};
 }
 
 class SharedStackTest : public ::testing::TestWithParam<IndexVariant> {
@@ -424,11 +457,16 @@ class SharedStackTest : public ::testing::TestWithParam<IndexVariant> {
     std::filesystem::create_directories(external_dir_);
     ASSERT_TRUE(RegisterGRTreeBlade(server_.get(), grtree).ok());
     ASSERT_TRUE(RegisterRStarBlade(server_.get()).ok());
+    ASSERT_TRUE(RegisterBtreeBlade(server_.get()).ok());
+    ASSERT_TRUE(RegisterGistBlade(server_.get()).ok());
+    ASSERT_TRUE(RegisterIntRangeOpclass(server_.get()).ok());
     session_ = server_->CreateSession();
     // `t` carries the index; `s` holds the same rows without one, so its
     // answers are the sequential scan's.
-    MustExec("CREATE TABLE t (id int, e grt_timeextent)");
-    MustExec("CREATE TABLE s (id int, e grt_timeextent)");
+    const std::string columns =
+        std::string(" (id int, e ") + GetParam().column_type + ")";
+    MustExec("CREATE TABLE t" + columns);
+    MustExec("CREATE TABLE s" + columns);
     MustExec("SET CURRENT_TIME TO 20000");
   }
 
@@ -452,8 +490,15 @@ class SharedStackTest : public ::testing::TestWithParam<IndexVariant> {
   }
 
   static std::string Row(int id) {
-    return "(" + std::to_string(id) + ", '20000, UC, " +
-           std::to_string(19900 + id % 100) + ", NOW')";
+    return "(" + std::to_string(id) + ", " + GetParam().key(id) + ")";
+  }
+  // The SELECT of the variant's repeated probe.
+  static std::string Probe() {
+    return "SELECT id FROM t WHERE " + GetParam().probes[0];
+  }
+  static std::string LateRow() {
+    return std::string("INSERT INTO t VALUES (500, ") + GetParam().late_key +
+           ")";
   }
   void LoadRows(int from, int to) {
     for (int id = from; id < to; ++id) {
@@ -474,10 +519,7 @@ class SharedStackTest : public ::testing::TestWithParam<IndexVariant> {
 
   // The index answers every probe the way the sequential scan does.
   void ExpectIndexAgreesWithScan() {
-    for (const char* where :
-         {"Overlaps(e, '20000, 20000, 19930, 19935')",
-          "ContainedIn(e, '19000, UC, 19000, NOW')",
-          "Overlaps(e, '20000, UC, 19990, NOW')"}) {
+    for (const std::string& where : GetParam().probes) {
       EXPECT_EQ(Ids("t", where), Ids("s", where)) << where;
     }
     MustExec("CHECK INDEX t_idx");
@@ -518,10 +560,8 @@ class SharedStackTest : public ::testing::TestWithParam<IndexVariant> {
 TEST_P(SharedStackTest, RepeatedProbeIsServedFromTheCache) {
   MustExec(CreateIndex());
   LoadRows(0, 60);
-  const std::string probe =
-      "SELECT id FROM t WHERE Overlaps(e, '20000, 20000, 19930, 19935')";
-  ProfiledNodeReads(probe);
-  const auto [reads, hits] = ProfiledNodeReads(probe);
+  ProfiledNodeReads(Probe());
+  const auto [reads, hits] = ProfiledNodeReads(Probe());
   EXPECT_GT(reads, 0u);  // the index served the probe
   EXPECT_EQ(hits, reads);
 }
@@ -534,10 +574,7 @@ TEST_P(SharedStackTest, DropAndRecreateAnswersLikeASequentialScan) {
   LoadRows(40, 80);
   MustExec(CreateIndex());
   ExpectIndexAgreesWithScan();
-  EXPECT_GT(ProfiledNodeReads("SELECT id FROM t WHERE "
-                              "Overlaps(e, '20000, 20000, 19930, 19935')")
-                .first,
-            0u);
+  EXPECT_GT(ProfiledNodeReads(Probe()).first, 0u);
 }
 
 // DROP INDEX frees the index's storage from its live store stack: every
@@ -571,7 +608,7 @@ TEST_P(SharedStackTest, StatementsRunNoRecovery) {
   MustExec(CreateIndex());
   LoadRows(0, 10);
   for (int i = 0; i < 10; ++i) {
-    Ids("t", "Overlaps(e, '20000, UC, 19990, NOW')");
+    Ids("t", GetParam().probes[2]);
   }
   size_t recoveries = 0;
   for (const obs::FlightEventRecord& record :
@@ -590,19 +627,19 @@ TEST_P(SharedStackTest, CommittedInsertIsSeenByAnotherSession) {
   MustExec(CreateIndex());
   LoadRows(0, 30);
   const std::string count =
-      "SELECT COUNT(*) FROM t WHERE Overlaps(e, '20000, UC, 19910, NOW')";
+      std::string("SELECT COUNT(*) FROM t WHERE ") + GetParam().late_count;
   ServerSession* reader = server_->CreateSession();
   ASSERT_TRUE(Exec(reader, count).ok());
   const int before = std::stoi(result_.rows[0][0]);
 
   MustExec("BEGIN WORK");
-  MustExec("INSERT INTO t VALUES (500, '20000, UC, 19920, NOW')");
+  MustExec(LateRow());
   MustExec("COMMIT WORK");
   ASSERT_TRUE(Exec(reader, count).ok());
   EXPECT_EQ(std::stoi(result_.rows[0][0]), before + 1);
 
-  MustExec("DELETE FROM t WHERE id = 500 AND "
-           "Equal(e, '20000, UC, 19920, NOW')");
+  MustExec(std::string("DELETE FROM t WHERE id = 500 AND ") +
+           GetParam().late_equal);
   ASSERT_TRUE(Exec(reader, count).ok());
   EXPECT_EQ(std::stoi(result_.rows[0][0]), before);
   EXPECT_TRUE(server_->CloseSession(reader).ok());
@@ -612,7 +649,7 @@ TEST_P(SharedStackTest, CheckIndexWaitsOnAWritersTableLock) {
   MustExec(CreateIndex());
   LoadRows(0, 10);
   MustExec("BEGIN WORK");
-  MustExec("INSERT INTO t VALUES (500, '20000, UC, 19920, NOW')");
+  MustExec(LateRow());
   // The writer holds t's X lock to its commit; CHECK INDEX and UPDATE
   // STATISTICS read the index under t's S lock, as SELECT does.
   ServerSession* checker = server_->CreateSession();
@@ -629,29 +666,81 @@ TEST_P(SharedStackTest, CheckIndexWaitsOnAWritersTableLock) {
 TEST_P(SharedStackTest, ServerDestroyedRightAfterWrites) {
   MustExec(CreateIndex());
   LoadRows(0, 50);
-  MustExec("UPDATE t SET e = '20000, 20000, 19000, 19500' WHERE id < 5");
+  MustExec(std::string("UPDATE t SET e = ") + GetParam().update_key +
+           " WHERE id < 5");
   MustExec("DELETE FROM t WHERE id >= 45");
   MustExec("BEGIN WORK");
-  MustExec("INSERT INTO t VALUES (500, '20000, UC, 19920, NOW')");
+  MustExec(LateRow());
   server_.reset();
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Indexes, SharedStackTest,
     ::testing::Values(
-        IndexVariant{"GrtSingleLo", "grtree_am", "grt_opclass",
-                     GRTreeBladeOptions::Storage::kSingleLo},
-        IndexVariant{"GrtLoPerNode", "grtree_am", "grt_opclass",
-                     GRTreeBladeOptions::Storage::kLoPerNode},
-        IndexVariant{"GrtLoPerSubtree", "grtree_am", "grt_opclass",
-                     GRTreeBladeOptions::Storage::kLoPerSubtree},
-        IndexVariant{"GrtExternalFile", "grtree_am", "grt_opclass",
-                     GRTreeBladeOptions::Storage::kExternalFile},
-        IndexVariant{"RStar", "rstar_am", "rst_opclass",
-                     GRTreeBladeOptions::Storage::kSingleLo}),
+        ExtentVariant("GrtSingleLo", "grtree_am", "grt_opclass",
+                      GRTreeBladeOptions::Storage::kSingleLo),
+        ExtentVariant("GrtLoPerNode", "grtree_am", "grt_opclass",
+                      GRTreeBladeOptions::Storage::kLoPerNode),
+        ExtentVariant("GrtLoPerSubtree", "grtree_am", "grt_opclass",
+                      GRTreeBladeOptions::Storage::kLoPerSubtree),
+        ExtentVariant("GrtExternalFile", "grtree_am", "grt_opclass",
+                      GRTreeBladeOptions::Storage::kExternalFile),
+        ExtentVariant("RStar", "rstar_am", "rst_opclass",
+                      GRTreeBladeOptions::Storage::kSingleLo),
+        IndexVariant{"BTree", "btree_am", "bt_opclass",
+                     GRTreeBladeOptions::Storage::kSingleLo, "int",
+                     [](int id) { return std::to_string(id % 50); },
+                     {"LessThan(e, 5)", "GreaterThanOrEqual(e, 30)",
+                      "Equal(e, 12)"},
+                     "17", "GreaterThan(e, 15)", "Equal(e, 17)", "99"},
+        IndexVariant{"Gist", "gist_am", "ir_opclass",
+                     GRTreeBladeOptions::Storage::kSingleLo, "intrange",
+                     [](int id) {
+                       return "'[" + std::to_string(id * 10) + "," +
+                              std::to_string(id * 10 + 5) + "]'";
+                     },
+                     {"RangeOverlaps(e, '[300,320]')",
+                      "RangeContains(e, '[100,102]')",
+                      "RangeOverlaps(e, '[0,10000]')"},
+                     "'[5000,5005]'", "RangeOverlaps(e, '[4000,6000]')",
+                     "RangeContains(e, '[5000,5005]')", "'[9000,9001]'"}),
     [](const ::testing::TestParamInfo<IndexVariant>& info) {
       return std::string(info.param.name);
     });
+
+// Every in-tree access method lists its 14 purpose functions in
+// sysprocedures, each over a pointer, and every am_scancost returns the
+// type grt_scancost returns.
+TEST(AccessMethodCatalog, EveryBladeListsItsPurposeFunctions) {
+  Server server;
+  ASSERT_TRUE(RegisterGRTreeBlade(&server).ok());
+  ASSERT_TRUE(RegisterRStarBlade(&server).ok());
+  ASSERT_TRUE(RegisterBtreeBlade(&server).ok());
+  ASSERT_TRUE(RegisterGistBlade(&server).ok());
+  ServerSession* session = server.CreateSession();
+  ResultSet result;
+  ASSERT_TRUE(
+      server.Execute(session, "SELECT * FROM sysprocedures", &result).ok());
+  std::map<std::string, std::pair<std::string, std::string>> signatures;
+  for (const auto& row : result.rows) signatures[row[0]] = {row[2], row[3]};
+  ASSERT_EQ(signatures.count("grt_scancost"), 1u);
+  const std::string scancost_type = signatures["grt_scancost"].second;
+  for (const char* prefix : {"grt", "rst", "bt", "gs"}) {
+    for (const char* suffix :
+         {"create", "drop", "open", "close", "beginscan", "endscan",
+          "rescan", "getnext", "insert", "delete", "update", "scancost",
+          "stats", "check"}) {
+      const std::string name = std::string(prefix) + "_" + suffix;
+      auto it = signatures.find(name);
+      ASSERT_NE(it, signatures.end()) << name;
+      EXPECT_EQ(it->second.first, "pointer") << name;
+      if (std::string(suffix) == "scancost") {
+        EXPECT_EQ(it->second.second, scancost_type) << name;
+      }
+    }
+  }
+  EXPECT_TRUE(server.CloseSession(session).ok());
+}
 
 // §5.2: dynamic strategy-function dispatch returns the same answers as the
 // hard-coded prototype.

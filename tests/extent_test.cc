@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdint>
+#include <iterator>
+#include <random>
+#include <string>
 #include <vector>
 
+#include "common/date.h"
 #include "common/random.h"
 #include "temporal/predicates.h"
 #include "temporal/region.h"
@@ -210,6 +215,155 @@ TEST(ExtentText, ParseEnforcesConstraints) {
   EXPECT_FALSE(TimeExtent::Parse("10, UC, 20, NOW", &extent).ok());
   EXPECT_FALSE(TimeExtent::Parse("10, UC, 0", &extent).ok());  // 3 fields
   EXPECT_TRUE(TimeExtent::Parse("10, UC, 5, NOW", &extent).ok());
+}
+
+// Ground chronons the text form cannot carry: the UC and NOW encodings,
+// strtoll's clamped overflow, and a day whose year has ten digits (its
+// rendering overflowed int64_t in CivilFromDayNumber).
+TEST(ExtentText, RejectsChrononsTheTextFormCannotCarry) {
+  for (const char* text : {"1, 9223372036854775807, 1, 9223372036854775806",
+                           "1, 99999999999999999999, 1, 2",
+                           "1, 9223372036854775805, 1, NOW"}) {
+    TimeExtent extent;
+    const Status status = TimeExtent::Parse(text, &extent);
+    EXPECT_TRUE(status.IsInvalidArgument())
+        << text << " -> " << status.ToString() << " " << extent.ToString();
+  }
+}
+
+// The accepted range is exactly the days ToString renders with a four-digit
+// year and Parse reads back.
+TEST(Timestamp, ParseRangeIsWhatRendersBack) {
+  for (int64_t day : {kMinDayNumber, int64_t{0}, kMaxDayNumber}) {
+    Timestamp ts;
+    ASSERT_TRUE(Timestamp::Parse(std::to_string(day), &ts).ok()) << day;
+    Timestamp again;
+    ASSERT_TRUE(Timestamp::Parse(ts.ToString(), &again).ok()) << day;
+    EXPECT_EQ(again, ts) << ts.ToString();
+  }
+  EXPECT_EQ(FormatDate(kMinDayNumber), "01/01/0100");
+  EXPECT_EQ(FormatDate(kMaxDayNumber), "12/31/9999");
+  Timestamp ts;
+  EXPECT_TRUE(Timestamp::Parse(std::to_string(kMinDayNumber - 1), &ts)
+                  .IsInvalidArgument());
+  EXPECT_TRUE(Timestamp::Parse(std::to_string(kMaxDayNumber + 1), &ts)
+                  .IsInvalidArgument());
+  EXPECT_TRUE(Timestamp::Parse("01/01/10000", &ts).IsInvalidArgument());
+}
+
+// One mutation of an extent text: a digit run grown to 19-20 digits, a
+// sign flip, UC or NOW moved into another position, a separator dropped or
+// doubled, or extra whitespace.
+void MutateExtentText(std::mt19937* rng, std::string* text) {
+  auto pick = [&](size_t n) { return n == 0 ? 0 : (*rng)() % n; };
+  std::vector<size_t> digit_runs;
+  for (size_t i = 0; i < text->size(); ++i) {
+    if (std::isdigit(static_cast<unsigned char>((*text)[i])) &&
+        (i == 0 || !std::isdigit(static_cast<unsigned char>((*text)[i - 1])))) {
+      digit_runs.push_back(i);
+    }
+  }
+  const unsigned kind = (*rng)() % 6;
+  switch (kind) {
+    case 0: {  // grow a digit run to 19-20 digits, near INT64_MAX or not
+      if (digit_runs.empty()) return;
+      const size_t at = digit_runs[pick(digit_runs.size())];
+      size_t end = at;
+      while (end < text->size() &&
+             std::isdigit(static_cast<unsigned char>((*text)[end]))) {
+        ++end;
+      }
+      static const char* kNearMax[] = {
+          "9223372036854775807", "9223372036854775806", "9223372036854775805",
+          "9223372036854775808", "18446744073709551615"};
+      std::string digits;
+      if ((*rng)() % 2 == 0) {
+        digits = kNearMax[pick(std::size(kNearMax))];
+      } else {
+        const size_t length = 19 + (*rng)() % 2;
+        for (size_t i = 0; i < length; ++i) {
+          digits += static_cast<char>('0' + (*rng)() % 10);
+        }
+      }
+      text->replace(at, end - at, digits);
+      return;
+    }
+    case 1: {  // sign flip
+      if (digit_runs.empty()) return;
+      const size_t at = digit_runs[pick(digit_runs.size())];
+      if (at > 0 && (*text)[at - 1] == '-') {
+        text->erase(at - 1, 1);
+      } else {
+        text->insert(at, "-");
+      }
+      return;
+    }
+    case 2: {  // UC or NOW into a (begin) position
+      std::vector<size_t> starts = {0};
+      for (size_t i = 0; i < text->size(); ++i) {
+        if ((*text)[i] == ',') starts.push_back(i + 1);
+      }
+      const size_t at = starts[pick(starts.size())];
+      size_t end = text->find(',', at);
+      if (end == std::string::npos) end = text->size();
+      text->replace(at, end - at, (*rng)() % 2 == 0 ? " UC" : " NOW");
+      return;
+    }
+    case 3:    // drop a separator
+    case 4: {  // double a separator
+      std::vector<size_t> separators;
+      for (size_t i = 0; i < text->size(); ++i) {
+        if ((*text)[i] == ',' || (*text)[i] == '/') separators.push_back(i);
+      }
+      if (separators.empty()) return;
+      const size_t at = separators[pick(separators.size())];
+      if (kind == 3) {
+        text->erase(at, 1);
+      } else {
+        text->insert(at, 1, (*text)[at]);
+      }
+      return;
+    }
+    default:  // extra whitespace
+      text->insert(pick(text->size() + 1), (*rng)() % 2 == 0 ? " " : "\t ");
+      return;
+  }
+}
+
+// Seeded mutation fuzzer over grt_timeextent's text input: every mutant of
+// a valid extent text parses or is InvalidArgument, and what parses renders
+// with ToString() and parses back to the same extent.
+TEST(ExtentText, SeededMutationFuzz) {
+  const std::vector<std::string> corpus = {
+      "12/10/1995, UC, 12/10/1995, NOW",
+      "10, UC, 5, NOW",
+      "100, 200, 50, 150",
+      "01/01/0100, 12/31/9999, 01/01/0100, 12/31/9999",
+      "-683003, UC, -683003, NOW",
+      "05/01/97, 2932896, 05/01/97, 06/01/97",
+  };
+  std::mt19937 rng(20261018);
+  constexpr int kIterations = 20000;
+  int parsed = 0;
+  for (int i = 0; i < kIterations; ++i) {
+    std::string text = corpus[rng() % corpus.size()];
+    const int mutations = 1 + static_cast<int>(rng() % 3);
+    for (int m = 0; m < mutations; ++m) MutateExtentText(&rng, &text);
+    TimeExtent extent;
+    const Status status = TimeExtent::Parse(text, &extent);
+    ASSERT_TRUE(status.ok() || status.IsInvalidArgument())
+        << "iteration " << i << " '" << text << "': " << status.ToString();
+    if (!status.ok()) continue;
+    ++parsed;
+    const std::string rendered = extent.ToString();
+    TimeExtent again;
+    ASSERT_TRUE(TimeExtent::Parse(rendered, &again).ok())
+        << "iteration " << i << " '" << text << "' rendered '" << rendered
+        << "'";
+    ASSERT_EQ(again, extent) << "iteration " << i << " '" << text << "'";
+  }
+  // The mutants reach past the first check: some still parse.
+  EXPECT_GT(parsed, 0);
 }
 
 TEST(ExtentBinary, RoundTrip) {

@@ -232,6 +232,24 @@ TEST_F(GistBladeTest, IntRangeMaintenanceOnDeleteUpdate) {
   MustExec("CHECK INDEX r_idx");
 }
 
+// intrange's text input rejects bounds that are not 64-bit integers
+// instead of storing what strtoll made of them ([0,0] for '[abc,def]').
+TEST_F(GistBladeTest, IntRangeInputRejectsBadBounds) {
+  MustExec("CREATE TABLE t (r intrange)");
+  for (const char* text :
+       {"[abc,def]", "[1x,2]", "[1,2y]", "[,2]",
+        "[1,99999999999999999999]", "[-99999999999999999999,1]"}) {
+    EXPECT_TRUE(Exec(std::string("INSERT INTO t VALUES ('") + text + "')")
+                    .IsInvalidArgument())
+        << text;
+  }
+  MustExec("SELECT COUNT(*) FROM t");
+  EXPECT_EQ(result_.rows[0][0], "0");
+  MustExec("INSERT INTO t VALUES ('[-5, 7]')");
+  MustExec("SELECT r FROM t");
+  EXPECT_EQ(result_.rows[0][0], "[-5,7]");
+}
+
 TEST_F(GistBladeTest, TwoDataTypesThroughOnePurposeFunctionSet) {
   // The §7 payoff: the SAME access method indexes text via a second
   // operator class, no new purpose functions.
