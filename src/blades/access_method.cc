@@ -22,12 +22,12 @@ std::any Hook(const Fn& fn) {
 
 }  // namespace
 
-Status RegisterAccessMethod(Server* server, const std::string& library,
+Status RegisterAccessMethod(Server* server, const std::string& am_name,
                             const std::string& prefix,
-                            const PurposeFunctions& fns, BladeAccessMethod am,
-                            std::vector<BladeRoutine> routines) {
-  if (server->catalog().FindAccessMethod(am.name) != nullptr) {
-    return Status::AlreadyExists("access method '" + am.name + "'");
+                            const PurposeFunctions& fns,
+                            BladeProject project) {
+  if (server->catalog().FindAccessMethod(am_name) != nullptr) {
+    return Status::AlreadyExists("access method '" + am_name + "'");
   }
   using F = obs::PurposeFn;
   const std::pair<F, std::any> hooks[] = {
@@ -46,11 +46,11 @@ Status RegisterAccessMethod(Server* server, const std::string& library,
       {F::kAmStats, Hook(fns.am_stats)},
       {F::kAmCheck, Hook(fns.am_check)},
   };
-  BladeLibrary* blade_library = server->blade_libraries().Load(library);
-  BladeProject project;
-  project.name = am.name;
-  project.library = library;
-  project.routines = std::move(routines);
+  BladeLibrary* blade_library =
+      server->blade_libraries().Load(project.library);
+  project.name = am_name;
+  BladeAccessMethod am;
+  am.name = am_name;
   for (const auto& [fn, hook] : hooks) {
     if (!hook.has_value()) continue;
     const std::string property = obs::PurposeFnName(fn);

@@ -22,15 +22,17 @@ namespace grtdb {
 
 // ---------------------------------------------------------- registration --
 
-// Exports each non-empty hook of `fns` into `library` as <prefix>_<suffix>
-// (grt_create, grt_getnext, ...) and runs BladeSmith's registration script
-// for them: `routines` first, then one CREATE FUNCTION per hook (RETURNING
-// float for am_scancost, int otherwise), then `am` with its purpose
-// properties in Fig. 6 order and its operator class, if it names one.
-Status RegisterAccessMethod(Server* server, const std::string& library,
+// Exports each non-empty hook of `fns` into `project.library` as
+// <prefix>_<suffix> (grt_create, grt_getnext, ...) and runs BladeSmith's
+// registration script for `project` with them: its routines first, then
+// one CREATE FUNCTION per hook (RETURNING float for am_scancost, int
+// otherwise), then the access method `am_name` with its purpose properties
+// in Fig. 6 order, then the project's operator classes (the access
+// method's default one among them).
+Status RegisterAccessMethod(Server* server, const std::string& am_name,
                             const std::string& prefix,
-                            const PurposeFunctions& fns, BladeAccessMethod am,
-                            std::vector<BladeRoutine> routines = {});
+                            const PurposeFunctions& fns,
+                            BladeProject project);
 
 // ------------------------------------------------------------ the stack --
 
@@ -42,7 +44,7 @@ enum class IndexLayout { kSingleLo, kLoPerNode, kLoPerSubtree, kExternalFile };
 // Frames in each index's node cache: the size of the sbspace buffer pool,
 // so an index the pool holds also fits its cache. Frames are allocated on
 // first use, so a small index pays only for the nodes it has.
-inline constexpr size_t kIndexCacheFrames = 512;
+inline constexpr size_t kIndexCacheFrames = kSbspacePoolPages;
 
 // An index's store stack, built once by am_create and owned by the server
 // (IndexDef::am_state) until am_drop: the base layout, the node cache

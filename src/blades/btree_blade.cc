@@ -366,12 +366,14 @@ int AbsOrder(int64_t a, int64_t b) {
 
 // Exports the five comparison strategies and compare() over `order` as
 // <symbol_prefix>_lessthan, ..., <symbol_prefix>_compare, and returns
-// their routines — <sql_prefix>LessThan, ..., <sql_prefix>compare — over
-// integer and over date arguments.
-std::vector<BladeRoutine> ComparisonFamily(Server* server,
-                                           const std::string& symbol_prefix,
-                                           const std::string& sql_prefix,
-                                           int (*order)(int64_t, int64_t)) {
+// the project registering their routines — <sql_prefix>LessThan, ...,
+// <sql_prefix>compare, over integer and over date arguments — and the
+// operator class `opclass` of btree_am over them: strategy positions 1..5
+// carry the slot semantics, compare is the one support function.
+BladeProject ComparisonFamily(Server* server, const std::string& symbol_prefix,
+                              const std::string& sql_prefix,
+                              int (*order)(int64_t, int64_t),
+                              const std::string& opclass, bool is_default) {
   BladeLibrary* library = server->blade_libraries().Load(kBtreeLibrary);
   struct Spec {
     const char* name;
@@ -383,11 +385,15 @@ std::vector<BladeRoutine> ComparisonFamily(Server* server,
       {"Equal", 0, true},               {"GreaterThanOrEqual", 1, true},
       {"GreaterThan", 1, false},
   };
-  std::vector<BladeRoutine> routines;
+  BladeProject project;
+  project.name = symbol_prefix;
+  project.library = kBtreeLibrary;
+  BladeOpclass family{opclass, "btree_am", is_default, {}, {}};
   auto add = [&](const std::string& name, const std::string& ret,
                  const std::string& symbol) {
     for (const char* type : {"integer", "date"}) {
-      routines.push_back(BladeRoutine{name, {type, type}, ret, symbol, false});
+      project.routines.push_back(
+          BladeRoutine{name, {type, type}, ret, symbol, false});
     }
   };
   for (const Spec& spec : specs) {
@@ -395,41 +401,32 @@ std::vector<BladeRoutine> ComparisonFamily(Server* server,
     library->Export(symbol, std::any(MakeComparisonUdr(spec.sign,
                                                        spec.or_equal, order)));
     add(sql_prefix + spec.name, "boolean", symbol);
+    family.strategies.push_back(sql_prefix + spec.name);
   }
   library->Export(symbol_prefix + "_compare", std::any(MakeCompareUdr(order)));
   add(sql_prefix + "compare", "int", symbol_prefix + "_compare");
-  return routines;
+  family.supports.push_back(sql_prefix + "compare");
+  project.opclasses.push_back(std::move(family));
+  return project;
 }
 
 }  // namespace
 
 Status RegisterBtreeBlade(Server* server) {
-  BladeAccessMethod am;
-  am.name = "btree_am";
-  am.opclass_name = "bt_opclass";
-  // Strategy positions 1..5 carry the slot semantics; compare is the first
-  // (and only) support function.
-  am.strategies = {"LessThan", "LessThanOrEqual", "Equal",
-                   "GreaterThanOrEqual", "GreaterThan"};
-  am.supports = {"compare"};
   return RegisterAccessMethod(
-      server, kBtreeLibrary, "bt", MakeBladeFns(), std::move(am),
-      ComparisonFamily(server, "bt_natural", "", NaturalCompare));
+      server, "btree_am", "bt", MakeBladeFns(),
+      ComparisonFamily(server, "bt_natural", "", NaturalCompare, "bt_opclass",
+                       /*is_default=*/true));
 }
 
 Status RegisterAbsOpclass(Server* server) {
   if (server->catalog().FindAccessMethod("btree_am") == nullptr) {
     return Status::NotFound("access method 'btree_am'");
   }
-  BladeProject project;
-  project.name = "bt_abs";
-  project.library = kBtreeLibrary;
-  project.routines = ComparisonFamily(server, "bt_abs", "Abs", AbsOrder);
   return server->RunRegistrationScript(
-      BladeSmith::GenerateRegistrationSql(project) +
-      "CREATE OPCLASS bt_abs_opclass FOR btree_am"
-      " STRATEGIES(AbsLessThan, AbsLessThanOrEqual, AbsEqual,"
-      " AbsGreaterThanOrEqual, AbsGreaterThan) SUPPORT(Abscompare);\n");
+      BladeSmith::GenerateRegistrationSql(ComparisonFamily(
+          server, "bt_abs", "Abs", AbsOrder, "bt_abs_opclass",
+          /*is_default=*/false)));
 }
 
 }  // namespace grtdb

@@ -269,11 +269,40 @@ PurposeFunctions MakeBladeFns() {
 }  // namespace
 
 Status RegisterGistBlade(Server* server) {
-  BladeAccessMethod am;
-  am.name = "gist_am";
-  return RegisterAccessMethod(server, kGistLibrary, "gs", MakeBladeFns(),
-                              std::move(am));
+  BladeProject project;
+  project.library = kGistLibrary;
+  return RegisterAccessMethod(server, "gist_am", "gs", MakeBladeFns(),
+                              std::move(project));
 }
+
+namespace {
+
+// Registers the GiST operator class <prefix>_opclass: `strategies`, then
+// the five support functions <prefix>_consistent, _union, _penalty,
+// _picksplit and _compress, each exported under its own name.
+Status RegisterGistOpclass(Server* server, const std::string& prefix,
+                           std::vector<BladeRoutine> strategies) {
+  BladeProject project;
+  project.name = prefix + "_opclass";
+  project.library = kGistLibrary;
+  BladeOpclass opclass{project.name, "gist_am", false, {}, {}};
+  for (const BladeRoutine& strategy : strategies) {
+    opclass.strategies.push_back(strategy.name);
+  }
+  project.routines = std::move(strategies);
+  for (const char* support :
+       {"consistent", "union", "penalty", "picksplit", "compress"}) {
+    const std::string name = prefix + "_" + support;
+    project.routines.push_back(
+        BladeRoutine{name, {"pointer"}, "int", name, false});
+    opclass.supports.push_back(name);
+  }
+  project.opclasses.push_back(std::move(opclass));
+  return server->RunRegistrationScript(
+      BladeSmith::GenerateRegistrationSql(project));
+}
+
+}  // namespace
 
 // ----------------------------------------------- extension 1: intrange ---
 
@@ -455,26 +484,11 @@ Status RegisterIntRangeOpclass(Server* server) {
   library->Export("ir_overlaps_fn", std::any(strategy_udr(false)));
   library->Export("ir_contains_fn", std::any(strategy_udr(true)));
 
-  return server->RunRegistrationScript(R"SQL(
-    CREATE FUNCTION RangeOverlaps(intrange, intrange) RETURNING boolean
-      EXTERNAL NAME 'usr/functions/gist.bld(ir_overlaps_fn)' LANGUAGE c;
-    CREATE FUNCTION RangeContains(intrange, intrange) RETURNING boolean
-      EXTERNAL NAME 'usr/functions/gist.bld(ir_contains_fn)' LANGUAGE c;
-    CREATE FUNCTION ir_consistent(pointer) RETURNING int
-      EXTERNAL NAME 'usr/functions/gist.bld(ir_consistent)' LANGUAGE c;
-    CREATE FUNCTION ir_union(pointer) RETURNING int
-      EXTERNAL NAME 'usr/functions/gist.bld(ir_union)' LANGUAGE c;
-    CREATE FUNCTION ir_penalty(pointer) RETURNING int
-      EXTERNAL NAME 'usr/functions/gist.bld(ir_penalty)' LANGUAGE c;
-    CREATE FUNCTION ir_picksplit(pointer) RETURNING int
-      EXTERNAL NAME 'usr/functions/gist.bld(ir_picksplit)' LANGUAGE c;
-    CREATE FUNCTION ir_compress(pointer) RETURNING int
-      EXTERNAL NAME 'usr/functions/gist.bld(ir_compress)' LANGUAGE c;
-    CREATE OPCLASS ir_opclass FOR gist_am
-      STRATEGIES(RangeOverlaps, RangeContains)
-      SUPPORT(ir_consistent, ir_union, ir_penalty, ir_picksplit,
-              ir_compress);
-  )SQL");
+  return RegisterGistOpclass(
+      server, "ir",
+      {{"RangeOverlaps", {"intrange", "intrange"}, "boolean", "ir_overlaps_fn"},
+       {"RangeContains", {"intrange", "intrange"}, "boolean",
+        "ir_contains_fn"}});
 }
 
 // ------------------------------------------------ extension 2: prefixes ---
@@ -576,26 +590,10 @@ Status RegisterPrefixOpclass(Server* server) {
         return Value::Boolean(args[0].text() == args[1].text());
       })));
 
-  return server->RunRegistrationScript(R"SQL(
-    CREATE FUNCTION PrefixMatch(text, text) RETURNING boolean
-      EXTERNAL NAME 'usr/functions/gist.bld(px_prefix_fn)' LANGUAGE c;
-    CREATE FUNCTION TextEquals(text, text) RETURNING boolean
-      EXTERNAL NAME 'usr/functions/gist.bld(px_equals_fn)' LANGUAGE c;
-    CREATE FUNCTION px_consistent(pointer) RETURNING int
-      EXTERNAL NAME 'usr/functions/gist.bld(px_consistent)' LANGUAGE c;
-    CREATE FUNCTION px_union(pointer) RETURNING int
-      EXTERNAL NAME 'usr/functions/gist.bld(px_union)' LANGUAGE c;
-    CREATE FUNCTION px_penalty(pointer) RETURNING int
-      EXTERNAL NAME 'usr/functions/gist.bld(px_penalty)' LANGUAGE c;
-    CREATE FUNCTION px_picksplit(pointer) RETURNING int
-      EXTERNAL NAME 'usr/functions/gist.bld(px_picksplit)' LANGUAGE c;
-    CREATE FUNCTION px_compress(pointer) RETURNING int
-      EXTERNAL NAME 'usr/functions/gist.bld(px_compress)' LANGUAGE c;
-    CREATE OPCLASS px_opclass FOR gist_am
-      STRATEGIES(PrefixMatch, TextEquals)
-      SUPPORT(px_consistent, px_union, px_penalty, px_picksplit,
-              px_compress);
-  )SQL");
+  return RegisterGistOpclass(
+      server, "px",
+      {{"PrefixMatch", {"text", "text"}, "boolean", "px_prefix_fn"},
+       {"TextEquals", {"text", "text"}, "boolean", "px_equals_fn"}});
 }
 
 }  // namespace grtdb

@@ -401,10 +401,9 @@ PurposeFunctions MakeBladeFns(const GRTreeBladeOptions& options) {
 Status RegisterGRTreeBlade(Server* server,
                            const GRTreeBladeOptions& options) {
   GRTDB_RETURN_IF_ERROR(RegisterTimeExtentType(server));
-  return RegisterAccessMethod(server, kGrtBladeLibrary, options.prefix,
+  return RegisterAccessMethod(server, options.am_name, options.prefix,
                               MakeBladeFns(options),
-                              ExtentAccessMethod(options.am_name,
-                                                 options.prefix));
+                              ExtentProject(options.am_name, options.prefix));
 }
 
 }  // namespace grtdb

@@ -214,8 +214,8 @@ PurposeFunctions MakeBladeFns() {
 
 Status RegisterRStarBlade(Server* server) {
   GRTDB_RETURN_IF_ERROR(RegisterTimeExtentType(server));
-  return RegisterAccessMethod(server, kGrtBladeLibrary, "rst", MakeBladeFns(),
-                              ExtentAccessMethod("rstar_am", "rst"));
+  return RegisterAccessMethod(server, "rstar_am", "rst", MakeBladeFns(),
+                              ExtentProject("rstar_am", "rst"));
 }
 
 }  // namespace grtdb

@@ -73,17 +73,18 @@ Status CheckExtentKey(MiCallContext& ctx, const MiAmTableDesc* desc) {
   return Status::OK();
 }
 
-BladeAccessMethod ExtentAccessMethod(const std::string& name,
-                                     const std::string& prefix) {
-  BladeAccessMethod am;
-  am.name = name;
-  am.opclass_name = prefix + "_opclass";
-  am.strategies = {"Overlaps", "Contains", "ContainedIn", "Equal"};
+BladeProject ExtentProject(const std::string& am_name,
+                           const std::string& prefix) {
+  BladeProject project;
+  project.library = kGrtBladeLibrary;
   // The trees hard-code the support functions' logic internally (§5.2),
   // but the operator class declares them, as the paper's CREATE OPCLASS
   // example shows.
-  am.supports = {"grt_union", "grt_size", "grt_intersection"};
-  return am;
+  project.opclasses.push_back(BladeOpclass{
+      prefix + "_opclass", am_name, true,
+      {"Overlaps", "Contains", "ContainedIn", "Equal"},
+      {"grt_union", "grt_size", "grt_intersection"}});
+  return project;
 }
 
 Status ExtentFromValue(const Value& value, TimeExtent* out) {

@@ -31,11 +31,12 @@ uint32_t TimeExtentTypeId(Server* server);
 // one column, of that type.
 Status CheckExtentKey(MiCallContext& ctx, const MiAmTableDesc* desc);
 
-// An access method over grt_timeextent with its default operator class
-// <prefix>_opclass: the four bitemporal strategies and the three support
-// functions RegisterTimeExtentType registers.
-BladeAccessMethod ExtentAccessMethod(const std::string& name,
-                                     const std::string& prefix);
+// The registration project of an access method `am_name` over
+// grt_timeextent: its default operator class <prefix>_opclass, with the
+// four bitemporal strategies and the three support functions
+// RegisterTimeExtentType registers.
+BladeProject ExtentProject(const std::string& am_name,
+                           const std::string& prefix);
 
 // Converts between the SQL Value and the C struct behind the opaque type.
 Status ExtentFromValue(const Value& value, TimeExtent* out);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "storage/layout.h"
-
 namespace grtdb {
 
 int NaturalCompare(int64_t a, int64_t b) {
@@ -13,7 +11,6 @@ int NaturalCompare(int64_t a, int64_t b) {
 
 namespace {
 
-constexpr uint32_t kAnchorMagic = 0x42545245;  // "BTRE"
 constexpr size_t kHeaderSize = 12;  // leaf u8 + pad u8 + count u16 + next u64
 
 // Leaf entry: key i64 + payload u64. Internal: per key also a separator
@@ -21,12 +18,11 @@ constexpr size_t kHeaderSize = 12;  // leaf u8 + pad u8 + count u16 + next u64
 constexpr size_t kLeafEntrySize = 16;
 constexpr size_t kInternalKeySize = 24;  // key + sep payload + child
 
-size_t MaxEntriesForPage() {
-  const size_t leaf_cap = (kPageSize - kHeaderSize) / kLeafEntrySize;
-  const size_t internal_cap =
-      (kPageSize - kHeaderSize - 8) / kInternalKeySize;
-  return std::min(leaf_cap, internal_cap);
-}
+constexpr PagedTreeFormat kFormat{
+    0x42545245 /* "BTRE" */, "B+-tree",
+    std::min((kPageSize - kHeaderSize) / kLeafEntrySize,
+             (kPageSize - kHeaderSize - 8) / kInternalKeySize),
+    3};
 
 // (key, payload) pair order under `cmp`.
 int PairCompare(int64_t key_a, uint64_t payload_a, int64_t key_b,
@@ -40,56 +36,19 @@ int PairCompare(int64_t key_a, uint64_t payload_a, int64_t key_b,
 
 }  // namespace
 
+BtreeIndex::BtreeIndex(NodeStore* store, const Options& options)
+    : PagedTree(store, kFormat, options.max_entries) {}
+
 StatusOr<std::unique_ptr<BtreeIndex>> BtreeIndex::Create(
     NodeStore* store, const Options& options, NodeId* anchor) {
-  std::unique_ptr<BtreeIndex> tree(new BtreeIndex(store, options));
-  tree->max_entries_ =
-      options.max_entries != 0 ? options.max_entries : MaxEntriesForPage();
-  if (tree->max_entries_ > MaxEntriesForPage()) {
-    return Status::InvalidArgument("max_entries exceeds page capacity");
-  }
-  if (tree->max_entries_ < 3) {
-    return Status::InvalidArgument("max_entries must be >= 3");
-  }
-  GRTDB_RETURN_IF_ERROR(store->AllocateNode(&tree->anchor_));
-  GRTDB_RETURN_IF_ERROR(store->AllocateNode(&tree->root_));
-  Node root;
-  GRTDB_RETURN_IF_ERROR(tree->WriteNode(tree->root_, root));
-  GRTDB_RETURN_IF_ERROR(tree->SaveAnchor());
-  *anchor = tree->anchor_;
-  return tree;
+  return Bootstrap(std::unique_ptr<BtreeIndex>(new BtreeIndex(store, options)),
+                   anchor);
 }
 
 StatusOr<std::unique_ptr<BtreeIndex>> BtreeIndex::Open(
     NodeStore* store, NodeId anchor, const Options& options) {
-  std::unique_ptr<BtreeIndex> tree(new BtreeIndex(store, options));
-  tree->max_entries_ =
-      options.max_entries != 0 ? options.max_entries : MaxEntriesForPage();
-  tree->anchor_ = anchor;
-  GRTDB_RETURN_IF_ERROR(tree->LoadAnchor());
-  return tree;
-}
-
-Status BtreeIndex::LoadAnchor() {
-  uint8_t page[kPageSize];
-  GRTDB_RETURN_IF_ERROR(store_->ReadNode(anchor_, page));
-  if (LoadU32(page) != kAnchorMagic) {
-    return Status::Corruption("bad B+-tree anchor magic");
-  }
-  root_ = LoadU64(page + 4);
-  height_ = LoadU32(page + 12);
-  size_ = LoadU64(page + 16);
-  return Status::OK();
-}
-
-Status BtreeIndex::SaveAnchor() {
-  uint8_t page[kPageSize];
-  std::memset(page, 0, sizeof(page));
-  StoreU32(page, kAnchorMagic);
-  StoreU64(page + 4, root_);
-  StoreU32(page + 12, height_);
-  StoreU64(page + 16, size_);
-  return store_->WriteNode(anchor_, page);
+  return Attach(std::unique_ptr<BtreeIndex>(new BtreeIndex(store, options)),
+                anchor);
 }
 
 Status BtreeIndex::ReadNode(NodeId id, Node* node) const {
@@ -155,6 +114,11 @@ Status BtreeIndex::WriteNode(NodeId id, const Node& node) {
     }
   }
   return store_->WriteNode(id, page);
+}
+
+void BtreeIndex::AppendChildren(const Node& node, std::vector<NodeId>* out) {
+  if (node.leaf) return;
+  out->insert(out->end(), node.values.begin(), node.values.end());
 }
 
 size_t BtreeIndex::LowerBound(const Node& node, int64_t key,
@@ -480,51 +444,11 @@ Status BtreeIndex::CheckRecursive(NodeId node_id, uint32_t depth,
 }
 
 Status BtreeIndex::LevelStats(std::vector<BtreeLevelStats>* out) const {
-  out->assign(height_, BtreeLevelStats{});
-  for (uint32_t i = 0; i < height_; ++i) (*out)[i].level = i;
-  // Nodes carry no level field; the BFS depth pins it (root = height-1,
-  // leaves = 0 to match the other trees' numbering).
-  std::vector<NodeId> frontier = {root_};
-  uint32_t depth = 0;
-  while (!frontier.empty()) {
-    if (depth >= height_) {
-      return Status::Corruption("B+-tree deeper than its anchor height");
-    }
-    BtreeLevelStats& stats = (*out)[height_ - 1 - depth];
-    std::vector<NodeId> next;
-    for (NodeId id : frontier) {
-      Node node;
-      GRTDB_RETURN_IF_ERROR(ReadNode(id, &node));
-      ++stats.nodes;
-      stats.entries += node.keys.size();
-      if (!node.leaf) {
-        for (uint64_t child : node.values) next.push_back(child);
-      }
-    }
-    frontier = std::move(next);
-    ++depth;
-  }
-  return Status::OK();
-}
-
-Status BtreeIndex::Drop() {
-  std::vector<NodeId> frontier = {root_};
-  while (!frontier.empty()) {
-    NodeId id = frontier.back();
-    frontier.pop_back();
-    Node node;
-    GRTDB_RETURN_IF_ERROR(ReadNode(id, &node));
-    if (!node.leaf) {
-      for (uint64_t child : node.values) frontier.push_back(child);
-    }
-    GRTDB_RETURN_IF_ERROR(store_->FreeNode(id));
-  }
-  GRTDB_RETURN_IF_ERROR(store_->FreeNode(anchor_));
-  root_ = kInvalidNodeId;
-  anchor_ = kInvalidNodeId;
-  size_ = 0;
-  height_ = 1;
-  return Status::OK();
+  // Nodes carry no level field: the walk's depth gives it.
+  return CollectLevelStats(out, [](const Node& node, BtreeLevelStats* stats) {
+    stats->entries += node.keys.size();
+    return Status::OK();
+  });
 }
 
 }  // namespace grtdb

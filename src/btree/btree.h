@@ -9,6 +9,7 @@
 
 #include "common/status.h"
 #include "storage/node_store.h"
+#include "storage/paged_tree.h"
 
 namespace grtdb {
 
@@ -22,16 +23,12 @@ using BtreeCompare = std::function<int(int64_t, int64_t)>;
 int NaturalCompare(int64_t a, int64_t b);
 
 // Per-level structure statistics (leaf = level 0). Backs am_stats.
-struct BtreeLevelStats {
-  uint32_t level = 0;
-  uint64_t nodes = 0;
-  uint64_t entries = 0;
-};
+using BtreeLevelStats = TreeLevelStats;
 
 // A disk-resident B+-tree over a NodeStore mapping int64 keys to uint64
 // payloads (rowids). Duplicate keys are allowed; entries are unique by
 // (key, payload). Leaves are chained for range scans.
-class BtreeIndex {
+class BtreeIndex : public PagedTree<BtreeIndex> {
  public:
   struct Options {
     size_t max_entries = 0;  // 0 = derive from the page size
@@ -57,9 +54,6 @@ class BtreeIndex {
                                                     NodeId anchor,
                                                     const Options& options);
 
-  BtreeIndex(const BtreeIndex&) = delete;
-  BtreeIndex& operator=(const BtreeIndex&) = delete;
-
   Status Insert(int64_t key, uint64_t payload, const BtreeCompare& cmp);
   Status Delete(int64_t key, uint64_t payload, const BtreeCompare& cmp,
                 bool* found);
@@ -81,14 +75,9 @@ class BtreeIndex {
 
   Status LevelStats(std::vector<BtreeLevelStats>* out) const;
 
-  Status Drop();
-
-  uint64_t size() const { return size_; }
-  uint32_t height() const { return height_; }
-  NodeId anchor() const { return anchor_; }
-  size_t max_entries() const { return max_entries_; }
-
  private:
+  friend class PagedTree<BtreeIndex>;
+
   // On-disk node: leaves hold (key, payload) pairs plus a next-leaf link;
   // internal nodes hold separator keys and child ids (children.size() ==
   // keys.size() + 1).
@@ -101,13 +90,11 @@ class BtreeIndex {
     NodeId next = kInvalidNodeId;  // leaf chain
   };
 
-  BtreeIndex(NodeStore* store, const Options& options)
-      : store_(store), options_(options) {}
+  BtreeIndex(NodeStore* store, const Options& options);
 
-  Status LoadAnchor();
-  Status SaveAnchor();
   Status ReadNode(NodeId id, Node* node) const;
   Status WriteNode(NodeId id, const Node& node);
+  static void AppendChildren(const Node& node, std::vector<NodeId>* out);
 
   // Index of the first entry in a leaf not less than (key, payload).
   static size_t LowerBound(const Node& node, int64_t key, uint64_t payload,
@@ -125,14 +112,6 @@ class BtreeIndex {
   Status CheckRecursive(NodeId node_id, uint32_t depth,
                         const BtreeCompare& cmp, uint64_t* entries,
                         uint32_t* leaf_depth) const;
-
-  NodeStore* store_;
-  Options options_;
-  size_t max_entries_ = 0;
-  NodeId anchor_ = kInvalidNodeId;
-  NodeId root_ = kInvalidNodeId;
-  uint32_t height_ = 1;
-  uint64_t size_ = 0;
 };
 
 }  // namespace grtdb

@@ -1,7 +1,6 @@
 #include "common/date.h"
 
 #include <cstdio>
-#include <cstdlib>
 
 namespace grtdb {
 
@@ -16,6 +15,26 @@ int DaysInMonth(int year, int month) {
                                   31, 31, 30, 31, 30, 31};
   if (month == 2 && IsLeap(year)) return 29;
   return kDays[month - 1];
+}
+
+// Reads the digits of one mm/dd/yyyy field from text[*pos] and the `end`
+// that follows them ('/', or '\0' for the end of the text), leaving *pos
+// past it. False on no digit, on any other character, or once the value
+// exceeds `max`: no field can overflow an int.
+bool ParseDateField(const std::string& text, char end, int max, size_t* pos,
+                    int* out) {
+  size_t i = *pos;
+  int value = 0;
+  for (; i < text.size() && text[i] >= '0' && text[i] <= '9'; ++i) {
+    value = value * 10 + (text[i] - '0');
+    if (value > max) return false;
+  }
+  const bool ended = end == '\0' ? i == text.size()
+                                 : i < text.size() && text[i] == end;
+  if (i == *pos || !ended) return false;
+  *pos = i + 1;
+  *out = value;
+  return true;
 }
 
 }  // namespace
@@ -58,13 +77,15 @@ bool IsValidCivil(const CivilDate& date) {
 }
 
 Status ParseDate(const std::string& text, int64_t* day_number) {
+  // Months and days get two digits' worth of room, years the four
+  // FormatDate renders.
   int month = 0;
   int day = 0;
   int year = 0;
-  char trailing = '\0';
-  int fields =
-      std::sscanf(text.c_str(), "%d/%d/%d%c", &month, &day, &year, &trailing);
-  if (fields != 3) {
+  size_t pos = 0;
+  if (!ParseDateField(text, '/', 99, &pos, &month) ||
+      !ParseDateField(text, '/', 99, &pos, &day) ||
+      !ParseDateField(text, '\0', 9999, &pos, &year)) {
     return Status::InvalidArgument("expected mm/dd/yyyy date, got '" + text +
                                    "'");
   }

@@ -31,6 +31,8 @@ bool IsValidCivil(const CivilDate& date);
 
 // Parses "mm/dd/yyyy" (the DATE text format used in the paper's SQL
 // examples, e.g. "12/10/95"; two-digit years are interpreted in 1950-2049).
+// Fields are plain digits; a month or day past 99 or a year past 9999 is
+// InvalidArgument.
 Status ParseDate(const std::string& text, int64_t* day_number);
 
 // Formats a day number as "mm/dd/yyyy".

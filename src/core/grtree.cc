@@ -1,7 +1,6 @@
 #include "core/grtree.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <deque>
 
@@ -11,13 +10,11 @@ namespace grtdb {
 
 namespace {
 
-constexpr uint32_t kAnchorMagic = 0x47525452;  // "GRTR"
-constexpr size_t kNodeHeaderSize = 8;          // level u32 + count u32
+constexpr size_t kNodeHeaderSize = 8;  // level u32 + count u32
 constexpr size_t kEntrySize = BoundSpec::kBinarySize + 8;  // bound + payload
-
-size_t MaxEntriesForPage() {
-  return (kPageSize - kNodeHeaderSize) / kEntrySize;
-}
+constexpr PagedTreeFormat kFormat{0x47525452 /* "GRTR" */, "GR-tree",
+                                  (kPageSize - kNodeHeaderSize) / kEntrySize,
+                                  4};
 
 // Encoding of an empty region (used for drained-but-kept nodes under the
 // kPostponeReinsert policy): resolves to Region::Empty at every time.
@@ -45,7 +42,7 @@ class NodePage {
   Status Pin(NodeStore* store, NodeId id) {
     GRTDB_RETURN_IF_ERROR(store->ViewNode(id, &view_));
     count_ = LoadU32(view_.data() + 4);
-    if (count_ > MaxEntriesForPage()) {
+    if (count_ > kFormat.page_capacity) {
       return Status::Corruption("GR-tree node entry count out of range");
     }
     return Status::OK();
@@ -108,70 +105,21 @@ bool GRTree::LeafTest(PredicateOp op, const Region& data,
 
 // ------------------------------------------------------------ lifecycle ---
 
+GRTree::GRTree(NodeStore* store, const Options& options)
+    : PagedTree(store, kFormat, options.max_entries, options.min_fill),
+      options_(options) {}
+
 StatusOr<std::unique_ptr<GRTree>> GRTree::Create(NodeStore* store,
                                                  const Options& options,
                                                  NodeId* anchor) {
-  std::unique_ptr<GRTree> tree(new GRTree(store, options));
-  tree->max_entries_ =
-      options.max_entries != 0 ? options.max_entries : MaxEntriesForPage();
-  if (tree->max_entries_ > MaxEntriesForPage()) {
-    return Status::InvalidArgument("max_entries exceeds page capacity");
-  }
-  if (tree->max_entries_ < 4) {
-    return Status::InvalidArgument("max_entries must be >= 4");
-  }
-  tree->min_entries_ = std::max<size_t>(
-      1, static_cast<size_t>(options.min_fill *
-                             static_cast<double>(tree->max_entries_)));
-  GRTDB_RETURN_IF_ERROR(store->AllocateNode(&tree->anchor_));
-  GRTDB_RETURN_IF_ERROR(store->AllocateNode(&tree->root_));
-  Node root;
-  root.level = 0;
-  GRTDB_RETURN_IF_ERROR(tree->WriteNode(tree->root_, root));
-  GRTDB_RETURN_IF_ERROR(tree->SaveAnchor());
-  *anchor = tree->anchor_;
-  return tree;
+  return Bootstrap(std::unique_ptr<GRTree>(new GRTree(store, options)),
+                   anchor);
 }
 
 StatusOr<std::unique_ptr<GRTree>> GRTree::Open(NodeStore* store,
                                                NodeId anchor,
                                                const Options& options) {
-  std::unique_ptr<GRTree> tree(new GRTree(store, options));
-  tree->max_entries_ =
-      options.max_entries != 0 ? options.max_entries : MaxEntriesForPage();
-  tree->min_entries_ = std::max<size_t>(
-      1, static_cast<size_t>(options.min_fill *
-                             static_cast<double>(tree->max_entries_)));
-  tree->anchor_ = anchor;
-  GRTDB_RETURN_IF_ERROR(tree->LoadAnchor());
-  return tree;
-}
-
-Status GRTree::LoadAnchor() {
-  NodeView view;
-  GRTDB_RETURN_IF_ERROR(store_->ViewNode(anchor_, &view));
-  const uint8_t* page = view.data();
-  if (LoadU32(page) != kAnchorMagic) {
-    return Status::Corruption("bad GR-tree anchor magic");
-  }
-  root_ = LoadU64(page + 4);
-  height_ = LoadU32(page + 12);
-  size_ = LoadU64(page + 16);
-  condense_epoch_ = LoadU64(page + 24);
-  has_pending_condense_ = page[32] != 0;
-  return Status::OK();
-}
-
-Status GRTree::SaveAnchor() {
-  uint8_t page[kPageSize];
-  std::memset(page, 0, sizeof(page));
-  StoreU32(page, kAnchorMagic);
-  StoreU64(page + 4, root_);
-  StoreU32(page + 12, height_);
-  StoreU64(page + 16, size_);
-  StoreU64(page + 24, condense_epoch_);
-  page[32] = has_pending_condense_ ? 1 : 0;
-  return store_->WriteNode(anchor_, page);
+  return Attach(std::unique_ptr<GRTree>(new GRTree(store, options)), anchor);
 }
 
 Status GRTree::ReadNode(NodeId id, Node* node) const {
@@ -855,190 +803,75 @@ Status GRTree::ComputeStats(int64_t ct, uint64_t dead_space_samples,
   out->size = size_;
   out->height = height_;
   out->nodes = 0;
-  out->levels.assign(height_, GRTreeLevelStats{});
-  for (uint32_t i = 0; i < height_; ++i) out->levels[i].level = i;
-
   uint64_t seed = 0x9d2c5680;
-  std::vector<NodeId> frontier = {root_};
-  while (!frontier.empty()) {
-    std::vector<NodeId> next;
-    for (NodeId id : frontier) {
-      Node node;
-      GRTDB_RETURN_IF_ERROR(ReadNode(id, &node));
-      GRTreeLevelStats& stats = out->levels[node.level];
-      ++out->nodes;
-      ++stats.nodes;
-      stats.entries += node.entries.size();
-      std::vector<Region> resolved(node.entries.size());
-      for (size_t i = 0; i < node.entries.size(); ++i) {
-        const BoundSpec& bound = node.entries[i].bound;
-        resolved[i] = bound.Resolve(ct);
-        if (node.level > 0) {
-          if (bound.rectangle) {
-            ++stats.rect_bounds;
-          } else {
-            ++stats.stair_bounds;
-          }
-          if (bound.hidden) {
-            ++stats.hidden_bounds;
-            if (bound.vt_end.IsGround() && bound.vt_end.chronon() < ct) {
-              ++stats.hidden_escaped;
-            }
-          }
-          if (bound.Grows()) ++stats.growing_bounds;
-        } else if (bound.Grows()) {
-          ++stats.growing_entries;
-          stats.growing_area += resolved[i].Area();
-        } else {
-          ++stats.dead_entries;
-        }
-        stats.total_area += resolved[i].Area();
-        for (size_t j = 0; j < i; ++j) {
-          stats.overlap_area += resolved[i].IntersectionArea(resolved[j]);
-        }
-      }
+  return CollectLevelStats(&out->levels, [&](const Node& node,
+                                             GRTreeLevelStats* stats) {
+    ++out->nodes;
+    stats->entries += node.entries.size();
+    std::vector<Region> resolved(node.entries.size());
+    for (size_t i = 0; i < node.entries.size(); ++i) {
+      const BoundSpec& bound = node.entries[i].bound;
+      resolved[i] = bound.Resolve(ct);
       if (node.level > 0) {
-        // Dead space of each child bound w.r.t. the grandchild regions.
-        for (const NodeEntry& entry : node.entries) {
-          next.push_back(entry.payload);
-          if (dead_space_samples > 0) {
-            Node child;
-            GRTDB_RETURN_IF_ERROR(ReadNode(entry.payload, &child));
-            std::vector<Region> child_regions;
-            child_regions.reserve(child.entries.size());
-            for (const NodeEntry& child_entry : child.entries) {
-              child_regions.push_back(child_entry.bound.Resolve(ct));
-            }
-            stats.dead_space += Region::DeadSpaceSampled(
-                entry.bound.Resolve(ct), child_regions, dead_space_samples,
-                ++seed);
+        if (bound.rectangle) {
+          ++stats->rect_bounds;
+        } else {
+          ++stats->stair_bounds;
+        }
+        if (bound.hidden) {
+          ++stats->hidden_bounds;
+          if (bound.vt_end.IsGround() && bound.vt_end.chronon() < ct) {
+            ++stats->hidden_escaped;
           }
         }
+        if (bound.Grows()) ++stats->growing_bounds;
+      } else if (bound.Grows()) {
+        ++stats->growing_entries;
+        stats->growing_area += resolved[i].Area();
+      } else {
+        ++stats->dead_entries;
+      }
+      stats->total_area += resolved[i].Area();
+      for (size_t j = 0; j < i; ++j) {
+        stats->overlap_area += resolved[i].IntersectionArea(resolved[j]);
       }
     }
-    frontier = std::move(next);
-  }
-  return Status::OK();
+    if (node.level == 0 || dead_space_samples == 0) return Status::OK();
+    // Dead space of each child bound w.r.t. the grandchild regions.
+    for (const NodeEntry& entry : node.entries) {
+      Node child;
+      GRTDB_RETURN_IF_ERROR(ReadNode(entry.payload, &child));
+      std::vector<Region> child_regions;
+      child_regions.reserve(child.entries.size());
+      for (const NodeEntry& child_entry : child.entries) {
+        child_regions.push_back(child_entry.bound.Resolve(ct));
+      }
+      stats->dead_space += Region::DeadSpaceSampled(
+          entry.bound.Resolve(ct), child_regions, dead_space_samples, ++seed);
+    }
+    return Status::OK();
+  });
 }
 
 // ------------------------------------------------------------- bulkload ---
 
 Status GRTree::BulkLoad(std::vector<Entry> entries, int64_t ct) {
-  if (size_ != 0) {
-    return Status::InvalidArgument("BulkLoad requires an empty tree");
-  }
-  if (entries.empty()) return Status::OK();
-  const size_t fill = std::max<size_t>(
-      2, static_cast<size_t>(0.7 * static_cast<double>(max_entries_)));
-  size_ = entries.size();
-
-  std::vector<NodeEntry> current;
-  current.reserve(entries.size());
+  std::vector<NodeEntry> leaves;
+  leaves.reserve(entries.size());
   for (const Entry& entry : entries) {
-    current.push_back(
+    leaves.push_back(
         NodeEntry{BoundSpec::FromExtent(entry.extent), entry.payload});
   }
-
-  auto center_tt = [&](const NodeEntry& entry) {
+  // STR keys: twice the center of each entry's region at `ct`.
+  auto center = [ct](const NodeEntry& entry, bool tt) {
     const Region r = entry.bound.Resolve(ct);
-    return r.tt1() + r.tt2();
+    return tt ? r.tt1() + r.tt2() : r.vt1() + r.vt2();
   };
-  auto center_vt = [&](const NodeEntry& entry) {
-    const Region r = entry.bound.Resolve(ct);
-    return r.vt1() + r.vt2();
-  };
-
-  uint32_t level = 0;
-  NodeId last_node = kInvalidNodeId;
-  while (true) {
-    const size_t node_count = (current.size() + fill - 1) / fill;
-    const size_t slabs = static_cast<size_t>(
-        std::ceil(std::sqrt(static_cast<double>(node_count))));
-    const size_t slab_size = slabs * fill;
-    std::sort(current.begin(), current.end(),
-              [&](const NodeEntry& a, const NodeEntry& b) {
-                return center_tt(a) < center_tt(b);
-              });
-    std::vector<std::vector<NodeEntry>> groups;
-    for (size_t s = 0; s * slab_size < current.size(); ++s) {
-      const size_t begin = s * slab_size;
-      const size_t end = std::min(current.size(), begin + slab_size);
-      std::sort(current.begin() + begin, current.begin() + end,
-                [&](const NodeEntry& a, const NodeEntry& b) {
-                  return center_vt(a) < center_vt(b);
-                });
-      for (size_t i = begin; i < end; i += fill) {
-        groups.emplace_back(current.begin() + i,
-                            current.begin() + std::min(end, i + fill));
-      }
-    }
-    // STR remainders can leave underfull tail groups; rebalance them with a
-    // neighbour so the min-fill invariant holds for every non-root node.
-    for (size_t i = 0; groups.size() > 1 && i < groups.size();) {
-      if (groups[i].size() >= min_entries_) {
-        ++i;
-        continue;
-      }
-      const size_t neighbor = i > 0 ? i - 1 : i + 1;
-      std::vector<NodeEntry> merged = std::move(groups[std::min(i, neighbor)]);
-      std::vector<NodeEntry>& other = groups[std::max(i, neighbor)];
-      merged.insert(merged.end(), other.begin(), other.end());
-      groups.erase(groups.begin() + std::max(i, neighbor));
-      if (merged.size() <= max_entries_) {
-        groups[std::min(i, neighbor)] = std::move(merged);
-      } else {
-        const size_t half = merged.size() / 2;
-        groups[std::min(i, neighbor)].assign(merged.begin(),
-                                             merged.begin() + half);
-        groups.insert(groups.begin() + std::min(i, neighbor) + 1,
-                      std::vector<NodeEntry>(merged.begin() + half,
-                                             merged.end()));
-      }
-      i = std::min(i, neighbor);
-    }
-    std::vector<NodeEntry> next_level;
-    for (std::vector<NodeEntry>& group : groups) {
-      Node node;
-      node.level = level;
-      node.entries = std::move(group);
-      NodeId id;
-      GRTDB_RETURN_IF_ERROR(store_->AllocateNode(&id));
-      GRTDB_RETURN_IF_ERROR(WriteNode(id, node));
-      next_level.push_back(NodeEntry{NodeBound(node, ct), id});
-      last_node = id;
-    }
-    if (next_level.size() == 1) {
-      GRTDB_RETURN_IF_ERROR(store_->FreeNode(root_));
-      root_ = last_node;
-      height_ = level + 1;
-      ++condense_epoch_;
-      return SaveAnchor();
-    }
-    current = std::move(next_level);
-    ++level;
-  }
-}
-
-Status GRTree::Drop() {
-  std::vector<NodeId> frontier = {root_};
-  while (!frontier.empty()) {
-    NodeId id = frontier.back();
-    frontier.pop_back();
-    Node node;
-    GRTDB_RETURN_IF_ERROR(ReadNode(id, &node));
-    if (node.level > 0) {
-      for (const NodeEntry& entry : node.entries) {
-        frontier.push_back(entry.payload);
-      }
-    }
-    GRTDB_RETURN_IF_ERROR(store_->FreeNode(id));
-  }
-  GRTDB_RETURN_IF_ERROR(store_->FreeNode(anchor_));
-  root_ = kInvalidNodeId;
-  anchor_ = kInvalidNodeId;
-  size_ = 0;
-  height_ = 1;
-  return Status::OK();
+  return StrPack(
+      std::move(leaves), [&](const NodeEntry& e) { return center(e, true); },
+      [&](const NodeEntry& e) { return center(e, false); },
+      [&](const Node& node) { return NodeBound(node, ct); },
+      /*new_epoch=*/true);
 }
 
 }  // namespace grtdb

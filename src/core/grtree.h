@@ -9,6 +9,7 @@
 
 #include "common/status.h"
 #include "storage/node_store.h"
+#include "storage/paged_tree.h"
 #include "temporal/extent.h"
 #include "temporal/region.h"
 
@@ -37,10 +38,7 @@ enum class DeletionPolicy {
   kPostponeReinsert,
 };
 
-struct GRTreeLevelStats {
-  uint32_t level = 0;
-  uint64_t nodes = 0;
-  uint64_t entries = 0;
+struct GRTreeLevelStats : TreeLevelStats {
   uint64_t stair_bounds = 0;
   uint64_t rect_bounds = 0;
   uint64_t hidden_bounds = 0;
@@ -76,7 +74,7 @@ struct GRTreeStats {
 //
 // Every operation takes the current time `ct` explicitly: the DataBlade
 // decides whether that is per-statement or per-transaction time (§5.4).
-class GRTree {
+class GRTree : public PagedTree<GRTree> {
  public:
   struct Options {
     size_t max_entries = 0;  // 0 = derive from the page size
@@ -148,9 +146,6 @@ class GRTree {
                                                 NodeId anchor,
                                                 const Options& options);
 
-  GRTree(const GRTree&) = delete;
-  GRTree& operator=(const GRTree&) = delete;
-
   // Inserts a (validated) extent. `ct` is the operation's current time.
   Status Insert(const TimeExtent& extent, uint64_t payload, int64_t ct);
 
@@ -189,13 +184,6 @@ class GRTree {
   // Bulk-loads an empty tree bottom-up (vacuum rebuild path, bench T9).
   Status BulkLoad(std::vector<Entry> entries, int64_t ct);
 
-  // Frees every node including the anchor.
-  Status Drop();
-
-  uint64_t size() const { return size_; }
-  uint32_t height() const { return height_; }
-  NodeId anchor() const { return anchor_; }
-  size_t max_entries() const { return max_entries_; }
   uint64_t condense_epoch() const { return condense_epoch_; }
   const Options& options() const { return options_; }
 
@@ -208,6 +196,8 @@ class GRTree {
                        const Region& query);
 
  private:
+  friend class PagedTree<GRTree>;
+
   struct NodeEntry {
     BoundSpec bound;
     uint64_t payload = 0;
@@ -217,11 +207,8 @@ class GRTree {
     std::vector<NodeEntry> entries;
   };
 
-  GRTree(NodeStore* store, const Options& options)
-      : store_(store), options_(options) {}
+  GRTree(NodeStore* store, const Options& options);
 
-  Status LoadAnchor();
-  Status SaveAnchor();
   Status ReadNode(NodeId id, Node* node) const;
   Status WriteNode(NodeId id, const Node& node);
 
@@ -259,16 +246,7 @@ class GRTree {
                         const BoundSpec* parent_bound, int64_t ct,
                         uint64_t* leaf_entries) const;
 
-  NodeStore* store_;
   Options options_;
-  size_t max_entries_ = 0;
-  size_t min_entries_ = 0;
-  NodeId anchor_ = kInvalidNodeId;
-  NodeId root_ = kInvalidNodeId;
-  uint32_t height_ = 1;
-  uint64_t size_ = 0;
-  uint64_t condense_epoch_ = 0;
-  bool has_pending_condense_ = false;
 };
 
 }  // namespace grtdb

@@ -79,10 +79,9 @@ bool BladeManager::IsRegistered(Server* server, const BladeProject& project) {
   }
   for (const BladeAccessMethod& am : project.access_methods) {
     if (server->catalog().FindAccessMethod(am.name) == nullptr) return false;
-    if (!am.opclass_name.empty() &&
-        server->catalog().FindOpClass(am.opclass_name) == nullptr) {
-      return false;
-    }
+  }
+  for (const BladeOpclass& opclass : project.opclasses) {
+    if (server->catalog().FindOpClass(opclass.name) == nullptr) return false;
   }
   return true;
 }

@@ -88,13 +88,15 @@ Status BladeSmith::Validate(const BladeProject& project) {
                                        "' names no project routine");
       }
     }
-    for (const std::string& strategy : am.strategies) {
+  }
+  for (const BladeOpclass& opclass : project.opclasses) {
+    for (const std::string& strategy : opclass.strategies) {
       if (routine_names.count(ToLower(strategy)) == 0) {
         return Status::InvalidArgument("strategy '" + strategy +
                                        "' names no project routine");
       }
     }
-    for (const std::string& support : am.supports) {
+    for (const std::string& support : opclass.supports) {
       if (routine_names.count(ToLower(support)) == 0) {
         return Status::InvalidArgument("support '" + support +
                                        "' names no project routine");
@@ -204,13 +206,12 @@ std::string BladeSmith::GenerateRegistrationSql(const BladeProject& project) {
       out += "  " + property + " = " + routine + ",\n";
     }
     out += std::string("  am_sptype = '") + am.sptype + "'\n);\n";
-    if (!am.opclass_name.empty()) {
-      out += std::string("CREATE ") +
-             (am.opclass_is_default ? "DEFAULT " : "") + "OPCLASS " +
-             am.opclass_name + " FOR " + am.name + "\n  STRATEGIES(" +
-             Join(am.strategies, ", ") + ")\n  SUPPORT(" +
-             Join(am.supports, ", ") + ");\n";
-    }
+  }
+  for (const BladeOpclass& opclass : project.opclasses) {
+    out += std::string("CREATE ") + (opclass.is_default ? "DEFAULT " : "") +
+           "OPCLASS " + opclass.name + " FOR " + opclass.access_method +
+           "\n  STRATEGIES(" + Join(opclass.strategies, ", ") +
+           ")\n  SUPPORT(" + Join(opclass.supports, ", ") + ");\n";
   }
   return out;
 }
@@ -220,11 +221,12 @@ std::string BladeSmith::GenerateUnregistrationSql(
   std::string out;
   out += "-- remove.sql generated by BladeSmith for DataBlade '" +
          project.name + "'\n";
+  for (auto it = project.opclasses.rbegin(); it != project.opclasses.rend();
+       ++it) {
+    out += "DROP OPCLASS " + it->name + ";\n";
+  }
   for (auto it = project.access_methods.rbegin();
        it != project.access_methods.rend(); ++it) {
-    if (!it->opclass_name.empty()) {
-      out += "DROP OPCLASS " + it->opclass_name + ";\n";
-    }
     out += "DROP SECONDARY ACCESS_METHOD " + it->name + ";\n";
   }
   for (auto it = project.routines.rbegin(); it != project.routines.rend();

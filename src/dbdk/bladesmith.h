@@ -49,15 +49,21 @@ struct PurposeOrder {
   bool operator()(const std::string& a, const std::string& b) const;
 };
 
-// A secondary access method: purpose-function property map plus the
-// operator class declaration.
+// A secondary access method: its purpose-function property map.
 struct BladeAccessMethod {
   std::string name;
   char sptype = 'S';
   // am_create -> grt_create, ... (values must name project routines).
   std::map<std::string, std::string, PurposeOrder> purpose;
-  std::string opclass_name;
-  bool opclass_is_default = true;
+};
+
+// An operator class (§4 Step 4) of a project's access method (its default
+// opclass) or of one already registered: strategy and support functions
+// in position order, each naming a project routine.
+struct BladeOpclass {
+  std::string name;
+  std::string access_method;
+  bool is_default = false;
   std::vector<std::string> strategies;
   std::vector<std::string> supports;
 };
@@ -69,6 +75,7 @@ struct BladeProject {
   std::vector<BladeOpaqueType> types;
   std::vector<BladeRoutine> routines;
   std::vector<BladeAccessMethod> access_methods;
+  std::vector<BladeOpclass> opclasses;  // created after the access methods
 };
 
 // Generates the DataBlade source artifacts. The paper notes BladeSmith

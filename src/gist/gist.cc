@@ -3,59 +3,27 @@
 #include <algorithm>
 #include <cstring>
 
-#include "storage/layout.h"
-
 namespace grtdb {
 
 namespace {
 
-constexpr uint32_t kAnchorMagic = 0x47495354;  // "GIST"
-constexpr size_t kNodeHeaderSize = 8;          // level u32 + count u32
-constexpr size_t kEntryOverhead = 2 + 8;       // key length u16 + payload u64
+constexpr size_t kNodeHeaderSize = 8;     // level u32 + count u32
+constexpr size_t kEntryOverhead = 2 + 8;  // key length u16 + payload u64
+// Keys vary in size, so no entry count bounds a node.
+constexpr PagedTreeFormat kFormat{0x47495354 /* "GIST" */, "GiST", 0, 0};
 
 }  // namespace
 
+GistTree::GistTree(NodeStore* store) : PagedTree(store, kFormat) {}
+
 StatusOr<std::unique_ptr<GistTree>> GistTree::Create(NodeStore* store,
                                                      NodeId* anchor) {
-  std::unique_ptr<GistTree> tree(new GistTree(store));
-  GRTDB_RETURN_IF_ERROR(store->AllocateNode(&tree->anchor_));
-  GRTDB_RETURN_IF_ERROR(store->AllocateNode(&tree->root_));
-  Node root;
-  root.level = 0;
-  GRTDB_RETURN_IF_ERROR(tree->WriteNode(tree->root_, root));
-  GRTDB_RETURN_IF_ERROR(tree->SaveAnchor());
-  *anchor = tree->anchor_;
-  return tree;
+  return Bootstrap(std::unique_ptr<GistTree>(new GistTree(store)), anchor);
 }
 
 StatusOr<std::unique_ptr<GistTree>> GistTree::Open(NodeStore* store,
                                                    NodeId anchor) {
-  std::unique_ptr<GistTree> tree(new GistTree(store));
-  tree->anchor_ = anchor;
-  GRTDB_RETURN_IF_ERROR(tree->LoadAnchor());
-  return tree;
-}
-
-Status GistTree::LoadAnchor() {
-  uint8_t page[kPageSize];
-  GRTDB_RETURN_IF_ERROR(store_->ReadNode(anchor_, page));
-  if (LoadU32(page) != kAnchorMagic) {
-    return Status::Corruption("bad GiST anchor magic");
-  }
-  root_ = LoadU64(page + 4);
-  height_ = LoadU32(page + 12);
-  size_ = LoadU64(page + 16);
-  return Status::OK();
-}
-
-Status GistTree::SaveAnchor() {
-  uint8_t page[kPageSize];
-  std::memset(page, 0, sizeof(page));
-  StoreU32(page, kAnchorMagic);
-  StoreU64(page + 4, root_);
-  StoreU32(page + 12, height_);
-  StoreU64(page + 16, size_);
-  return store_->WriteNode(anchor_, page);
+  return Attach(std::unique_ptr<GistTree>(new GistTree(store)), anchor);
 }
 
 size_t GistTree::NodeBytes(const Node& node) {
@@ -430,51 +398,10 @@ Status GistTree::CheckRecursive(NodeId node_id, uint32_t expected_level,
 }
 
 Status GistTree::LevelStats(std::vector<GistLevelStats>* out) const {
-  out->assign(height_, GistLevelStats{});
-  for (uint32_t i = 0; i < height_; ++i) (*out)[i].level = i;
-  std::vector<NodeId> frontier = {root_};
-  while (!frontier.empty()) {
-    std::vector<NodeId> next;
-    for (NodeId id : frontier) {
-      Node node;
-      GRTDB_RETURN_IF_ERROR(ReadNode(id, &node));
-      if (node.level >= height_) {
-        return Status::Corruption("GiST node above its anchor height");
-      }
-      GistLevelStats& stats = (*out)[node.level];
-      ++stats.nodes;
-      stats.entries += node.entries.size();
-      if (node.level > 0) {
-        for (const NodeEntry& entry : node.entries) {
-          next.push_back(entry.payload);
-        }
-      }
-    }
-    frontier = std::move(next);
-  }
-  return Status::OK();
-}
-
-Status GistTree::Drop() {
-  std::vector<NodeId> frontier = {root_};
-  while (!frontier.empty()) {
-    NodeId id = frontier.back();
-    frontier.pop_back();
-    Node node;
-    GRTDB_RETURN_IF_ERROR(ReadNode(id, &node));
-    if (node.level > 0) {
-      for (const NodeEntry& entry : node.entries) {
-        frontier.push_back(entry.payload);
-      }
-    }
-    GRTDB_RETURN_IF_ERROR(store_->FreeNode(id));
-  }
-  GRTDB_RETURN_IF_ERROR(store_->FreeNode(anchor_));
-  root_ = kInvalidNodeId;
-  anchor_ = kInvalidNodeId;
-  size_ = 0;
-  height_ = 1;
-  return Status::OK();
+  return CollectLevelStats(out, [](const Node& node, GistLevelStats* stats) {
+    stats->entries += node.entries.size();
+    return Status::OK();
+  });
 }
 
 }  // namespace grtdb

@@ -10,6 +10,7 @@
 
 #include "common/status.h"
 #include "storage/node_store.h"
+#include "storage/paged_tree.h"
 
 namespace grtdb {
 
@@ -18,11 +19,7 @@ using GistKey = std::vector<uint8_t>;
 
 // Per-level structure statistics (leaf = level 0). Keys are opaque, so
 // only structural counts are available — no areas. Backs am_stats.
-struct GistLevelStats {
-  uint32_t level = 0;
-  uint64_t nodes = 0;
-  uint64_t entries = 0;
-};
+using GistLevelStats = TreeLevelStats;
 
 // The extension interface of a generalized search tree [HNP95, AOK98] —
 // the paper's §7 proposal: "a generic extendible tree-based access method
@@ -53,7 +50,7 @@ struct GistExtension {
 // Disk-resident generalized search tree over a NodeStore. Keys are
 // variable-length (up to kMaxKeySize bytes); every operation takes the
 // extension, which the caller (the GiST DataBlade) resolves dynamically.
-class GistTree {
+class GistTree : public PagedTree<GistTree> {
  public:
   static constexpr size_t kMaxKeySize = 512;
 
@@ -66,9 +63,6 @@ class GistTree {
                                                     NodeId* anchor);
   static StatusOr<std::unique_ptr<GistTree>> Open(NodeStore* store,
                                                   NodeId anchor);
-
-  GistTree(const GistTree&) = delete;
-  GistTree& operator=(const GistTree&) = delete;
 
   Status Insert(const GistKey& key, uint64_t payload,
                 const GistExtension& ext);
@@ -95,13 +89,9 @@ class GistTree {
 
   Status LevelStats(std::vector<GistLevelStats>* out) const;
 
-  Status Drop();
-
-  uint64_t size() const { return size_; }
-  uint32_t height() const { return height_; }
-  NodeId anchor() const { return anchor_; }
-
  private:
+  friend class PagedTree<GistTree>;
+
   struct NodeEntry {
     GistKey key;
     uint64_t payload = 0;
@@ -111,10 +101,8 @@ class GistTree {
     std::vector<NodeEntry> entries;
   };
 
-  explicit GistTree(NodeStore* store) : store_(store) {}
+  explicit GistTree(NodeStore* store);
 
-  Status LoadAnchor();
-  Status SaveAnchor();
   Status ReadNode(NodeId id, Node* node) const;
   Status WriteNode(NodeId id, const Node& node);
   static size_t NodeBytes(const Node& node);
@@ -136,11 +124,6 @@ class GistTree {
                         const NodeEntry* parent, const GistExtension& ext,
                         uint64_t* leaf_entries) const;
 
-  NodeStore* store_;
-  NodeId anchor_ = kInvalidNodeId;
-  NodeId root_ = kInvalidNodeId;
-  uint32_t height_ = 1;
-  uint64_t size_ = 0;
   // Minimum entries per non-root node (condense threshold).
   static constexpr size_t kMinEntries = 2;
 };

@@ -1,86 +1,37 @@
 #include "rstar/rstar_tree.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <deque>
-
-#include "storage/layout.h"
 
 namespace grtdb {
 
 namespace {
 
-constexpr uint32_t kAnchorMagic = 0x52535452;  // "RSTR"
-constexpr size_t kNodeHeaderSize = 8;          // level u32 + count u32
-constexpr size_t kEntrySize = 40;              // 4 x i64 + payload u64
-
-size_t MaxEntriesForPage() {
-  return (kPageSize - kNodeHeaderSize) / kEntrySize;
-}
+constexpr size_t kNodeHeaderSize = 8;  // level u32 + count u32
+constexpr size_t kEntrySize = 40;      // 4 x i64 + payload u64
+constexpr PagedTreeFormat kFormat{0x52535452 /* "RSTR" */, "R*-tree",
+                                  (kPageSize - kNodeHeaderSize) / kEntrySize,
+                                  4};
 
 }  // namespace
+
+RStarTree::RStarTree(NodeStore* store, const Options& options)
+    : PagedTree(store, kFormat, options.max_entries, options.min_fill),
+      options_(options) {}
 
 StatusOr<std::unique_ptr<RStarTree>> RStarTree::Create(NodeStore* store,
                                                        const Options& options,
                                                        NodeId* anchor) {
-  std::unique_ptr<RStarTree> tree(new RStarTree(store, options));
-  tree->max_entries_ =
-      options.max_entries != 0 ? options.max_entries : MaxEntriesForPage();
-  if (tree->max_entries_ > MaxEntriesForPage()) {
-    return Status::InvalidArgument("max_entries exceeds page capacity");
-  }
-  if (tree->max_entries_ < 4) {
-    return Status::InvalidArgument("max_entries must be >= 4");
-  }
-  tree->min_entries_ = std::max<size_t>(
-      1, static_cast<size_t>(options.min_fill *
-                             static_cast<double>(tree->max_entries_)));
-  GRTDB_RETURN_IF_ERROR(store->AllocateNode(&tree->anchor_));
-  GRTDB_RETURN_IF_ERROR(store->AllocateNode(&tree->root_));
-  Node root;
-  root.level = 0;
-  GRTDB_RETURN_IF_ERROR(tree->WriteNode(tree->root_, root));
-  GRTDB_RETURN_IF_ERROR(tree->SaveAnchor());
-  *anchor = tree->anchor_;
-  return tree;
+  return Bootstrap(std::unique_ptr<RStarTree>(new RStarTree(store, options)),
+                   anchor);
 }
 
 StatusOr<std::unique_ptr<RStarTree>> RStarTree::Open(NodeStore* store,
                                                      NodeId anchor,
                                                      const Options& options) {
-  std::unique_ptr<RStarTree> tree(new RStarTree(store, options));
-  tree->max_entries_ =
-      options.max_entries != 0 ? options.max_entries : MaxEntriesForPage();
-  tree->min_entries_ = std::max<size_t>(
-      1, static_cast<size_t>(options.min_fill *
-                             static_cast<double>(tree->max_entries_)));
-  tree->anchor_ = anchor;
-  GRTDB_RETURN_IF_ERROR(tree->LoadAnchor());
-  return tree;
-}
-
-Status RStarTree::LoadAnchor() {
-  NodeView view;
-  GRTDB_RETURN_IF_ERROR(store_->ViewNode(anchor_, &view));
-  const uint8_t* page = view.data();
-  if (LoadU32(page) != kAnchorMagic) {
-    return Status::Corruption("bad R*-tree anchor magic");
-  }
-  root_ = LoadU64(page + 4);
-  height_ = LoadU32(page + 12);
-  size_ = LoadU64(page + 16);
-  return Status::OK();
-}
-
-Status RStarTree::SaveAnchor() {
-  uint8_t page[kPageSize];
-  std::memset(page, 0, sizeof(page));
-  StoreU32(page, kAnchorMagic);
-  StoreU64(page + 4, root_);
-  StoreU32(page + 12, height_);
-  StoreU64(page + 16, size_);
-  return store_->WriteNode(anchor_, page);
+  return Attach(std::unique_ptr<RStarTree>(new RStarTree(store, options)),
+                anchor);
 }
 
 Status RStarTree::ReadNode(NodeId id, Node* node) const {
@@ -90,7 +41,7 @@ Status RStarTree::ReadNode(NodeId id, Node* node) const {
   const uint8_t* page = view.data();
   node->level = LoadU32(page);
   const uint32_t count = LoadU32(page + 4);
-  if (count > MaxEntriesForPage()) {
+  if (count > kFormat.page_capacity) {
     return Status::Corruption("node entry count out of range");
   }
   node->entries.clear();
@@ -611,135 +562,25 @@ Status RStarTree::CheckRecursive(NodeId node_id, uint32_t expected_level,
 }
 
 Status RStarTree::LevelStats(std::vector<RStarLevelStats>* out) const {
-  out->assign(height_, RStarLevelStats{});
-  for (uint32_t i = 0; i < height_; ++i) (*out)[i].level = i;
-  std::vector<NodeId> frontier = {root_};
-  while (!frontier.empty()) {
-    std::vector<NodeId> next;
-    for (NodeId id : frontier) {
-      Node node;
-      GRTDB_RETURN_IF_ERROR(ReadNode(id, &node));
-      RStarLevelStats& stats = (*out)[node.level];
-      ++stats.nodes;
-      stats.entries += node.entries.size();
-      for (size_t i = 0; i < node.entries.size(); ++i) {
-        stats.total_area += node.entries[i].rect.Area();
-        for (size_t j = i + 1; j < node.entries.size(); ++j) {
-          stats.overlap_area +=
-              node.entries[i].rect.IntersectionArea(node.entries[j].rect);
-        }
-      }
-      if (node.level > 0) {
-        for (const Entry& entry : node.entries) {
-          next.push_back(entry.payload);
-        }
+  return CollectLevelStats(out, [](const Node& node, RStarLevelStats* stats) {
+    stats->entries += node.entries.size();
+    for (size_t i = 0; i < node.entries.size(); ++i) {
+      stats->total_area += node.entries[i].rect.Area();
+      for (size_t j = i + 1; j < node.entries.size(); ++j) {
+        stats->overlap_area +=
+            node.entries[i].rect.IntersectionArea(node.entries[j].rect);
       }
     }
-    frontier = std::move(next);
-  }
-  return Status::OK();
-}
-
-Status RStarTree::Drop() {
-  std::vector<NodeId> frontier = {root_};
-  while (!frontier.empty()) {
-    NodeId id = frontier.back();
-    frontier.pop_back();
-    Node node;
-    GRTDB_RETURN_IF_ERROR(ReadNode(id, &node));
-    if (node.level > 0) {
-      for (const Entry& entry : node.entries) {
-        frontier.push_back(entry.payload);
-      }
-    }
-    GRTDB_RETURN_IF_ERROR(store_->FreeNode(id));
-  }
-  GRTDB_RETURN_IF_ERROR(store_->FreeNode(anchor_));
-  root_ = kInvalidNodeId;
-  anchor_ = kInvalidNodeId;
-  size_ = 0;
-  height_ = 1;
-  return Status::OK();
+    return Status::OK();
+  });
 }
 
 Status RStarTree::BulkLoad(std::vector<Entry> entries) {
-  if (size_ != 0) {
-    return Status::InvalidArgument("BulkLoad requires an empty tree");
-  }
-  if (entries.empty()) return Status::OK();
-  const size_t fill = std::max<size_t>(
-      2, static_cast<size_t>(0.7 * static_cast<double>(max_entries_)));
-  size_ = entries.size();
-
-  // Sort-Tile-Recursive packing, one tree level at a time.
-  uint32_t level = 0;
-  std::vector<Entry> current = std::move(entries);
-  NodeId last_node = kInvalidNodeId;
-  while (true) {
-    const size_t node_count = (current.size() + fill - 1) / fill;
-    const size_t slabs = static_cast<size_t>(
-        std::ceil(std::sqrt(static_cast<double>(node_count))));
-    const size_t slab_size = slabs * fill;
-    std::sort(current.begin(), current.end(),
-              [](const Entry& a, const Entry& b) {
-                return a.rect.x1 + a.rect.x2 < b.rect.x1 + b.rect.x2;
-              });
-    std::vector<std::vector<Entry>> groups;
-    for (size_t s = 0; s * slab_size < current.size(); ++s) {
-      const size_t begin = s * slab_size;
-      const size_t end = std::min(current.size(), begin + slab_size);
-      std::sort(current.begin() + begin, current.begin() + end,
-                [](const Entry& a, const Entry& b) {
-                  return a.rect.y1 + a.rect.y2 < b.rect.y1 + b.rect.y2;
-                });
-      for (size_t i = begin; i < end; i += fill) {
-        groups.emplace_back(current.begin() + i,
-                            current.begin() + std::min(end, i + fill));
-      }
-    }
-    // Rebalance STR remainders so no non-root node is underfull.
-    for (size_t i = 0; groups.size() > 1 && i < groups.size();) {
-      if (groups[i].size() >= min_entries_) {
-        ++i;
-        continue;
-      }
-      const size_t neighbor = i > 0 ? i - 1 : i + 1;
-      std::vector<Entry> merged = std::move(groups[std::min(i, neighbor)]);
-      std::vector<Entry>& other = groups[std::max(i, neighbor)];
-      merged.insert(merged.end(), other.begin(), other.end());
-      groups.erase(groups.begin() + std::max(i, neighbor));
-      if (merged.size() <= max_entries_) {
-        groups[std::min(i, neighbor)] = std::move(merged);
-      } else {
-        const size_t half = merged.size() / 2;
-        groups[std::min(i, neighbor)].assign(merged.begin(),
-                                             merged.begin() + half);
-        groups.insert(
-            groups.begin() + std::min(i, neighbor) + 1,
-            std::vector<Entry>(merged.begin() + half, merged.end()));
-      }
-      i = std::min(i, neighbor);
-    }
-    std::vector<Entry> next_level;
-    for (std::vector<Entry>& group : groups) {
-      Node node;
-      node.level = level;
-      node.entries = std::move(group);
-      NodeId id;
-      GRTDB_RETURN_IF_ERROR(store_->AllocateNode(&id));
-      GRTDB_RETURN_IF_ERROR(WriteNode(id, node));
-      next_level.push_back(Entry{NodeBound(node), id});
-      last_node = id;
-    }
-    if (next_level.size() == 1) {
-      GRTDB_RETURN_IF_ERROR(store_->FreeNode(root_));
-      root_ = last_node;
-      height_ = level + 1;
-      return SaveAnchor();
-    }
-    current = std::move(next_level);
-    ++level;
-  }
+  return StrPack(
+      std::move(entries),
+      [](const Entry& entry) { return entry.rect.x1 + entry.rect.x2; },
+      [](const Entry& entry) { return entry.rect.y1 + entry.rect.y2; },
+      [this](const Node& node) { return NodeBound(node); });
 }
 
 }  // namespace grtdb

@@ -9,14 +9,12 @@
 #include "common/status.h"
 #include "rstar/rect.h"
 #include "storage/node_store.h"
+#include "storage/paged_tree.h"
 
 namespace grtdb {
 
 // Per-level structure statistics (bench T3 reports these).
-struct RStarLevelStats {
-  uint32_t level = 0;
-  uint64_t nodes = 0;
-  uint64_t entries = 0;
+struct RStarLevelStats : TreeLevelStats {
   double total_area = 0.0;
   double overlap_area = 0.0;  // sum of pairwise entry-overlap per node
 };
@@ -27,7 +25,7 @@ struct RStarLevelStats {
 // tree condensation. This is both the substrate the GR-tree derives from
 // (paper §3) and the comparison baseline (via the maximum-timestamp
 // transform, bench T5).
-class RStarTree {
+class RStarTree : public PagedTree<RStarTree> {
  public:
   struct Options {
     // 0 derives the maximum from the page size.
@@ -51,9 +49,6 @@ class RStarTree {
                                                    NodeId anchor,
                                                    const Options& options);
 
-  RStarTree(const RStarTree&) = delete;
-  RStarTree& operator=(const RStarTree&) = delete;
-
   Status Insert(const Rect& rect, uint64_t payload);
 
   // Removes one entry matching (rect, payload); *found reports whether one
@@ -70,35 +65,26 @@ class RStarTree {
   // internal levels counting overlapping branches.
   StatusOr<double> EstimateScanCost(const Rect& query) const;
 
-  uint64_t size() const { return size_; }
-  uint32_t height() const { return height_; }
-  NodeId anchor() const { return anchor_; }
-  size_t max_entries() const { return max_entries_; }
-
   // Structural invariants: bounds contain children, fill factors, entry
   // count. Backs am_check.
   Status CheckConsistency() const;
 
   Status LevelStats(std::vector<RStarLevelStats>* out) const;
 
-  // Frees every node including the anchor.
-  Status Drop();
-
   // Bulk-loads `entries` bottom-up (Sort-Tile-Recursive); the tree must be
   // empty. Used by the vacuum/rebuild path of bench T9.
   Status BulkLoad(std::vector<Entry> entries);
 
  private:
+  friend class PagedTree<RStarTree>;
+
   struct Node {
     uint32_t level = 0;  // 0 = leaf
     std::vector<Entry> entries;
   };
 
-  RStarTree(NodeStore* store, const Options& options)
-      : store_(store), options_(options) {}
+  RStarTree(NodeStore* store, const Options& options);
 
-  Status LoadAnchor();
-  Status SaveAnchor();
   Status ReadNode(NodeId id, Node* node) const;
   Status WriteNode(NodeId id, const Node& node);
 
@@ -133,14 +119,7 @@ class RStarTree {
                         const Rect* parent_bound,
                         uint64_t* leaf_entries) const;
 
-  NodeStore* store_;
   Options options_;
-  size_t max_entries_ = 0;
-  size_t min_entries_ = 0;
-  NodeId anchor_ = kInvalidNodeId;
-  NodeId root_ = kInvalidNodeId;
-  uint32_t height_ = 1;
-  uint64_t size_ = 0;
 };
 
 }  // namespace grtdb

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <utility>
 
 #include "common/date.h"
 #include "common/strings.h"
@@ -107,9 +108,8 @@ Server::Server(const ServerOptions& options)
     : options_(options),
       lock_manager_(options.lock_timeout),
       txn_manager_(&lock_manager_),
-      current_time_(options.initial_time),
+      current_time_(kInitialTime),
       span_tracer_(options.span_capacity) {
-  trace_.SetCapacity(options.trace_capacity);
   // Pointer stores into named memory are audited against the duration
   // allocator: a per-statement pointer parked in session-lifetime named
   // memory is the paper's §4 stale-pointer bug, flagged at the store.
@@ -148,7 +148,7 @@ Status Server::CreateSbspace(const std::string& name) {
     return Status::AlreadyExists("sbspace '" + name + "'");
   }
   auto backend = std::make_unique<MemorySpace>();
-  auto sbspace_or = Sbspace::Open(backend.get(), options_.sbspace_pool_pages);
+  auto sbspace_or = Sbspace::Open(backend.get(), kSbspacePoolPages);
   if (!sbspace_or.ok()) return sbspace_or.status();
   space_backends_[key] = std::move(backend);
   sbspaces_[key] = std::move(sbspace_or).value();
@@ -1303,10 +1303,29 @@ Status Server::ExecCreateIndex(ServerSession* session,
       txn_manager_.EnsureTxn(&session->txn_session(), &implicit));
   MiCallContext ctx{this, session, current_time_};
 
+  // am_create, then am_open (which sees just_created, Table 5 step 1),
+  // then a build pass inserting the existing rows, then am_close.
+  MiAmTableDesc create_desc;
+  create_desc.index = stored;
+  create_desc.table = table;
+  create_desc.key_columns = stored->key_columns;
+  create_desc.key_types = stored->key_types;
+  create_desc.am_state = &stored->am_state;
+  bool created = false;
+
   auto fail = [&](Status status) {
     // Cleanup failures never mask the build error, but they must not
     // vanish either: a half-registered index poisons every retry of the
     // same CREATE INDEX, so the caller hears about it in the same status.
+    // Once am_create succeeded, am_drop frees what it made: the index's
+    // LOs or file and log, and its AM catalog record.
+    if (created && am->hooks.am_drop) {
+      PurposeCallScope call(this, session, am, obs::PurposeFn::kAmDrop);
+      Status freed = am->hooks.am_drop(ctx, &create_desc);
+      if (!freed.ok()) {
+        status = status.WithNote("am_drop failed: " + freed.message());
+      }
+    }
     Status dropped = catalog_.DropIndex(stmt.name);
     if (!dropped.ok()) {
       status = status.WithNote("cleanup failed: " + dropped.message());
@@ -1321,14 +1340,6 @@ Status Server::ExecCreateIndex(ServerSession* session,
     return status;
   };
 
-  // am_create, then am_open (which sees just_created, Table 5 step 1),
-  // then a build pass inserting the existing rows, then am_close.
-  MiAmTableDesc create_desc;
-  create_desc.index = stored;
-  create_desc.table = table;
-  create_desc.key_columns = stored->key_columns;
-  create_desc.key_types = stored->key_types;
-  create_desc.am_state = &stored->am_state;
   if (am->hooks.am_create) {
     Status status;
     {
@@ -1336,6 +1347,7 @@ Status Server::ExecCreateIndex(ServerSession* session,
       status = am->hooks.am_create(ctx, &create_desc);
     }
     if (!status.ok()) return fail(status);
+    created = true;
   }
   std::unique_ptr<OpenIndex> open;
   Status status = OpenIndexDesc(session, stored, /*just_created=*/true, ctx,
@@ -1343,7 +1355,8 @@ Status Server::ExecCreateIndex(ServerSession* session,
   if (!status.ok()) return fail(status);
   // The descriptor created by am_create carries the blade's Tree object;
   // keep it (Informix passes the same descriptor to the following calls).
-  open->desc.user_data = create_desc.user_data;
+  // am_close releases it from there; a failed build's am_drop opens anew.
+  open->desc.user_data = std::exchange(create_desc.user_data, nullptr);
   if (am->hooks.am_insert) {
     // The callback stops the scan on an insert error and parks it in
     // `status`; Scan's own (traversal) error must not overwrite it.

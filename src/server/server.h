@@ -188,19 +188,18 @@ class ServerSession {
   uint32_t stmt_depth_ = 0;  // statement-boundary nesting (info_mu_)
 };
 
+// Buffer-pool frames per sbspace created with CreateSbspace.
+inline constexpr size_t kSbspacePoolPages = 512;
+// The simulation clock's start (chronons = days since 1970-01-01).
+inline constexpr int64_t kInitialTime = 10000;
+
 struct ServerOptions {
-  // Buffer-pool frames per sbspace created with CreateSbspace.
-  size_t sbspace_pool_pages = 512;
   std::chrono::milliseconds lock_timeout{500};
-  // Simulation clock start (chronons = days since 1970-01-01).
-  int64_t initial_time = 10000;
   // Wires subsystem counters into the metrics registry and times purpose
   // functions. Off leaves only the per-statement call counts (needed by
   // EXPLAIN PROFILE cross-checks) — the configuration bench_obs_overhead
   // compares against.
   bool observability = true;
-  // Trace ring capacity (records kept before the oldest is dropped).
-  size_t trace_capacity = TraceFacility::kDefaultCapacity;
   // Span-tracer ring capacity (finished request spans kept for sys_spans /
   // DUMP TRACE; the driver's tail-attribution phase sizes this up).
   size_t span_capacity = obs::SpanTracer::kDefaultCapacity;

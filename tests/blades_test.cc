@@ -603,6 +603,24 @@ TEST_P(SharedStackTest, FailedBuildThenRetryAnswersLikeASequentialScan) {
   ExpectIndexAgreesWithScan();
 }
 
+// A failed build frees what am_create made, as DROP INDEX would: every
+// LO, or the file and its log, and the AM catalog record.
+TEST_P(SharedStackTest, FailedBuildFreesTheIndexStorage) {
+  LoadRows(0, 20);
+  // A NULL key is one the blade rejects: the build pass fails on it.
+  MustExec("INSERT INTO t VALUES (999, NULL)");
+  LoadRows(20, 40);
+  const uint64_t los_before = LiveLos();
+  EXPECT_FALSE(Exec(session_, CreateIndex()).ok());
+  EXPECT_EQ(LiveLos(), los_before);
+  const std::string file = external_dir_ + "/grtree_t_idx.dat";
+  EXPECT_FALSE(std::filesystem::exists(file));
+  EXPECT_FALSE(std::filesystem::exists(file + ".wal"));
+  std::vector<uint8_t> record;
+  EXPECT_TRUE(server_->AmCatalogGet(GetParam().access_method, "t_idx", &record)
+                  .IsNotFound());
+}
+
 TEST_P(SharedStackTest, StatementsRunNoRecovery) {
   const uint64_t start = obs::Ticks();
   MustExec(CreateIndex());

@@ -102,6 +102,18 @@ TEST(Date, ParseAndFormat) {
   EXPECT_TRUE(ParseDate("02/30/1999", &day).IsInvalidArgument());
   EXPECT_TRUE(ParseDate("hello", &day).IsInvalidArgument());
   EXPECT_TRUE(ParseDate("12/10/1995x", &day).IsInvalidArgument());
+  // Fields are digits only, and one wider than an int must not wrap
+  // around into a valid date.
+  for (const char* text :
+       {"4294967308/10/1995", "12/4294967306/1995", "12/10/4294969291",
+        "100/10/1995", "12/100/1995", "12/10/10000", "+12/10/1995",
+        "12/-10/1995", "12/10/-5", " 12/10/1995", "12//1995"}) {
+    EXPECT_TRUE(ParseDate(text, &day).IsInvalidArgument()) << text;
+  }
+  ASSERT_TRUE(ParseDate("012/010/1995", &day).ok());
+  EXPECT_EQ(FormatDate(day), "12/10/1995");
+  ASSERT_TRUE(ParseDate("12/31/9999", &day).ok());
+  EXPECT_EQ(day, kMaxDayNumber);
 }
 
 // ---------------------------------------------------------------- Strings --

@@ -44,10 +44,10 @@ BladeProject DemoProject() {
                 {"am_beginscan", "iv_beginscan"}, {"am_endscan", "iv_endscan"},
                 {"am_getnext", "iv_getnext"},     {"am_insert", "iv_insert"},
                 {"am_delete", "iv_delete"}};
-  am.opclass_name = "iv_opclass";
-  am.strategies = {"IvOverlaps"};
-  am.supports = {"iv_length"};
   project.access_methods.push_back(am);
+  project.opclasses.push_back(
+      BladeOpclass{"iv_opclass", "interval_am", true, {"IvOverlaps"},
+                   {"iv_length"}});
   return project;
 }
 

@@ -56,6 +56,11 @@ TEST(Timestamp, ParseRejectsGarbage) {
   EXPECT_FALSE(Timestamp::Parse("not-a-time", &ts).ok());
   EXPECT_FALSE(Timestamp::Parse("13/45/1999", &ts).ok());
   EXPECT_FALSE(Timestamp::Parse("", &ts).ok());
+  // A date field wider than an int, not a wrapped-around 12/10/1995.
+  for (const char* text :
+       {"4294967308/10/1995", "12/4294967306/1995", "12/10/4294969291"}) {
+    EXPECT_TRUE(Timestamp::Parse(text, &ts).IsInvalidArgument()) << text;
+  }
 }
 
 TEST(Timestamp, RawRoundTrip) {

@@ -200,6 +200,24 @@ TEST_F(ServerTest, SetCurrentTimeMovesTheClock) {
   EXPECT_EQ(server_.current_time(), 12345);
 }
 
+// A date literal or SET CURRENT_TIME date with a field wider than an int
+// is an error, not a wrapped-around 12/10/1995.
+TEST_F(ServerTest, OversizedDateFieldsAreRejected) {
+  MustExec("CREATE TABLE t (d date)");
+  MustExec("SET CURRENT_TIME TO 12345");
+  for (const std::string text :
+       {"4294967308/10/1995", "12/4294967306/1995", "12/10/4294969291"}) {
+    EXPECT_TRUE(Exec("INSERT INTO t VALUES ('" + text + "')")
+                    .IsInvalidArgument())
+        << text;
+    EXPECT_TRUE(Exec("SET CURRENT_TIME TO '" + text + "'").IsInvalidArgument())
+        << text;
+  }
+  EXPECT_EQ(server_.current_time(), 12345);
+  MustExec("SELECT COUNT(*) FROM t");
+  EXPECT_EQ(result_.rows[0][0], "0");
+}
+
 TEST_F(ServerTest, ExplainShowsSequentialScan) {
   MustExec("CREATE TABLE t (a int)");
   MustExec("SET EXPLAIN ON");
