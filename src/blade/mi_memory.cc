@@ -20,8 +20,8 @@
 #define GRTDB_ASAN_POISON(p, n) __asan_poison_memory_region((p), (n))
 #define GRTDB_ASAN_UNPOISON(p, n) __asan_unpoison_memory_region((p), (n))
 #else
-#define GRTDB_ASAN_POISON(p, n) ((void)0)
-#define GRTDB_ASAN_UNPOISON(p, n) ((void)0)
+#define GRTDB_ASAN_POISON(p, n) ((void)(p), (void)(n))
+#define GRTDB_ASAN_UNPOISON(p, n) ((void)(p), (void)(n))
 #endif
 
 namespace grtdb {

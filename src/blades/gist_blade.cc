@@ -1,8 +1,6 @@
 #include "blades/gist_blade.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -342,11 +340,7 @@ Status ParseRangeText(const std::string& text, IntRange* out) {
   }
   int64_t* bounds[2] = {&out->lo, &out->hi};
   for (size_t i = 0; i < 2; ++i) {
-    const char* begin = pieces[i].c_str();
-    char* end = nullptr;
-    errno = 0;
-    *bounds[i] = std::strtoll(begin, &end, 10);
-    if (end == begin || *end != '\0' || errno == ERANGE) {
+    if (!ParseInt64(pieces[i], bounds[i])) {
       return Status::InvalidArgument("intrange bound '" + pieces[i] +
                                      "' is not a 64-bit integer");
     }

@@ -1,6 +1,9 @@
 #include "common/strings.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
 
 namespace grtdb {
 
@@ -53,6 +56,29 @@ std::vector<std::string> SplitAndTrim(std::string_view s, char sep) {
     start = pos + 1;
   }
   return out;
+}
+
+bool ParseInt64(const std::string& text, int64_t* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  if (text.empty() || end != text.c_str() + text.size() || errno == ERANGE) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+bool ParseDouble(const std::string& text, double* out) {
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || end != text.c_str() + text.size() ||
+      (errno == ERANGE && std::isinf(value))) {
+    return false;
+  }
+  *out = value;
+  return true;
 }
 
 std::string Join(const std::vector<std::string>& pieces,

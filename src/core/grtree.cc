@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <deque>
 
 #include "common/bytes.h"
 
@@ -223,107 +222,39 @@ size_t GRTree::ChooseSubtree(const Node& node, const BoundSpec& bound,
 Status GRTree::Insert(const TimeExtent& extent, uint64_t payload,
                       int64_t ct) {
   GRTDB_RETURN_IF_ERROR(extent.Validate());
-  NodeEntry entry;
-  entry.bound = BoundSpec::FromExtent(extent);
-  entry.payload = payload;
-  std::vector<bool> reinsert_done(height_, false);
-  GRTDB_RETURN_IF_ERROR(InsertAtLevel(entry, 0, ct, &reinsert_done));
-  ++size_;
-  return SaveAnchor();
+  return InsertLeaf(NodeEntry{BoundSpec::FromExtent(extent), payload}, ct);
 }
 
-Status GRTree::InsertAtLevel(const NodeEntry& entry, uint32_t level,
-                             int64_t ct, std::vector<bool>* reinsert_done) {
-  struct Pending {
-    NodeEntry entry;
-    uint32_t level;
-  };
-  std::deque<Pending> work;
-  work.push_back(Pending{entry, level});
-  while (!work.empty()) {
-    Pending item = work.front();
-    work.pop_front();
-    bool split = false;
-    NodeEntry split_entry;
-    BoundSpec new_bound;
-    std::vector<std::pair<NodeEntry, uint32_t>> evicted;
-    GRTDB_RETURN_IF_ERROR(InsertRecursive(root_, item.entry, item.level, ct,
-                                          reinsert_done, &split, &split_entry,
-                                          &new_bound, &evicted));
-    for (auto& [evicted_entry, evicted_level] : evicted) {
-      work.push_back(Pending{evicted_entry, evicted_level});
-    }
-    if (split) {
-      Node probe;
-      GRTDB_RETURN_IF_ERROR(ReadNode(root_, &probe));
-      Node new_root;
-      new_root.level = probe.level + 1;
-      new_root.entries.push_back(NodeEntry{new_bound, root_});
-      new_root.entries.push_back(split_entry);
-      NodeId new_root_id;
-      GRTDB_RETURN_IF_ERROR(store_->AllocateNode(&new_root_id));
-      GRTDB_RETURN_IF_ERROR(WriteNode(new_root_id, new_root));
-      root_ = new_root_id;
-      ++height_;
-      ++condense_epoch_;
-      reinsert_done->resize(height_, false);
-      GRTDB_RETURN_IF_ERROR(SaveAnchor());
-    }
-  }
-  return Status::OK();
-}
-
-Status GRTree::InsertRecursive(
-    NodeId node_id, const NodeEntry& entry, uint32_t level, int64_t ct,
-    std::vector<bool>* reinsert_done, bool* split, NodeEntry* split_entry,
-    BoundSpec* new_bound,
-    std::vector<std::pair<NodeEntry, uint32_t>>* evicted) {
+Status GRTree::InsertRecursive(NodeId node_id, const NodeEntry& entry,
+                               uint32_t level, int64_t ct,
+                               Insertion<NodeEntry>* ins) {
   Node node;
   GRTDB_RETURN_IF_ERROR(ReadNode(node_id, &node));
-  *split = false;
   if (node.level == level) {
     node.entries.push_back(entry);
-    if (node.entries.size() > max_entries_) {
-      return HandleOverflow(node_id, &node, ct, reinsert_done, split,
-                            split_entry, new_bound, evicted);
-    }
-    GRTDB_RETURN_IF_ERROR(WriteNode(node_id, node));
-    *new_bound = NodeBound(node, ct);
-    return Status::OK();
+  } else {
+    const size_t child = ChooseSubtree(node, entry.bound, ct);
+    GRTDB_RETURN_IF_ERROR(
+        InsertRecursive(node.entries[child].payload, entry, level, ct, ins));
+    node.entries[child] = ins->entry;
+    if (ins->split) node.entries.push_back(ins->sibling);
   }
-
-  const size_t child_index = ChooseSubtree(node, entry.bound, ct);
-  const NodeId child_id = node.entries[child_index].payload;
-  bool child_split = false;
-  NodeEntry child_split_entry;
-  BoundSpec child_bound;
-  GRTDB_RETURN_IF_ERROR(InsertRecursive(child_id, entry, level, ct,
-                                        reinsert_done, &child_split,
-                                        &child_split_entry, &child_bound,
-                                        evicted));
-  node.entries[child_index].bound = child_bound;
-  if (child_split) {
-    node.entries.push_back(child_split_entry);
-    if (node.entries.size() > max_entries_) {
-      return HandleOverflow(node_id, &node, ct, reinsert_done, split,
-                            split_entry, new_bound, evicted);
-    }
+  // Only a node that gained an entry here can overflow.
+  if ((node.level == level || ins->split) &&
+      node.entries.size() > max_entries_) {
+    return HandleOverflow(node_id, &node, ct, ins);
   }
   GRTDB_RETURN_IF_ERROR(WriteNode(node_id, node));
-  *new_bound = NodeBound(node, ct);
+  ins->split = false;
+  ins->entry = NodeEntry{NodeBound(node, ct), node_id};
   return Status::OK();
 }
 
-Status GRTree::HandleOverflow(
-    NodeId node_id, Node* node, int64_t ct, std::vector<bool>* reinsert_done,
-    bool* split, NodeEntry* split_entry, BoundSpec* new_bound,
-    std::vector<std::pair<NodeEntry, uint32_t>>* evicted) {
-  const bool is_root = node_id == root_;
+Status GRTree::HandleOverflow(NodeId node_id, Node* node, int64_t ct,
+                              Insertion<NodeEntry>* ins) {
   const int64_t eval = ct + options_.horizon;
-  if (options_.forced_reinsert && !is_root &&
-      node->level < reinsert_done->size() &&
-      !(*reinsert_done)[node->level]) {
-    (*reinsert_done)[node->level] = true;
+  if (options_.forced_reinsert && node_id != root_ &&
+      ins->FirstOverflowAt(node->level)) {
     const Region bound_region = NodeBound(*node, ct).Resolve(eval);
     std::vector<size_t> order(node->entries.size());
     for (size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -342,12 +273,12 @@ Status GRTree::HandleOverflow(
     kept.reserve(keep);
     for (size_t i = 0; i < keep; ++i) kept.push_back(node->entries[order[i]]);
     for (size_t i = keep; i < order.size(); ++i) {
-      evicted->emplace_back(node->entries[order[i]], node->level);
+      ins->queue.emplace_back(node->entries[order[i]], node->level);
     }
     node->entries = std::move(kept);
     GRTDB_RETURN_IF_ERROR(WriteNode(node_id, *node));
-    *split = false;
-    *new_bound = NodeBound(*node, ct);
+    ins->split = false;
+    ins->entry = NodeEntry{NodeBound(*node, ct), node_id};
     return Status::OK();
   }
 
@@ -363,9 +294,9 @@ Status GRTree::HandleOverflow(
   node->entries = std::move(left);
   GRTDB_RETURN_IF_ERROR(WriteNode(node_id, *node));
   ++condense_epoch_;
-  *split = true;
-  *split_entry = NodeEntry{NodeBound(right_node, ct), right_id};
-  *new_bound = NodeBound(*node, ct);
+  ins->split = true;
+  ins->sibling = NodeEntry{NodeBound(right_node, ct), right_id};
+  ins->entry = NodeEntry{NodeBound(*node, ct), node_id};
   return Status::OK();
 }
 
@@ -476,18 +407,9 @@ Status GRTree::Delete(const TimeExtent& extent, uint64_t payload, int64_t ct,
   if (removed_node) {
     return Status::Internal("root unexpectedly removed");
   }
-  if (structure_changed) {
-    ++condense_epoch_;
-    std::stable_sort(
-        orphans.begin(), orphans.end(),
-        [](const auto& a, const auto& b) { return a.second > b.second; });
-    std::vector<bool> reinsert_done(height_, true);
-    for (auto& [entry, level] : orphans) {
-      GRTDB_RETURN_IF_ERROR(InsertAtLevel(entry, level, ct, &reinsert_done));
-    }
-    GRTDB_RETURN_IF_ERROR(ShrinkRoot());
-  }
-  return SaveAnchor();
+  if (!structure_changed) return SaveAnchor();
+  ++condense_epoch_;
+  return Condense(std::move(orphans), ct);
 }
 
 Status GRTree::DeleteRecursive(
@@ -554,27 +476,6 @@ Status GRTree::DeleteRecursive(
   return Status::OK();
 }
 
-Status GRTree::ShrinkRoot() {
-  while (true) {
-    Node root_node;
-    GRTDB_RETURN_IF_ERROR(ReadNode(root_, &root_node));
-    if (root_node.level == 0) break;
-    if (root_node.entries.empty()) {
-      root_node.level = 0;
-      GRTDB_RETURN_IF_ERROR(WriteNode(root_, root_node));
-      height_ = 1;
-      break;
-    }
-    if (root_node.entries.size() != 1) break;
-    const NodeId child = root_node.entries[0].payload;
-    GRTDB_RETURN_IF_ERROR(store_->FreeNode(root_));
-    root_ = child;
-    --height_;
-    ++condense_epoch_;
-  }
-  return Status::OK();
-}
-
 Status GRTree::FlushPending(int64_t ct) {
   if (!has_pending_condense_) return Status::OK();
 
@@ -618,16 +519,7 @@ Status GRTree::FlushPending(int64_t ct) {
   GRTDB_RETURN_IF_ERROR(condense(root_, /*is_root=*/true, &removed, &bound));
   ++condense_epoch_;
   has_pending_condense_ = false;
-
-  std::stable_sort(
-      orphans.begin(), orphans.end(),
-      [](const auto& a, const auto& b) { return a.second > b.second; });
-  std::vector<bool> reinsert_done(height_, true);
-  for (auto& [entry, level] : orphans) {
-    GRTDB_RETURN_IF_ERROR(InsertAtLevel(entry, level, ct, &reinsert_done));
-  }
-  GRTDB_RETURN_IF_ERROR(ShrinkRoot());
-  return SaveAnchor();
+  return Condense(std::move(orphans), ct);
 }
 
 // --------------------------------------------------------------- search ---

@@ -74,7 +74,7 @@ struct GRTreeStats {
 //
 // Every operation takes the current time `ct` explicitly: the DataBlade
 // decides whether that is per-statement or per-transaction time (§5.4).
-class GRTree : public PagedTree<GRTree> {
+class GRTree : public PagedTree<GRTree, /*kRootEpoch=*/true> {
  public:
   struct Options {
     size_t max_entries = 0;  // 0 = derive from the page size
@@ -196,7 +196,7 @@ class GRTree : public PagedTree<GRTree> {
                        const Region& query);
 
  private:
-  friend class PagedTree<GRTree>;
+  friend class PagedTree<GRTree, true>;
 
   struct NodeEntry {
     BoundSpec bound;
@@ -219,18 +219,12 @@ class GRTree : public PagedTree<GRTree> {
   size_t ChooseSubtree(const Node& node, const BoundSpec& bound,
                        int64_t ct) const;
 
-  Status InsertAtLevel(const NodeEntry& entry, uint32_t level, int64_t ct,
-                       std::vector<bool>* reinsert_done);
-  Status InsertRecursive(
-      NodeId node_id, const NodeEntry& entry, uint32_t level, int64_t ct,
-      std::vector<bool>* reinsert_done, bool* split, NodeEntry* split_entry,
-      BoundSpec* new_bound,
-      std::vector<std::pair<NodeEntry, uint32_t>>* evicted);
-  Status HandleOverflow(
-      NodeId node_id, Node* node, int64_t ct,
-      std::vector<bool>* reinsert_done, bool* split, NodeEntry* split_entry,
-      BoundSpec* new_bound,
-      std::vector<std::pair<NodeEntry, uint32_t>>* evicted);
+  Status InsertRecursive(NodeId node_id, const NodeEntry& entry,
+                         uint32_t level, int64_t ct,
+                         Insertion<NodeEntry>* ins);
+  // Forced reinsert at the first overflow of a non-root level, else split.
+  Status HandleOverflow(NodeId node_id, Node* node, int64_t ct,
+                        Insertion<NodeEntry>* ins);
   void SplitEntries(const std::vector<NodeEntry>& entries, int64_t ct,
                     std::vector<NodeEntry>* left,
                     std::vector<NodeEntry>* right) const;
@@ -240,7 +234,6 @@ class GRTree : public PagedTree<GRTree> {
       bool* found, bool* removed_node,
       std::vector<std::pair<NodeEntry, uint32_t>>* orphans,
       BoundSpec* new_bound, bool* structure_changed);
-  Status ShrinkRoot();
 
   Status CheckRecursive(NodeId node_id, uint32_t expected_level,
                         const BoundSpec* parent_bound, int64_t ct,

@@ -1,6 +1,5 @@
 #include "gist/gist.h"
 
-#include <algorithm>
 #include <cstring>
 
 namespace grtdb {
@@ -95,42 +94,14 @@ Status GistTree::Insert(const GistKey& key, uint64_t payload,
   if (key.size() > kMaxKeySize) {
     return Status::InvalidArgument("GiST key exceeds kMaxKeySize");
   }
-  GRTDB_RETURN_IF_ERROR(InsertAtLevel(NodeEntry{key, payload}, 0, ext));
-  ++size_;
-  return SaveAnchor();
-}
-
-Status GistTree::InsertAtLevel(const NodeEntry& entry, uint32_t level,
-                               const GistExtension& ext) {
-  bool split = false;
-  NodeEntry split_entry;
-  GistKey new_key;
-  GRTDB_RETURN_IF_ERROR(InsertRecursive(root_, entry, level, ext, &split,
-                                        &split_entry, &new_key));
-  if (split) {
-    Node probe;
-    GRTDB_RETURN_IF_ERROR(ReadNode(root_, &probe));
-    Node new_root;
-    new_root.level = probe.level + 1;
-    new_root.entries.push_back(NodeEntry{new_key, root_});
-    new_root.entries.push_back(split_entry);
-    NodeId new_root_id;
-    GRTDB_RETURN_IF_ERROR(store_->AllocateNode(&new_root_id));
-    GRTDB_RETURN_IF_ERROR(WriteNode(new_root_id, new_root));
-    root_ = new_root_id;
-    ++height_;
-    GRTDB_RETURN_IF_ERROR(SaveAnchor());
-  }
-  return Status::OK();
+  return InsertLeaf(NodeEntry{key, payload}, ext);
 }
 
 Status GistTree::InsertRecursive(NodeId node_id, const NodeEntry& entry,
                                  uint32_t level, const GistExtension& ext,
-                                 bool* split, NodeEntry* split_entry,
-                                 GistKey* new_key) {
+                                 Insertion<NodeEntry>* ins) {
   Node node;
   GRTDB_RETURN_IF_ERROR(ReadNode(node_id, &node));
-  *split = false;
   if (node.level != level) {
     // ChooseSubtree: minimal penalty.
     size_t best = 0;
@@ -142,27 +113,18 @@ Status GistTree::InsertRecursive(NodeId node_id, const NodeEntry& entry,
         best_penalty = candidate;
       }
     }
-    const NodeId child_id = node.entries[best].payload;
-    bool child_split = false;
-    NodeEntry child_split_entry;
-    GistKey child_key;
-    GRTDB_RETURN_IF_ERROR(InsertRecursive(child_id, entry, level, ext,
-                                          &child_split, &child_split_entry,
-                                          &child_key));
-    node.entries[best].key = std::move(child_key);
-    if (child_split) node.entries.push_back(child_split_entry);
-    if (!Overflows(node)) {
-      GRTDB_RETURN_IF_ERROR(WriteNode(node_id, node));
-      *new_key = NodeUnion(node, ext);
-      return Status::OK();
-    }
+    GRTDB_RETURN_IF_ERROR(InsertRecursive(node.entries[best].payload, entry,
+                                          level, ext, ins));
+    node.entries[best] = std::move(ins->entry);
+    if (ins->split) node.entries.push_back(std::move(ins->sibling));
   } else {
     node.entries.push_back(entry);
-    if (!Overflows(node)) {
-      GRTDB_RETURN_IF_ERROR(WriteNode(node_id, node));
-      *new_key = NodeUnion(node, ext);
-      return Status::OK();
-    }
+  }
+  if (!Overflows(node)) {
+    GRTDB_RETURN_IF_ERROR(WriteNode(node_id, node));
+    ins->split = false;
+    ins->entry = NodeEntry{NodeUnion(node, ext), node_id};
+    return Status::OK();
   }
 
   // PickSplit.
@@ -198,9 +160,9 @@ Status GistTree::InsertRecursive(NodeId node_id, const NodeEntry& entry,
   GRTDB_RETURN_IF_ERROR(store_->AllocateNode(&right_id));
   GRTDB_RETURN_IF_ERROR(WriteNode(right_id, right));
   GRTDB_RETURN_IF_ERROR(WriteNode(node_id, node));
-  *split = true;
-  *split_entry = NodeEntry{NodeUnion(right, ext), right_id};
-  *new_key = NodeUnion(node, ext);
+  ins->split = true;
+  ins->sibling = NodeEntry{NodeUnion(right, ext), right_id};
+  ins->entry = NodeEntry{NodeUnion(node, ext), node_id};
   return Status::OK();
 }
 
@@ -214,30 +176,7 @@ Status GistTree::Delete(const GistKey& key, uint64_t payload,
                                         &removed_node, &orphans, &new_key));
   if (!*found) return Status::OK();
   --size_;
-  // Re-insert orphans (highest level first), then shrink the root.
-  std::stable_sort(
-      orphans.begin(), orphans.end(),
-      [](const auto& a, const auto& b) { return a.second > b.second; });
-  for (auto& [entry, level] : orphans) {
-    GRTDB_RETURN_IF_ERROR(InsertAtLevel(entry, level, ext));
-  }
-  while (true) {
-    Node root_node;
-    GRTDB_RETURN_IF_ERROR(ReadNode(root_, &root_node));
-    if (root_node.level == 0) break;
-    if (root_node.entries.empty()) {
-      root_node.level = 0;
-      GRTDB_RETURN_IF_ERROR(WriteNode(root_, root_node));
-      height_ = 1;
-      break;
-    }
-    if (root_node.entries.size() != 1) break;
-    const NodeId child = root_node.entries[0].payload;
-    GRTDB_RETURN_IF_ERROR(store_->FreeNode(root_));
-    root_ = child;
-    --height_;
-  }
-  return SaveAnchor();
+  return Condense(std::move(orphans), ext);
 }
 
 Status GistTree::DeleteRecursive(

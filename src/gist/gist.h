@@ -109,12 +109,9 @@ class GistTree : public PagedTree<GistTree> {
   static bool Overflows(const Node& node);
 
   GistKey NodeUnion(const Node& node, const GistExtension& ext) const;
-  Status InsertAtLevel(const NodeEntry& entry, uint32_t level,
-                       const GistExtension& ext);
   Status InsertRecursive(NodeId node_id, const NodeEntry& entry,
                          uint32_t level, const GistExtension& ext,
-                         bool* split, NodeEntry* split_entry,
-                         GistKey* new_key);
+                         Insertion<NodeEntry>* ins);
   Status DeleteRecursive(NodeId node_id, const GistKey& key,
                          uint64_t payload, const GistExtension& ext,
                          bool* found, bool* removed_node,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <deque>
 
 namespace grtdb {
 
@@ -129,106 +128,38 @@ Status RStarTree::Insert(const Rect& rect, uint64_t payload) {
   if (rect.IsEmpty()) {
     return Status::InvalidArgument("cannot index an empty rectangle");
   }
-  std::vector<bool> reinsert_done(height_, false);
-  GRTDB_RETURN_IF_ERROR(
-      InsertAtLevel(Entry{rect, payload}, 0, &reinsert_done));
-  ++size_;
-  return SaveAnchor();
+  return InsertLeaf(Entry{rect, payload});
 }
 
-Status RStarTree::InsertAtLevel(const Entry& entry, uint32_t level,
-                                std::vector<bool>* reinsert_done) {
-  struct Pending {
-    Entry entry;
-    uint32_t level;
-  };
-  std::deque<Pending> work;
-  work.push_back(Pending{entry, level});
-  while (!work.empty()) {
-    Pending item = work.front();
-    work.pop_front();
-    bool split = false;
-    Entry split_entry;
-    Rect new_bound;
-    // InsertRecursive may push forced-reinsert evictions onto `work` via
-    // the pending vector.
-    std::vector<std::pair<Entry, uint32_t>> evicted;
-    GRTDB_RETURN_IF_ERROR(InsertRecursiveImpl(root_, item.entry, item.level,
-                                              reinsert_done, &split,
-                                              &split_entry, &new_bound,
-                                              &evicted));
-    for (auto& [evicted_entry, evicted_level] : evicted) {
-      work.push_back(Pending{evicted_entry, evicted_level});
-    }
-    if (split) {
-      // Grow a new root over the two halves.
-      Node old_root_probe;
-      GRTDB_RETURN_IF_ERROR(ReadNode(root_, &old_root_probe));
-      Node new_root;
-      new_root.level = old_root_probe.level + 1;
-      new_root.entries.push_back(Entry{new_bound, root_});
-      new_root.entries.push_back(split_entry);
-      NodeId new_root_id;
-      GRTDB_RETURN_IF_ERROR(store_->AllocateNode(&new_root_id));
-      GRTDB_RETURN_IF_ERROR(WriteNode(new_root_id, new_root));
-      root_ = new_root_id;
-      ++height_;
-      reinsert_done->resize(height_, false);
-      GRTDB_RETURN_IF_ERROR(SaveAnchor());
-    }
-  }
-  return Status::OK();
-}
-
-Status RStarTree::InsertRecursiveImpl(
-    NodeId node_id, const Entry& entry, uint32_t level,
-    std::vector<bool>* reinsert_done, bool* split, Entry* split_entry,
-    Rect* new_bound, std::vector<std::pair<Entry, uint32_t>>* evicted) {
+Status RStarTree::InsertRecursive(NodeId node_id, const Entry& entry,
+                                  uint32_t level, Insertion<Entry>* ins) {
   Node node;
   GRTDB_RETURN_IF_ERROR(ReadNode(node_id, &node));
-  *split = false;
   if (node.level == level) {
     node.entries.push_back(entry);
-    if (node.entries.size() > max_entries_) {
-      return HandleOverflowImpl(node_id, &node, reinsert_done, split,
-                                split_entry, new_bound, evicted);
-    }
-    GRTDB_RETURN_IF_ERROR(WriteNode(node_id, node));
-    *new_bound = NodeBound(node);
-    return Status::OK();
+  } else {
+    size_t child_index;
+    GRTDB_RETURN_IF_ERROR(ChooseSubtree(node, entry.rect, &child_index));
+    GRTDB_RETURN_IF_ERROR(InsertRecursive(node.entries[child_index].payload,
+                                          entry, level, ins));
+    node.entries[child_index] = ins->entry;
+    if (ins->split) node.entries.push_back(ins->sibling);
   }
-
-  size_t child_index;
-  GRTDB_RETURN_IF_ERROR(ChooseSubtree(node, entry.rect, &child_index));
-  const NodeId child_id = node.entries[child_index].payload;
-  bool child_split = false;
-  Entry child_split_entry;
-  Rect child_bound;
-  GRTDB_RETURN_IF_ERROR(InsertRecursiveImpl(child_id, entry, level,
-                                            reinsert_done, &child_split,
-                                            &child_split_entry, &child_bound,
-                                            evicted));
-  node.entries[child_index].rect = child_bound;
-  if (child_split) {
-    node.entries.push_back(child_split_entry);
-    if (node.entries.size() > max_entries_) {
-      return HandleOverflowImpl(node_id, &node, reinsert_done, split,
-                                split_entry, new_bound, evicted);
-    }
+  // Only a node that gained an entry here can overflow.
+  if ((node.level == level || ins->split) &&
+      node.entries.size() > max_entries_) {
+    return HandleOverflow(node_id, &node, ins);
   }
   GRTDB_RETURN_IF_ERROR(WriteNode(node_id, node));
-  *new_bound = NodeBound(node);
+  ins->split = false;
+  ins->entry = Entry{NodeBound(node), node_id};
   return Status::OK();
 }
 
-Status RStarTree::HandleOverflowImpl(
-    NodeId node_id, Node* node, std::vector<bool>* reinsert_done, bool* split,
-    Entry* split_entry, Rect* new_bound,
-    std::vector<std::pair<Entry, uint32_t>>* evicted) {
-  const bool is_root = node_id == root_;
-  if (options_.forced_reinsert && !is_root && node->level < height_ &&
-      !(*reinsert_done)[node->level]) {
-    (*reinsert_done)[node->level] = true;
+Status RStarTree::HandleOverflow(NodeId node_id, Node* node,
+                                 Insertion<Entry>* ins) {
+  if (options_.forced_reinsert && node_id != root_ &&
+      ins->FirstOverflowAt(node->level)) {
     // Evict the reinsert_fraction entries farthest from the node center and
     // defer their reinsertion (close-reinsert order: nearest first).
     const Rect bound = NodeBound(*node);
@@ -246,12 +177,12 @@ Status RStarTree::HandleOverflowImpl(
     kept.reserve(keep);
     for (size_t i = 0; i < keep; ++i) kept.push_back(node->entries[order[i]]);
     for (size_t i = keep; i < order.size(); ++i) {
-      evicted->emplace_back(node->entries[order[i]], node->level);
+      ins->queue.emplace_back(node->entries[order[i]], node->level);
     }
     node->entries = std::move(kept);
     GRTDB_RETURN_IF_ERROR(WriteNode(node_id, *node));
-    *split = false;
-    *new_bound = NodeBound(*node);
+    ins->split = false;
+    ins->entry = Entry{NodeBound(*node), node_id};
     return Status::OK();
   }
 
@@ -267,9 +198,9 @@ Status RStarTree::HandleOverflowImpl(
   GRTDB_RETURN_IF_ERROR(WriteNode(right_id, right_node));
   node->entries = std::move(left);
   GRTDB_RETURN_IF_ERROR(WriteNode(node_id, *node));
-  *split = true;
-  *split_entry = Entry{NodeBound(right_node), right_id};
-  *new_bound = NodeBound(*node);
+  ins->split = true;
+  ins->sibling = Entry{NodeBound(right_node), right_id};
+  ins->entry = Entry{NodeBound(*node), node_id};
   return Status::OK();
 }
 
@@ -365,36 +296,7 @@ Status RStarTree::Delete(const Rect& rect, uint64_t payload, bool* found) {
     // never remove; removed_node true here would be a logic error.
     return Status::Internal("root unexpectedly removed");
   }
-  // Re-insert orphaned entries at their original levels, highest level
-  // first and before any root shrink so every target level still exists.
-  // Forced reinsertion is disabled to keep condensation bounded.
-  std::stable_sort(orphans.begin(), orphans.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.second > b.second;
-                   });
-  std::vector<bool> reinsert_done(height_, true);
-  for (auto& [entry, level] : orphans) {
-    GRTDB_RETURN_IF_ERROR(InsertAtLevel(entry, level, &reinsert_done));
-  }
-  // Shrink the root while it is an internal node with a single child; an
-  // internal root drained of all children degenerates to an empty leaf.
-  while (true) {
-    Node root_node;
-    GRTDB_RETURN_IF_ERROR(ReadNode(root_, &root_node));
-    if (root_node.level == 0) break;
-    if (root_node.entries.empty()) {
-      root_node.level = 0;
-      GRTDB_RETURN_IF_ERROR(WriteNode(root_, root_node));
-      height_ = 1;
-      break;
-    }
-    if (root_node.entries.size() != 1) break;
-    const NodeId child = root_node.entries[0].payload;
-    GRTDB_RETURN_IF_ERROR(store_->FreeNode(root_));
-    root_ = child;
-    --height_;
-  }
-  return SaveAnchor();
+  return Condense(std::move(orphans));
 }
 
 Status RStarTree::DeleteRecursiveImpl(

@@ -91,19 +91,12 @@ class RStarTree : public PagedTree<RStarTree> {
   Rect NodeBound(const Node& node) const;
   Status ChooseSubtree(const Node& node, const Rect& rect, size_t* best);
 
-  // Inserts `entry` at `level`, splitting/reinserting as needed.
-  // `reinsert_done` tracks which levels already did forced reinsertion for
-  // this logical insertion (R* OverflowTreatment).
-  Status InsertAtLevel(const Entry& entry, uint32_t level,
-                       std::vector<bool>* reinsert_done);
-  Status InsertRecursiveImpl(
-      NodeId node_id, const Entry& entry, uint32_t level,
-      std::vector<bool>* reinsert_done, bool* split, Entry* split_entry,
-      Rect* new_bound, std::vector<std::pair<Entry, uint32_t>>* evicted);
-  Status HandleOverflowImpl(
-      NodeId node_id, Node* node, std::vector<bool>* reinsert_done,
-      bool* split, Entry* split_entry, Rect* new_bound,
-      std::vector<std::pair<Entry, uint32_t>>* evicted);
+  // Inserts `entry` at `level` below `node_id`, splitting or reinserting
+  // as needed (R* OverflowTreatment: forced reinsert at the first overflow
+  // of each non-root level, else split).
+  Status InsertRecursive(NodeId node_id, const Entry& entry, uint32_t level,
+                         Insertion<Entry>* ins);
+  Status HandleOverflow(NodeId node_id, Node* node, Insertion<Entry>* ins);
   void SplitEntries(std::vector<Entry>* entries, std::vector<Entry>* left,
                     std::vector<Entry>* right) const;
 

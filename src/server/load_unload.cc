@@ -54,17 +54,23 @@ Status Server::ExecLoad(ServerSession* session, const sql::LoadStmt& stmt,
         continue;
       }
       sql::Literal literal;
+      bool number_ok = true;
       if (EqualsIgnoreCase(fields[i], "NULL")) {
         literal.kind = sql::Literal::Kind::kNull;
       } else if (type.base == TypeDesc::Base::kInteger) {
         literal.kind = sql::Literal::Kind::kInteger;
-        literal.integer = std::strtoll(fields[i].c_str(), nullptr, 10);
+        number_ok = ParseInt64(fields[i], &literal.integer);
       } else if (type.base == TypeDesc::Base::kFloat) {
         literal.kind = sql::Literal::Kind::kFloat;
-        literal.real = std::strtod(fields[i].c_str(), nullptr);
+        number_ok = ParseDouble(fields[i], &literal.real);
       } else {
         literal.kind = sql::Literal::Kind::kString;
         literal.text = fields[i];
+      }
+      if (!number_ok) {
+        return Status::InvalidArgument(
+            stmt.path + ":" + std::to_string(line_number) + ": field '" +
+            fields[i] + "' is not a valid " + types_.NameOf(type));
       }
       Value value;
       Status coerce = CoerceLiteral(literal, type, &value);

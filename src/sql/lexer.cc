@@ -1,7 +1,8 @@
 #include "sql/lexer.h"
 
 #include <cctype>
-#include <cstdlib>
+
+#include "common/strings.h"
 
 namespace grtdb {
 namespace sql {
@@ -51,12 +52,12 @@ Status Tokenize(const std::string& input, std::vector<Token>* out) {
         ++i;
       }
       const std::string text = input.substr(start, i - start);
-      if (is_float) {
-        token.kind = Token::Kind::kFloat;
-        token.real = std::strtod(text.c_str(), nullptr);
-      } else {
-        token.kind = Token::Kind::kInteger;
-        token.integer = std::strtoll(text.c_str(), nullptr, 10);
+      token.kind = is_float ? Token::Kind::kFloat : Token::Kind::kInteger;
+      if (!(is_float ? ParseDouble(text, &token.real)
+                     : ParseInt64(text, &token.integer))) {
+        return Status::InvalidArgument("numeric literal '" + text +
+                                       "' is out of range at offset " +
+                                       std::to_string(start));
       }
       token.text = text;
       out->push_back(std::move(token));

@@ -104,7 +104,19 @@ Status Parser::ParseScript(const std::string& text,
   return Status::OK();
 }
 
+Status Parser::CheckNesting() const {
+  if (depth_ > kMaxNesting) {
+    return Status::InvalidArgument("statement nests deeper than " +
+                                   std::to_string(kMaxNesting) +
+                                   " levels (offset " +
+                                   std::to_string(Peek().offset) + ")");
+  }
+  return Status::OK();
+}
+
 Status Parser::ParseStatement(Statement* out) {
+  Nesting nesting(&depth_);
+  GRTDB_RETURN_IF_ERROR(CheckNesting());
   if (AtKeyword("CREATE")) return ParseCreate(out);
   if (AtKeyword("DROP")) return ParseDrop(out);
   if (AtKeyword("INSERT")) return ParseInsert(out);
@@ -745,40 +757,38 @@ Status Parser::ParseLiteral(Literal* out) {
 Status Parser::ParseExpr(std::unique_ptr<Expr>* out) { return ParseOr(out); }
 
 Status Parser::ParseOr(std::unique_ptr<Expr>* out) {
-  std::unique_ptr<Expr> left;
-  GRTDB_RETURN_IF_ERROR(ParseAnd(&left));
-  while (AtKeyword("OR")) {
-    Take();
-    std::unique_ptr<Expr> right;
-    GRTDB_RETURN_IF_ERROR(ParseAnd(&right));
-    auto node = std::make_unique<Expr>();
-    node->kind = Expr::Kind::kOr;
-    node->children.push_back(std::move(left));
-    node->children.push_back(std::move(right));
-    left = std::move(node);
-  }
-  *out = std::move(left);
-  return Status::OK();
+  return ParseChain("OR", Expr::Kind::kOr, &Parser::ParseAnd, out);
 }
 
 Status Parser::ParseAnd(std::unique_ptr<Expr>* out) {
-  std::unique_ptr<Expr> left;
-  GRTDB_RETURN_IF_ERROR(ParseNot(&left));
-  while (AtKeyword("AND")) {
-    Take();
-    std::unique_ptr<Expr> right;
-    GRTDB_RETURN_IF_ERROR(ParseNot(&right));
-    auto node = std::make_unique<Expr>();
-    node->kind = Expr::Kind::kAnd;
-    node->children.push_back(std::move(left));
-    node->children.push_back(std::move(right));
-    left = std::move(node);
+  return ParseChain("AND", Expr::Kind::kAnd, &Parser::ParseNot, out);
+}
+
+Status Parser::ParseChain(const char* keyword, Expr::Kind kind,
+                          Status (Parser::*operand)(std::unique_ptr<Expr>*),
+                          std::unique_ptr<Expr>* out) {
+  std::unique_ptr<Expr> first;
+  GRTDB_RETURN_IF_ERROR((this->*operand)(&first));
+  if (!AtKeyword(keyword)) {
+    *out = std::move(first);
+    return Status::OK();
   }
-  *out = std::move(left);
+  auto node = std::make_unique<Expr>();
+  node->kind = kind;
+  node->children.push_back(std::move(first));
+  while (AtKeyword(keyword)) {
+    Take();
+    std::unique_ptr<Expr> next;
+    GRTDB_RETURN_IF_ERROR((this->*operand)(&next));
+    node->children.push_back(std::move(next));
+  }
+  *out = std::move(node);
   return Status::OK();
 }
 
 Status Parser::ParseNot(std::unique_ptr<Expr>* out) {
+  Nesting nesting(&depth_);
+  GRTDB_RETURN_IF_ERROR(CheckNesting());
   if (AtKeyword("NOT")) {
     Take();
     auto node = std::make_unique<Expr>();
@@ -827,6 +837,8 @@ Status Parser::ParsePredicate(std::unique_ptr<Expr>* out) {
 }
 
 Status Parser::ParseOperand(std::unique_ptr<Expr>* out) {
+  Nesting nesting(&depth_);
+  GRTDB_RETURN_IF_ERROR(CheckNesting());
   const Token& token = Peek();
   if (token.kind == Token::Kind::kIdentifier &&
       !EqualsIgnoreCase(token.text, "NULL")) {

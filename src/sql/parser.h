@@ -32,6 +32,18 @@ class Parser {
                             std::vector<std::string>* texts = nullptr);
 
  private:
+  // How deep NOT, parentheses, call arguments and the inner statements of
+  // EXPLAIN and PREPARE may nest together. The parser and every walk over
+  // its tree recurse once per level; AND/OR chains are flat n-ary nodes.
+  static constexpr size_t kMaxNesting = 256;
+
+  // Counts one level of nesting for as long as it lives.
+  struct Nesting {
+    explicit Nesting(size_t* depth) : depth(depth) { ++*depth; }
+    ~Nesting() { --*depth; }
+    size_t* depth;
+  };
+
   Parser(std::vector<Token> tokens, std::string text)
       : tokens_(std::move(tokens)), text_(std::move(text)) {}
 
@@ -42,6 +54,8 @@ class Parser {
   Status ExpectSymbol(const std::string& symbol);
   bool TrySymbol(const std::string& symbol);
   Status TakeIdentifier(std::string* out);
+  // InvalidArgument once the nesting passes kMaxNesting.
+  Status CheckNesting() const;
 
   Status ParseStatement(Statement* out);
   Status ParseCreate(Statement* out);
@@ -68,6 +82,11 @@ class Parser {
   Status ParseExpr(std::unique_ptr<Expr>* out);
   Status ParseOr(std::unique_ptr<Expr>* out);
   Status ParseAnd(std::unique_ptr<Expr>* out);
+  // `operand` (keyword `operand`)*: one n-ary `kind` node, or the single
+  // operand itself.
+  Status ParseChain(const char* keyword, Expr::Kind kind,
+                    Status (Parser::*operand)(std::unique_ptr<Expr>*),
+                    std::unique_ptr<Expr>* out);
   Status ParseNot(std::unique_ptr<Expr>* out);
   Status ParsePredicate(std::unique_ptr<Expr>* out);
   Status ParseOperand(std::unique_ptr<Expr>* out);
@@ -80,6 +99,7 @@ class Parser {
   size_t pos_ = 0;
   // Number of `?` placeholders consumed so far; each gets the next index.
   size_t param_count_ = 0;
+  size_t depth_ = 0;  // current nesting, see kMaxNesting
 };
 
 }  // namespace sql

@@ -4,8 +4,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -41,14 +43,22 @@ struct TreeLevelStats {
 //     pending-reinsert flag u8 @32 (zero in the other trees), rest zero;
 //   - Create (anchor node first, then an empty root leaf) and Open, both
 //     behind one node-capacity check;
-//   - Drop, the level-by-level stats walk and the R-trees' STR bulk load.
+//   - Drop, the level-by-level stats walk and the R-trees' STR bulk load;
+//   - for the R-tree family (GR-tree, R*-tree, GiST), how the root
+//     changes: the insert loop that grows a new root over a split
+//     (InsertLeaf), and the condense tail that re-inserts orphans and
+//     shrinks the root (Condense).
 // `Tree` derives from PagedTree<Tree>, befriends it and provides its
 // decoded `Node` (default-constructed = an empty root leaf), its node codec
 // `ReadNode(NodeId, Node*) const` / `WriteNode(NodeId, const Node&)`, and,
 // unless its nodes hold `level` and `entries` whose `payload`s name the
 // children, `static AppendChildren(const Node&, std::vector<NodeId>*)`.
+// A tree that inserts through InsertLeaf/Condense also provides
+// `InsertRecursive(NodeId, const Entry&, uint32_t level, args...,
+// Insertion<Entry>*)`. `kRootEpoch`: growing or collapsing the root bumps
+// the condense epoch (the GR-tree's open cursors restart on it, §5.5).
 // No virtual calls: everything resolves at compile time.
-template <typename Tree>
+template <typename Tree, bool kRootEpoch = false>
 class PagedTree {
  public:
   PagedTree(const PagedTree&) = delete;
@@ -249,6 +259,59 @@ class PagedTree {
     }
   }
 
+  // One insertion's state, threaded through the tree's InsertRecursive.
+  template <typename Entry>
+  struct Insertion {
+    // (entry, level) pairs still to insert; forced reinsert queues the
+    // entries it evicts here.
+    std::deque<std::pair<Entry, uint32_t>> queue;
+    // Levels where forced reinsert already ran: once per level and
+    // insertion (R* OverflowTreatment).
+    std::vector<bool> reinserted;
+    // What each level hands the level above: the entry the parent keeps
+    // for the node (its new bound and its id) and, after a split, the
+    // entry of the new sibling.
+    Entry entry;
+    bool split = false;
+    Entry sibling;
+
+    // Whether forced reinsert may run at `level`; marks it as run.
+    bool FirstOverflowAt(uint32_t level) {
+      if (level >= reinserted.size() || reinserted[level]) return false;
+      reinserted[level] = true;
+      return true;
+    }
+  };
+
+  // Inserts one leaf entry; `args` go to the tree's InsertRecursive.
+  template <typename Entry, typename... Args>
+  Status InsertLeaf(Entry entry, const Args&... args) {
+    Insertion<Entry> ins;
+    ins.reinserted.assign(height_, false);
+    GRTDB_RETURN_IF_ERROR(InsertAt(std::move(entry), 0, &ins, args...));
+    ++size_;
+    return SaveAnchor();
+  }
+
+  // A delete's condense tail: re-inserts the entries of the nodes it
+  // removed at their levels, highest first and before the root shrinks so
+  // every level still exists, with forced reinsert off to keep the
+  // condensation bounded; then shrinks the root and saves the anchor.
+  template <typename Entry, typename... Args>
+  Status Condense(std::vector<std::pair<Entry, uint32_t>> orphans,
+                  const Args&... args) {
+    std::stable_sort(
+        orphans.begin(), orphans.end(),
+        [](const auto& a, const auto& b) { return a.second > b.second; });
+    Insertion<Entry> ins;
+    ins.reinserted.assign(height_, true);
+    for (auto& [entry, level] : orphans) {
+      GRTDB_RETURN_IF_ERROR(InsertAt(std::move(entry), level, &ins, args...));
+    }
+    GRTDB_RETURN_IF_ERROR(ShrinkRoot());
+    return SaveAnchor();
+  }
+
   NodeStore* store_;
   size_t max_entries_;
   size_t min_entries_;
@@ -262,6 +325,54 @@ class PagedTree {
   bool has_pending_condense_ = false;
 
  private:
+  // Inserts `entry` at `level`, then every entry forced reinsert evicts on
+  // the way; a split of the root grows a new one.
+  template <typename Entry, typename... Args>
+  Status InsertAt(Entry entry, uint32_t level, Insertion<Entry>* ins,
+                  const Args&... args) {
+    ins->queue.emplace_back(std::move(entry), level);
+    while (!ins->queue.empty()) {
+      auto [item, item_level] = std::move(ins->queue.front());
+      ins->queue.pop_front();
+      GRTDB_RETURN_IF_ERROR(
+          self().InsertRecursive(root_, item, item_level, args..., ins));
+      if (!ins->split) continue;
+      typename Tree::Node root;  // read for the old root's level
+      GRTDB_RETURN_IF_ERROR(self().ReadNode(root_, &root));
+      ++root.level;
+      root.entries = {ins->entry, ins->sibling};
+      NodeId id;
+      GRTDB_RETURN_IF_ERROR(store_->AllocateNode(&id));
+      GRTDB_RETURN_IF_ERROR(self().WriteNode(id, root));
+      root_ = id;
+      ++height_;
+      if constexpr (kRootEpoch) ++condense_epoch_;
+      ins->reinserted.resize(height_, false);
+      GRTDB_RETURN_IF_ERROR(SaveAnchor());
+    }
+    return Status::OK();
+  }
+
+  // Collapses single-child internal roots; an internal root drained of
+  // every child becomes an empty leaf.
+  Status ShrinkRoot() {
+    for (;;) {
+      typename Tree::Node root;
+      GRTDB_RETURN_IF_ERROR(self().ReadNode(root_, &root));
+      if (root.level == 0 || root.entries.size() > 1) return Status::OK();
+      if (root.entries.empty()) {
+        root.level = 0;
+        GRTDB_RETURN_IF_ERROR(self().WriteNode(root_, root));
+        height_ = 1;
+        return Status::OK();
+      }
+      GRTDB_RETURN_IF_ERROR(store_->FreeNode(root_));
+      root_ = root.entries[0].payload;
+      --height_;
+      if constexpr (kRootEpoch) ++condense_epoch_;
+    }
+  }
+
   Status CheckCapacity() const {
     if (format_.page_capacity == 0) return Status::OK();
     if (max_entries_ > format_.page_capacity) {

@@ -246,6 +246,7 @@ Status WalNodeStore::Recover() {
         return Status::IOError("cannot truncate WAL");
       }
       log_size_ = 0;
+      log_torn_ = false;
       unapplied_in_log_ = false;
     }
     return Status::OK();
@@ -400,10 +401,12 @@ Status WalNodeStore::CommitBuffer(TxnBuffer* txn, bool apply) {
   }
   GRTDB_WITNESS_RELEASE(CommitMutexClass());
 
+  // Committed or not, the transaction is over: a failed append or fsync
+  // took its frame back out of the log (CutTornTail), so its writes go.
+  txn->writes.clear();
+  txn->frees.clear();
+  txn->open = false;
   if (req.result.ok()) {
-    txn->writes.clear();
-    txn->frees.clear();
-    txn->open = false;
     if (m_commit_us_ != nullptr) {
       const auto elapsed = std::chrono::steady_clock::now() - commit_start;
       m_commit_us_->Record(static_cast<uint64_t>(
@@ -443,10 +446,12 @@ void WalNodeStore::RunLeaderRound(std::unique_lock<std::mutex>& lk) {
     blob.insert(blob.end(), r->frame.begin(), r->frame.end());
   }
 
-  Status io = WriteAllToLog(blob.data(), blob.size());
+  Status io = log_torn_ ? CutTornTail() : Status::OK();
+  if (io.ok()) io = WriteAllToLog(blob.data(), blob.size());
   if (io.ok() && ::fsync(log_fd_) != 0) {
     io = Status::IOError("fsync on WAL failed");
   }
+  if (!io.ok()) (void)CutTornTail();  // else the next round retries it
 
   if (io.ok()) {
     std::lock_guard<std::mutex> il(inner_mu_);
@@ -497,6 +502,13 @@ void WalNodeStore::RunLeaderRound(std::unique_lock<std::mutex>& lk) {
   for (CommitRequest* r : batch) r->done = true;
   leader_active_ = false;
   commit_cv_.notify_all();
+}
+
+Status WalNodeStore::CutTornTail() {
+  std::lock_guard<std::mutex> il(inner_mu_);
+  log_torn_ = ::ftruncate(log_fd_, static_cast<off_t>(log_size_)) != 0;
+  return log_torn_ ? Status::IOError("cannot cut a failed append off the WAL")
+                   : Status::OK();
 }
 
 void WalNodeStore::MaybeAutoCheckpoint() {
@@ -558,6 +570,7 @@ Status WalNodeStore::CheckpointQuiesced() {
   }
   const uint64_t dropped = log_size_;
   log_size_ = 0;
+  log_torn_ = false;
   unapplied_in_log_ = false;
   {
     std::lock_guard<std::mutex> lock(stats_mu_);

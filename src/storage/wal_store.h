@@ -109,6 +109,8 @@ class WalNodeStore final : public NodeStore {
   // outside a transaction are write-through (no atomicity), matching a
   // blade that skips the work.
   Status Begin();
+  // Ends the transaction whatever the result: when the log append or its
+  // fsync fails, the batch is cut from the log and its writes are dropped.
   Status Commit();
   // Drops the transaction's buffered writes.
   Status Rollback();
@@ -185,6 +187,11 @@ class WalNodeStore final : public NodeStore {
   void RunLeaderRound(std::unique_lock<std::mutex>& lk);
   static std::vector<uint8_t> BuildFrame(const TxnBuffer& txn);
   Status WriteAllToLog(const uint8_t* data, size_t size);
+  // Truncates the log back to log_size_, the end of its last whole frame,
+  // after an append or its fsync failed: frames appended behind torn bytes
+  // would be lost, as Recover() stops at the first bad frame. Until that
+  // succeeds, log_torn_ stays set and every commit retries it first.
+  Status CutTornTail();
   Status ApplyTxnInnerLocked(const TxnBuffer& txn);
   void MaybeAutoCheckpoint();
 
@@ -221,6 +228,10 @@ class WalNodeStore final : public NodeStore {
   std::condition_variable commit_cv_;
   std::deque<CommitRequest*> commit_queue_;
   bool leader_active_ = false;
+  // The log may end in part of a failed batch (see CutTornTail). Touched
+  // only by whoever holds the pipeline: a commit leader, Recover() or a
+  // checkpoint.
+  bool log_torn_ = false;
 
   // Guards every inner_-> mutation plus the bookkeeping that must stay
   // consistent with it (log_size_, unapplied_in_log_, NodeStore stats_).

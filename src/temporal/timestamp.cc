@@ -1,7 +1,5 @@
 #include "temporal/timestamp.h"
 
-#include <cstdlib>
-
 #include "common/date.h"
 #include "common/strings.h"
 
@@ -20,16 +18,11 @@ Status Timestamp::Parse(const std::string& text, Timestamp* out) {
   int64_t day = 0;
   if (trimmed.find('/') != std::string::npos) {
     GRTDB_RETURN_IF_ERROR(ParseDate(trimmed, &day));
-  } else {
-    char* end = nullptr;
-    day = std::strtoll(trimmed.c_str(), &end, 10);
-    if (end == trimmed.c_str() || *end != '\0') {
-      return Status::InvalidArgument("cannot parse timestamp '" + text + "'");
-    }
+  } else if (!ParseInt64(trimmed, &day)) {
+    return Status::InvalidArgument("cannot parse timestamp '" + text + "'");
   }
   // Only chronons ToString renders and Parse reads back: this also keeps
-  // a ground value off the UC/NOW encodings and strtoll's clamped
-  // out-of-range results.
+  // a ground value off the UC/NOW encodings.
   if (day < kMinDayNumber || day > kMaxDayNumber) {
     return Status::InvalidArgument("timestamp '" + text +
                                    "' is outside 01/01/0100 .. 12/31/9999");

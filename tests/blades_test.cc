@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "blades/access_method.h"
 #include "blades/btree_blade.h"
 #include "blades/gist_blade.h"
 #include "blades/grtree_blade.h"
@@ -394,6 +395,56 @@ INSTANTIATE_TEST_SUITE_P(
                       GRTreeBladeOptions::Storage::kLoPerNode,
                       GRTreeBladeOptions::Storage::kLoPerSubtree,
                       GRTreeBladeOptions::Storage::kExternalFile));
+
+// An OS-file index whose WAL append fails: the INSERT fails, and the index
+// then behaves as if it never ran — the next INSERT works and index scans
+// do not see the failed row.
+TEST(ExternalFileIndex, FailedLogAppendLeavesNoTrace) {
+  Server server;
+  GRTreeBladeOptions options;
+  options.storage = GRTreeBladeOptions::Storage::kExternalFile;
+  options.external_dir =
+      ::testing::TempDir() + "blades_wal_" + std::to_string(::getpid());
+  std::filesystem::create_directories(options.external_dir);
+  ASSERT_TRUE(RegisterGRTreeBlade(&server, options).ok());
+  ServerSession* session = server.CreateSession();
+  ResultSet result;
+  auto exec = [&](const std::string& sql) {
+    return server.Execute(session, sql, &result);
+  };
+  auto row = [](int id) {
+    return "INSERT INTO t VALUES (" + std::to_string(id) + ", '20000, UC, " +
+           std::to_string(19900 + id) + ", NOW')";
+  };
+  ASSERT_TRUE(exec("CREATE TABLE t (id int, e grt_timeextent)").ok());
+  ASSERT_TRUE(
+      exec("CREATE INDEX t_idx ON t(e grt_opclass) USING grtree_am").ok());
+  ASSERT_TRUE(exec("SET CURRENT_TIME TO 20000").ok());
+  for (int id = 0; id < 40; ++id) ASSERT_TRUE(exec(row(id)).ok());
+  // The test hook sits on the index's WAL, in its server-owned stack.
+  IndexDef* index = server.catalog().FindIndex("t_idx");
+  ASSERT_NE(index, nullptr);
+  WalNodeStore* wal = static_cast<IndexStack*>(index->am_state.get())->wal.get();
+  ASSERT_NE(wal, nullptr);
+  wal->SetWriteHookForTesting([](int, const uint8_t*, size_t) -> ssize_t {
+    errno = EIO;
+    return -1;
+  });
+  EXPECT_TRUE(exec(row(40)).IsIOError());
+  wal->SetWriteHookForTesting(nullptr);
+  EXPECT_FALSE(wal->in_transaction());
+
+  ASSERT_TRUE(exec(row(41)).ok());
+  ASSERT_TRUE(
+      exec("SELECT id FROM t WHERE ContainedIn(e, '19000, UC, 19935, 20000')")
+          .ok());
+  std::set<std::string> ids;
+  for (const auto& r : result.rows) ids.insert(r[0]);
+  EXPECT_EQ(ids, (std::set<std::string>{"35", "36", "37", "38", "39", "41"}));
+  ASSERT_TRUE(exec("CHECK INDEX t_idx").ok());
+  ASSERT_TRUE(exec("DROP INDEX t_idx").ok());
+  std::filesystem::remove_all(options.external_dir);
+}
 
 // ------------------------------------------------ the shared store stack --
 // Each index of the four blades keeps one store stack and node cache from

@@ -497,6 +497,30 @@ TEST_F(NetTest, FailedStatementSendsNoRows) {
   EXPECT_TRUE(client.Ping().ok());
 }
 
+// A statement nested past the parser's bound gets an error frame instead
+// of overflowing a worker's stack, and the server keeps serving.
+TEST_F(NetTest, DeeplyNestedStatementGetsAnErrorFrame) {
+  NetClient client;
+  ASSERT_TRUE(Connect(&client).ok());
+  ResultSet result;
+  ASSERT_TRUE(client
+                  .ExecuteScript("CREATE TABLE t (id int); "
+                                 "INSERT INTO t VALUES (1);",
+                                 &result)
+                  .ok());
+  const std::string deep = "SELECT id FROM t WHERE " +
+                           std::string(20000, '(') + "id = 1" +
+                           std::string(20000, ')');
+  const Status status = client.Execute(deep, &result);
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+
+  NetClient other;
+  ASSERT_TRUE(Connect(&other).ok());
+  ASSERT_TRUE(other.Execute("SELECT id FROM t WHERE (id = 1)", &result).ok());
+  ASSERT_EQ(result.rows.size(), 1u);
+  EXPECT_EQ(result.rows[0][0], "1");
+}
+
 TEST_F(NetTest, DisconnectEndsTransactionAndReleasesLocks) {
   {
     NetClient writer;

@@ -142,6 +142,27 @@ TEST_F(CatalogFixture, LoadRejectsMalformedRows) {
   std::remove(path.c_str());
 }
 
+// A number field that is not wholly a number, or does not fit its column,
+// is rejected with its file and line, not clamped or cut short.
+TEST_F(CatalogFixture, LoadRejectsMalformedNumbers) {
+  const std::string path = ::testing::TempDir() + "/grtdb_badnumber.unl";
+  MustExec("CREATE TABLE t (a int, b float)");
+  for (const std::string& line : std::vector<std::string>{
+           "abc|1.0", "12x|1.0", "-99999999999999999999|1.0", "|1.0",
+           "1|zz", "1|2.5y", "1|" + std::string(400, '9')}) {
+    {
+      std::ofstream out(path);
+      out << "7|0.5\n" << line << "\n";
+    }
+    const Status status = Exec("LOAD FROM '" + path + "' INSERT INTO t");
+    EXPECT_TRUE(status.IsInvalidArgument()) << line << " -> "
+                                            << status.ToString();
+    EXPECT_NE(status.message().find(path + ":2:"), std::string::npos)
+        << status.message();
+  }
+  std::remove(path.c_str());
+}
+
 // ---------------------------------------------- negator / commutator ----
 
 TEST_F(CatalogFixture, NegatorEnablesIndexUnderNot) {

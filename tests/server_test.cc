@@ -218,6 +218,50 @@ TEST_F(ServerTest, OversizedDateFieldsAreRejected) {
   EXPECT_EQ(result_.rows[0][0], "0");
 }
 
+TEST_F(ServerTest, OutOfRangeLiteralsAreRejected) {
+  MustExec("CREATE TABLE t (a int, b float)");
+  EXPECT_TRUE(Exec("INSERT INTO t VALUES (99999999999999999999, 1.0)")
+                  .IsInvalidArgument());
+  EXPECT_TRUE(Exec("INSERT INTO t VALUES (1, " + std::string(400, '9') +
+                   ".0)")
+                  .IsInvalidArgument());
+  MustExec("INSERT INTO t VALUES (-9223372036854775808, 1.0)");
+  MustExec("SELECT a FROM t");
+  ASSERT_EQ(result_.rows.size(), 1u);
+  EXPECT_EQ(result_.rows[0][0], "-9223372036854775808");
+}
+
+std::string Repeat(const std::string& piece, size_t times) {
+  std::string out;
+  for (size_t i = 0; i < times; ++i) out += piece;
+  return out;
+}
+
+// Expressions nested past the parser's bound are InvalidArgument; long
+// AND/OR chains, which are flat, still answer.
+TEST_F(ServerTest, DeepExpressionsAreRejectedAndLongChainsAnswer) {
+  MustExec("CREATE TABLE t (id int)");
+  for (int id = 0; id < 10; ++id) {
+    MustExec("INSERT INTO t VALUES (" + std::to_string(id) + ")");
+  }
+  const std::string select = "SELECT id FROM t WHERE ";
+  EXPECT_TRUE(Exec(select + Repeat("(", 20000) + "id = 1" +
+                   Repeat(")", 20000))
+                  .IsInvalidArgument());
+  EXPECT_TRUE(Exec(select + Repeat("NOT ", 100000) + "id = 1")
+                  .IsInvalidArgument());
+
+  MustExec(select + "id = 1" + Repeat(" AND id = 1", 20000));
+  ASSERT_EQ(result_.rows.size(), 1u);
+  EXPECT_EQ(result_.rows[0][0], "1");
+  MustExec(select + "id = 3" + Repeat(" OR id = 99", 20000) + " OR id = 4");
+  EXPECT_EQ(result_.rows.size(), 2u);
+  MustExec("DELETE FROM t WHERE id = 5" + Repeat(" AND NOT id = 6", 20000));
+  EXPECT_EQ(result_.affected, 1u);
+  MustExec("SELECT COUNT(*) FROM t");
+  EXPECT_EQ(result_.rows[0][0], "9");
+}
+
 TEST_F(ServerTest, ExplainShowsSequentialScan) {
   MustExec("CREATE TABLE t (a int)");
   MustExec("SET EXPLAIN ON");

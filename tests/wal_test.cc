@@ -435,6 +435,79 @@ TEST(WalStore, ShortWritesAreRetriedToCompletion) {
   EXPECT_EQ(page[0], 0x51);
 }
 
+// A commit whose log append fails ends its transaction: its writes are
+// dropped, reads see the committed state and the next Begin() works. Both
+// the built-in session and a WalTxn handle.
+TEST(WalStore, FailedAppendEndsTheTransaction) {
+  Fixture fx("wal_failed_append.log");
+  NodeId id;
+  ASSERT_TRUE(fx.wal->AllocateNode(&id).ok());
+  fx.WriteByte(id, 0x60);  // write-through: the committed state
+  fx.wal->SetWriteHookForTesting([](int, const uint8_t*, size_t) -> ssize_t {
+    errno = EIO;
+    return -1;
+  });
+  ASSERT_TRUE(fx.wal->Begin().ok());
+  fx.WriteByte(id, 0x61);
+  EXPECT_TRUE(fx.wal->Commit().IsIOError());
+  EXPECT_FALSE(fx.wal->in_transaction());
+  EXPECT_EQ(fx.ReadByte(id), 0x60);
+
+  auto txn = fx.wal->BeginConcurrent();
+  uint8_t page[kPageSize];
+  std::memset(page, 0x62, sizeof(page));
+  ASSERT_TRUE(txn->WriteNode(id, page).ok());
+  EXPECT_TRUE(txn->Commit().IsIOError());
+  EXPECT_FALSE(txn->open());
+  EXPECT_EQ(fx.ReadByte(id), 0x60);
+
+  fx.wal->SetWriteHookForTesting(nullptr);
+  ASSERT_TRUE(fx.wal->Begin().ok());
+  fx.WriteByte(id, 0x63);
+  ASSERT_TRUE(fx.wal->Commit().ok());
+  EXPECT_EQ(fx.ReadByte(id), 0x63);
+  EXPECT_EQ(fx.wal->wal_stats().transactions_committed, 1u);
+}
+
+// An append that fails halfway leaves no torn frame in the log: a later
+// commit lands where the failed one began, and recovery replays it.
+TEST(WalStore, FailedAppendLeavesNoTornFrame) {
+  Fixture fx("wal_torn_append.log");
+  NodeId first;
+  NodeId second;
+  ASSERT_TRUE(fx.wal->AllocateNode(&first).ok());
+  ASSERT_TRUE(fx.wal->AllocateNode(&second).ok());
+  int calls = 0;
+  fx.wal->SetWriteHookForTesting(
+      [&calls](int fd, const uint8_t* data, size_t size) -> ssize_t {
+        if (calls++ == 0) return ::write(fd, data, size / 2);
+        errno = EIO;
+        return -1;
+      });
+  ASSERT_TRUE(fx.wal->Begin().ok());
+  fx.WriteByte(first, 0x71);
+  EXPECT_TRUE(fx.wal->Commit().IsIOError());
+  EXPECT_EQ(calls, 2);  // half a frame went out before the failure
+  fx.wal->SetWriteHookForTesting(nullptr);
+
+  ASSERT_TRUE(fx.wal->Begin().ok());
+  fx.WriteByte(second, 0x72);
+  ASSERT_TRUE(fx.wal->CommitWithCrashBeforeApply().ok());
+
+  auto wal_or = WalNodeStore::Open(&fx.inner, fx.log_path);
+  ASSERT_TRUE(wal_or.ok());
+  auto recovered = std::move(wal_or).value();
+  ASSERT_TRUE(recovered->Recover().ok());
+  EXPECT_EQ(recovered->wal_stats().transactions_replayed, 1u);
+  EXPECT_EQ(recovered->wal_stats().transactions_discarded, 0u);
+  EXPECT_EQ(recovered->wal_stats().crc_failures, 0u);
+  uint8_t page[kPageSize];
+  ASSERT_TRUE(fx.inner.ReadNode(second, page).ok());
+  EXPECT_EQ(page[0], 0x72);
+  ASSERT_TRUE(fx.inner.ReadNode(first, page).ok());
+  EXPECT_EQ(page[0], 0x00);  // the failed commit never happened
+}
+
 // ----------------------------------------------------------- group commit --
 
 TEST(WalGroupCommit, ConcurrentCommitsShareFsyncs) {
