@@ -2,7 +2,8 @@
 // cursor policies (restart after every delete / restart only on
 // condensation — the prototype's compromise / postponed re-insertion), and
 // (b) vacuuming: bulk deletion of old entries one-by-one vs dropping the
-// index and rebuilding it with the bulk-loading algorithm.
+// index and rebuilding it with the bulk-loading algorithm. Exits 1 when
+// any "consistent" cell reads NO.
 
 #include <cstdio>
 
@@ -78,6 +79,7 @@ int main() {
 
   std::printf("\nRetrieve-and-delete of ~35%% of a 10000-action index "
               "(cursor-driven, as a DELETE statement runs):\n\n");
+  bool all_consistent = true;
   bench::TablePrinter policies({"policy", "deleted", "cursor restarts",
                                 "node reads", "node writes", "ms",
                                 "consistent after"});
@@ -111,6 +113,7 @@ int main() {
     bench::Check(built.tree->FlushPending(built.ct), "flush");
     const double ms = timer.ElapsedMs();
     const Status check = built.tree->CheckConsistency(built.ct);
+    all_consistent = all_consistent && check.ok();
     policies.AddRow({PolicyName(policy), std::to_string(deleted),
                      std::to_string(cursor->restarts()),
                      std::to_string(built.store->stats().node_reads),
@@ -167,6 +170,7 @@ int main() {
     }
     const double ms = timer.ElapsedMs();
     const Status check = built.tree->CheckConsistency(built.ct);
+    all_consistent = all_consistent && check.ok();
     vacuum.AddRow({approach == 0 ? "index deletion, one-by-one"
                                  : "drop + bulk-load rebuild",
                    std::to_string(built.tree->size()),
@@ -179,5 +183,5 @@ int main() {
               "on purpose: one-by-one keeps every tuple not matched by the "
               "cutoff predicate through the index, the rebuild filters the "
               "live set directly; both keep all current tuples.)\n");
-  return 0;
+  return all_consistent ? 0 : 1;
 }

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/bytes.h"
+#include "common/date.h"
 
 namespace grtdb {
 
@@ -14,6 +15,26 @@ constexpr size_t kEntrySize = BoundSpec::kBinarySize + 8;  // bound + payload
 constexpr PagedTreeFormat kFormat{0x47525452 /* "GRTR" */, "GR-tree",
                                   (kPageSize - kNodeHeaderSize) / kEntrySize,
                                   4};
+
+// The time parameter H: insert penalties are evaluated this many chronons
+// past the operation's current time. H >= 0 keeps every child's region,
+// enlarged by BoundSpec::Enclose (valid from the current time on), a
+// superset of its own region at ct + H; ChooseSubtree's skip rests on it.
+constexpr int64_t kHorizon = 30;
+static_assert(kHorizon >= 0);
+// The R* minimum fill and forced-reinsert fraction [BEC90].
+constexpr double kMinFill = 0.4;
+constexpr double kReinsertFraction = 0.3;
+
+// Region arithmetic is exact in doubles over coordinates that lie in a
+// window narrower than 2^22 chronons, well inside +-2^40: every Area and
+// IntersectionArea is then a multiple of 1/2 below 2^44, and a sum of fewer
+// than 2^7 of them a multiple of 1/2 below 2^51. Every chronon
+// Timestamp::Parse accepts fits one window.
+constexpr int64_t kExactSpan = int64_t{1} << 22;
+constexpr int64_t kExactLimit = int64_t{1} << 40;
+static_assert(kMaxDayNumber - kMinDayNumber < kExactSpan);
+static_assert(kFormat.page_capacity < 128);
 
 // Encoding of an empty region (used for drained-but-kept nodes under the
 // kPostponeReinsert policy): resolves to Region::Empty at every time.
@@ -63,6 +84,20 @@ class NodePage {
   uint32_t count_ = 0;
 };
 
+// Whether every coordinate of the non-empty `regions` lies in one window
+// where region arithmetic is exact (kExactSpan).
+bool InExactWindow(std::span<const Region> regions) {
+  int64_t lo = kExactLimit;
+  int64_t hi = -kExactLimit;
+  for (const Region& r : regions) {
+    if (r.IsEmpty()) continue;
+    // A non-empty region has tt1 <= tt2 and vt1 <= vt2.
+    lo = std::min({lo, r.tt1(), r.vt1()});
+    hi = std::max({hi, r.tt2(), r.vt2()});
+  }
+  return lo >= -kExactLimit && hi <= kExactLimit && hi - lo < kExactSpan;
+}
+
 double CenterDistance2(const Region& a, const Region& b) {
   if (a.IsEmpty() || b.IsEmpty()) return 0.0;
   const double dx = 0.5 * (static_cast<double>(a.tt1() + a.tt2()) -
@@ -105,7 +140,7 @@ bool GRTree::LeafTest(PredicateOp op, const Region& data,
 // ------------------------------------------------------------ lifecycle ---
 
 GRTree::GRTree(NodeStore* store, const Options& options)
-    : PagedTree(store, kFormat, options.max_entries, options.min_fill),
+    : PagedTree(store, kFormat, options.max_entries, kMinFill),
       options_(options) {}
 
 StatusOr<std::unique_ptr<GRTree>> GRTree::Create(NodeStore* store,
@@ -147,10 +182,13 @@ Status GRTree::WriteNode(NodeId id, const Node& node) {
 }
 
 BoundSpec GRTree::NodeBound(const Node& node, int64_t ct) const {
-  if (node.entries.empty()) return EmptyBound();
+  const BoundSpec empty = EmptyBound();
   std::vector<BoundSpec> bounds;
   bounds.reserve(node.entries.size());
-  for (const NodeEntry& entry : node.entries) bounds.push_back(entry.bound);
+  for (const NodeEntry& entry : node.entries) {
+    if (!(entry.bound == empty)) bounds.push_back(entry.bound);
+  }
+  if (bounds.empty()) return empty;
   BoundSpec bound = BoundSpec::Enclose(bounds, ct);
   if (!options_.stair_bounds && !bound.rectangle) {
     // Ablation: degrade the stair to its bounding rectangle (top at the
@@ -164,52 +202,78 @@ BoundSpec GRTree::NodeBound(const Node& node, int64_t ct) const {
 
 // --------------------------------------------------------------- insert ---
 
+// Above the leaves [BEC90 §4.1]: the least overlap enlargement with the
+// siblings, then the least area enlargement, then matching growth, then the
+// least area. Higher up: the least area enlargement, then the least area.
+// All at ct + H; the first child with the least key wins.
+//
+// The overlap sums cost about 2*M^2 IntersectionArea calls, and almost
+// always a child already holds the entry: its enlarged region equals its
+// own, so its two sums are bit-identical and its key is (+0, +0, temporal,
+// area) unsummed. No child's overlap enlargement is below 0, since its
+// enlarged region contains its own (kHorizon). So once a child holds the
+// entry, a child whose area grows has a greater key and needs no sums.
+// That argument needs exact sums, and Insert takes any int64 chronon from
+// C++: it applies only when the node's regions lie in one exact window
+// (kExactSpan); otherwise every child is summed. Either way the choice is
+// the one summing every child would make.
 size_t GRTree::ChooseSubtree(const Node& node, const BoundSpec& bound,
                              int64_t ct) const {
-  const int64_t eval = ct + options_.horizon;
+  const int64_t eval = ct + kHorizon;
   const bool children_are_leaves = node.level == 1;
+  const size_t n = node.entries.size();
+
+  // Each child's region, then (at n + i) the region enlarged by the entry.
+  std::vector<Region> regions(2 * n);
+  bool some_child_holds = false;
+  for (size_t i = 0; i < n; ++i) {
+    const BoundSpec pair[2] = {node.entries[i].bound, bound};
+    regions[i] = node.entries[i].bound.Resolve(eval);
+    regions[n + i] = BoundSpec::Enclose(pair, ct).Resolve(eval);
+    some_child_holds = some_child_holds || regions[n + i].Equals(regions[i]);
+  }
+  const bool skip_growing =
+      children_are_leaves && some_child_holds && InExactWindow(regions);
 
   size_t best_index = 0;
+  bool have_best = false;
   double best_primary = 0.0;
   double best_secondary = 0.0;
   int best_temporal = 0;
   double best_area = 0.0;
-
-  std::vector<Region> resolved(node.entries.size());
-  for (size_t i = 0; i < node.entries.size(); ++i) {
-    resolved[i] = node.entries[i].bound.Resolve(eval);
-  }
-
-  for (size_t i = 0; i < node.entries.size(); ++i) {
-    const BoundSpec pair[2] = {node.entries[i].bound, bound};
-    const Region enlarged = BoundSpec::Enclose(pair, ct).Resolve(eval);
-    const double area = resolved[i].Area();
+  for (size_t i = 0; i < n; ++i) {
+    const Region& own = regions[i];
+    const Region& enlarged = regions[n + i];
+    const double area = own.Area();
     const double area_delta = enlarged.Area() - area;
-    double primary;
+    if (skip_growing && area_delta > 0) continue;
+    double primary = area_delta;
     if (children_are_leaves) {
-      double overlap_before = 0.0;
-      double overlap_after = 0.0;
-      for (size_t j = 0; j < node.entries.size(); ++j) {
-        if (j == i) continue;
-        overlap_before += resolved[i].IntersectionArea(resolved[j]);
-        overlap_after += enlarged.IntersectionArea(resolved[j]);
+      primary = 0.0;
+      if (!enlarged.Equals(own)) {
+        double overlap_before = 0.0;
+        double overlap_after = 0.0;
+        for (size_t j = 0; j < n; ++j) {
+          if (j == i) continue;
+          overlap_before += own.IntersectionArea(regions[j]);
+          overlap_after += enlarged.IntersectionArea(regions[j]);
+        }
+        primary = overlap_after - overlap_before;
       }
-      primary = overlap_after - overlap_before;
-    } else {
-      primary = area_delta;
     }
     const double secondary = children_are_leaves ? area_delta : area;
     // Temporal tie-break: prefer subtrees whose growth behaviour matches
     // the incoming entry (growing entries go to growing subtrees).
     const int temporal =
         node.entries[i].bound.Grows() == bound.Grows() ? 0 : 1;
-    if (i == 0 || primary < best_primary ||
+    if (!have_best || primary < best_primary ||
         (primary == best_primary && secondary < best_secondary) ||
         (primary == best_primary && secondary == best_secondary &&
          temporal < best_temporal) ||
         (primary == best_primary && secondary == best_secondary &&
          temporal == best_temporal && area < best_area)) {
       best_index = i;
+      have_best = true;
       best_primary = primary;
       best_secondary = secondary;
       best_temporal = temporal;
@@ -233,6 +297,9 @@ Status GRTree::InsertRecursive(NodeId node_id, const NodeEntry& entry,
   if (node.level == level) {
     node.entries.push_back(entry);
   } else {
+    if (node.entries.empty()) {
+      return Status::Corruption("GR-tree internal node with no entries");
+    }
     const size_t child = ChooseSubtree(node, entry.bound, ct);
     GRTDB_RETURN_IF_ERROR(
         InsertRecursive(node.entries[child].payload, entry, level, ct, ins));
@@ -252,9 +319,8 @@ Status GRTree::InsertRecursive(NodeId node_id, const NodeEntry& entry,
 
 Status GRTree::HandleOverflow(NodeId node_id, Node* node, int64_t ct,
                               Insertion<NodeEntry>* ins) {
-  const int64_t eval = ct + options_.horizon;
-  if (options_.forced_reinsert && node_id != root_ &&
-      ins->FirstOverflowAt(node->level)) {
+  const int64_t eval = ct + kHorizon;
+  if (node_id != root_ && ins->FirstOverflowAt(node->level)) {
     const Region bound_region = NodeBound(*node, ct).Resolve(eval);
     std::vector<size_t> order(node->entries.size());
     for (size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -266,7 +332,7 @@ Status GRTree::HandleOverflow(NodeId node_id, Node* node, int64_t ct,
     std::sort(order.begin(), order.end(),
               [&](size_t a, size_t b) { return distance[a] < distance[b]; });
     const size_t evict_count = std::max<size_t>(
-        1, static_cast<size_t>(options_.reinsert_fraction *
+        1, static_cast<size_t>(kReinsertFraction *
                                static_cast<double>(node->entries.size())));
     const size_t keep = node->entries.size() - evict_count;
     std::vector<NodeEntry> kept;
@@ -305,7 +371,7 @@ void GRTree::SplitEntries(const std::vector<NodeEntry>& entries, int64_t ct,
                           std::vector<NodeEntry>* right) const {
   const size_t total = entries.size();
   const size_t m = min_entries_;
-  const int64_t eval = ct + options_.horizon;
+  const int64_t eval = ct + kHorizon;
 
   std::vector<Region> resolved(total);
   for (size_t i = 0; i < total; ++i) {
@@ -509,6 +575,12 @@ Status GRTree::FlushPending(int64_t ct) {
       *removed = true;
       return Status::OK();
     }
+    if (is_root && node.entries.empty()) {
+      // No child is left, so no path leads down to the orphans' levels:
+      // the root starts over as an empty leaf.
+      node.level = 0;
+      height_ = 1;
+    }
     GRTDB_RETURN_IF_ERROR(WriteNode(node_id, node));
     *bound = NodeBound(node, ct);
     return Status::OK();
@@ -517,6 +589,33 @@ Status GRTree::FlushPending(int64_t ct) {
   bool removed = false;
   BoundSpec bound;
   GRTDB_RETURN_IF_ERROR(condense(root_, /*is_root=*/true, &removed, &bound));
+  if (height_ == 1) {
+    // Into a leaf root only leaf entries go: those of the orphaned
+    // subtrees replace the subtrees, whose nodes are freed.
+    std::vector<NodeId> subtrees;
+    std::vector<std::pair<NodeEntry, uint32_t>> leaves;
+    for (const auto& [entry, level] : orphans) {
+      if (level == 0) {
+        leaves.emplace_back(entry, 0);
+      } else {
+        subtrees.push_back(entry.payload);
+      }
+    }
+    while (!subtrees.empty()) {
+      Node node;
+      GRTDB_RETURN_IF_ERROR(ReadNode(subtrees.back(), &node));
+      GRTDB_RETURN_IF_ERROR(store_->FreeNode(subtrees.back()));
+      subtrees.pop_back();
+      for (const NodeEntry& entry : node.entries) {
+        if (node.level == 0) {
+          leaves.emplace_back(entry, 0);
+        } else {
+          subtrees.push_back(entry.payload);
+        }
+      }
+    }
+    orphans = std::move(leaves);
+  }
   ++condense_epoch_;
   has_pending_condense_ = false;
   return Condense(std::move(orphans), ct);
@@ -665,8 +764,7 @@ Status GRTree::CheckRecursive(NodeId node_id, uint32_t expected_level,
     // The minimum bounding region must contain each entry now and at every
     // later time; sample the future (growing regions are monotone, so
     // violations show up at sampled horizons).
-    const int64_t samples[4] = {ct, ct + 1, ct + options_.horizon,
-                                ct + 10 * options_.horizon};
+    const int64_t samples[4] = {ct, ct + 1, ct + kHorizon, ct + 10 * kHorizon};
     for (const NodeEntry& entry : node.entries) {
       for (int64_t t : samples) {
         if (!parent_bound->ContainsAt(entry.bound, t)) {

@@ -69,8 +69,9 @@ struct GRTreeStats {
 // now-relative bitemporal data. Node entries carry four timestamps that may
 // include the variables UC and NOW plus the "Rectangle" and "Hidden" flags,
 // so minimum bounding regions can be growing rectangles or growing
-// stair-shapes; all penalty metrics are evaluated at `ct + horizon`, the
-// time parameter capturing the development of entries over time.
+// stair-shapes; all penalty metrics are evaluated at `ct + H`, H being the
+// time parameter capturing the development of entries over time (a
+// constant, kHorizon in grtree.cc).
 //
 // Every operation takes the current time `ct` explicitly: the DataBlade
 // decides whether that is per-statement or per-transaction time (§5.4).
@@ -78,12 +79,6 @@ class GRTree : public PagedTree<GRTree, /*kRootEpoch=*/true> {
  public:
   struct Options {
     size_t max_entries = 0;  // 0 = derive from the page size
-    double min_fill = 0.4;
-    double reinsert_fraction = 0.3;
-    bool forced_reinsert = true;
-    // The time parameter: penalties are evaluated this many chronons past
-    // the operation's current time.
-    int64_t horizon = 30;
     // Ablation switch (bench T4): false forces every internal bounding
     // region to be a rectangle, as a plain R*-tree would.
     bool stair_bounds = true;
@@ -213,9 +208,11 @@ class GRTree : public PagedTree<GRTree, /*kRootEpoch=*/true> {
   Status WriteNode(NodeId id, const Node& node);
 
   // Minimum bounding region of a node's entries, honoring the stair_bounds
-  // ablation option.
+  // ablation option. Drained children (kPostponeReinsert) bound nothing.
   BoundSpec NodeBound(const Node& node, int64_t ct) const;
 
+  // The child of internal node `node` (at least one entry) an entry with
+  // `bound` descends into.
   size_t ChooseSubtree(const Node& node, const BoundSpec& bound,
                        int64_t ct) const;
 

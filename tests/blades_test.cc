@@ -836,6 +836,47 @@ TEST(DynamicDispatch, SameAnswersAsHardCoded) {
   EXPECT_EQ(result.rows[0][0], "51");  // vt1 in [19900, 19950]
 }
 
+// §5.5 postponed re-insertion through SQL: a DELETE whose index scan
+// removes most rows leaves every leaf underfull, and am_endscan's
+// FlushPending then drains the root of its children.
+TEST(PostponedReinsertion, MassDeleteLeavesAConsistentIndex) {
+  Server server;
+  GRTreeBladeOptions options;
+  options.tree.deletion_policy = DeletionPolicy::kPostponeReinsert;
+  ASSERT_TRUE(RegisterGRTreeBlade(&server, options).ok());
+  ServerSession* session = server.CreateSession();
+  ResultSet result;
+  auto exec = [&](const std::string& sql) {
+    Status status = server.Execute(session, sql, &result);
+    ASSERT_TRUE(status.ok()) << sql << " -> " << status.ToString();
+  };
+  exec("CREATE TABLE t (id int, e grt_timeextent)");
+  exec("CREATE INDEX t_idx ON t(e grt_opclass) USING grtree_am");
+  exec("SET CURRENT_TIME TO 5000");
+  for (int i = 0; i < 300; ++i) {
+    exec("INSERT INTO t VALUES (" + std::to_string(i) + ", '" +
+         std::to_string(1000 + i) + ", " + std::to_string(1010 + i) + ", " +
+         std::to_string(900 + i) + ", " + std::to_string(950 + i) + "')");
+  }
+  // Rows 0..290 overlap; the index scan deletes them.
+  exec("DELETE FROM t WHERE Overlaps(e, '1000, 1290, 0, 1230')");
+  EXPECT_EQ(result.affected, 291u);
+  exec("CHECK INDEX t_idx");
+  exec("SELECT COUNT(*) FROM t");
+  EXPECT_EQ(result.rows[0][0], "9");
+  auto ids = [&] {
+    exec("SELECT id FROM t WHERE Overlaps(e, '0, 10000, 0, 10000')");
+    std::set<std::string> out;
+    for (const auto& row : result.rows) out.insert(row[0]);
+    return out;
+  };
+  const std::set<std::string> by_index = ids();
+  EXPECT_EQ(by_index, (std::set<std::string>{"291", "292", "293", "294", "295",
+                                             "296", "297", "298", "299"}));
+  exec("DROP INDEX t_idx");
+  EXPECT_EQ(ids(), by_index);
+}
+
 // §5.4: per-transaction current time is captured once per transaction in
 // named memory and released by the transaction-end callback.
 TEST(CurrentTimeMode, TransactionModeFreezesTime) {

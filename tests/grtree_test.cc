@@ -8,6 +8,7 @@
 
 #include "common/bytes.h"
 #include "common/random.h"
+#include "storage/layout.h"
 #include "storage/pager.h"
 #include "storage/space.h"
 #include "temporal/predicates.h"
@@ -465,6 +466,196 @@ TEST(GRTree, CursorRescanAfterResetSkipsNothingNew) {
     EXPECT_TRUE(seen.insert(entry.payload).second);
   }
   EXPECT_EQ(seen.size(), 50u);
+}
+
+// Every insert decision, pinned: a seeded op stream (inserts, and the
+// deletes of logical updates and deletions, at advancing current time),
+// then one Crc32 over every page the store holds, in page order.
+// ChooseSubtree, forced reinsert and split all show in those bytes, so a
+// change that keeps every decision keeps the constants.
+TEST(GRTree, InsertDecisionsGolden) {
+  struct Case {
+    size_t max_entries;  // 0: a full page
+    int actions;
+    uint64_t seed;
+    uint32_t height;
+    uint32_t crc;
+  };
+  for (const Case& c : {Case{0, 9000, 2121, 3, 0xada8561cu},
+                        Case{8, 1500, 808, 4, 0xfb4078f4u}}) {
+    SCOPED_TRACE("max_entries " + std::to_string(c.max_entries));
+    MemorySpace space;
+    Pager pager(&space, 512);
+    PagerNodeStore store(&pager);
+    GRTree::Options options;
+    options.max_entries = c.max_entries;
+    NodeId anchor;
+    auto tree_or = GRTree::Create(&store, options, &anchor);
+    ASSERT_TRUE(tree_or.ok());
+    std::unique_ptr<GRTree> tree = std::move(tree_or).value();
+    WorkloadOptions wopts;
+    wopts.seed = c.seed;
+    BitemporalWorkload workload(wopts);
+    for (int action = 0; action < c.actions; ++action) {
+      for (const IndexOp& op : workload.NextAction()) {
+        if (op.kind == IndexOp::Kind::kInsert) {
+          ASSERT_TRUE(tree->Insert(op.extent, op.payload, op.ct).ok());
+        } else {
+          bool found = false;
+          ASSERT_TRUE(tree->Delete(op.extent, op.payload, op.ct, &found).ok());
+          ASSERT_TRUE(found);
+        }
+      }
+    }
+    EXPECT_EQ(tree->height(), c.height);
+    uint32_t crc = Crc32Init();
+    uint8_t page[kPageSize];
+    for (PageId id = 0; id < space.page_count(); ++id) {
+      ASSERT_TRUE(store.ReadNode(id, page).ok());
+      crc = Crc32Feed(crc, page, kPageSize);
+    }
+    EXPECT_EQ(Crc32Final(crc), c.crc) << std::hex << Crc32Final(crc);
+  }
+}
+
+// Extents spread over far more than 2^22 chronons, some near +-2^45: region
+// arithmetic is no longer exact there, so ChooseSubtree sums every child.
+TEST(GRTree, ExtentsBeyondTheExactWindowStayCorrect) {
+  TreeFixture fx;
+  Random rng(31);
+  std::unordered_map<uint64_t, TimeExtent> live;
+  const int64_t kFar = int64_t{1} << 45;
+  const int64_t ct = kFar;
+  for (uint64_t i = 1; i <= 400; ++i) {
+    const int64_t spread = i % 3 == 0 ? kFar : int64_t{1} << 30;
+    const int64_t tt1 = rng.UniformRange(-spread, spread - 1000);
+    const int64_t vt1 = tt1 - rng.UniformRange(0, 1 << 20);
+    TimeExtent extent;
+    if (rng.Bernoulli(0.5)) {
+      extent = TimeExtent(Timestamp::FromChronon(tt1), Timestamp::UC(),
+                          Timestamp::FromChronon(vt1), Timestamp::NOW());
+    } else {
+      extent = TimeExtent::Ground(tt1, tt1 + rng.UniformRange(0, 1 << 24),
+                                  vt1, vt1 + rng.UniformRange(0, 1 << 24));
+    }
+    ASSERT_TRUE(fx.tree->Insert(extent, i, ct).ok());
+    live[i] = extent;
+  }
+  ASSERT_TRUE(fx.tree->CheckConsistency(ct).ok());
+  EXPECT_GE(fx.tree->height(), 3u);
+  for (int q = 0; q < 20; ++q) {
+    const int64_t tt = rng.UniformRange(-kFar, kFar);
+    const int64_t vt = tt - rng.UniformRange(0, 1 << 28);
+    const TimeExtent query =
+        TimeExtent::Ground(tt, tt + (int64_t{1} << 29), vt, vt + (1 << 29));
+    for (PredicateOp op : {PredicateOp::kOverlaps, PredicateOp::kContainedIn}) {
+      EXPECT_EQ(TreeQuery(*fx.tree, op, query, ct),
+                BruteQuery(live, op, query, ct));
+    }
+  }
+}
+
+// Postponed re-insertion over the inputs of PostponePolicyAvoidsRestarts:
+// `n` ground extents at ct 2000, then the first `deletes` answers of a full
+// Overlaps scan deleted through the cursor, as a DELETE statement runs.
+struct PostponedDeletes {
+  static constexpr int64_t kCt = 2000;
+  TreeFixture fx;
+  std::unordered_map<uint64_t, TimeExtent> live;
+
+  PostponedDeletes(size_t max_entries, uint64_t n, size_t deletes)
+      : fx([&] {
+          GRTree::Options options;
+          options.max_entries = max_entries;
+          options.deletion_policy = DeletionPolicy::kPostponeReinsert;
+          return options;
+        }()) {
+    Random rng(5);
+    for (uint64_t i = 1; i <= n; ++i) {
+      const int64_t tt1 = rng.UniformRange(1000, 1999);
+      const TimeExtent extent =
+          TimeExtent::Ground(tt1, tt1 + 10, tt1 - 50, tt1 - 20);
+      EXPECT_TRUE(fx.tree->Insert(extent, i, kCt).ok());
+      live[i] = extent;
+    }
+    auto cursor_or = fx.tree->Search(PredicateOp::kOverlaps, Everything(), kCt);
+    EXPECT_TRUE(cursor_or.ok());
+    auto cursor = std::move(cursor_or).value();
+    for (size_t k = 0; k < deletes; ++k) {
+      bool has = false;
+      GRTree::Entry entry;
+      EXPECT_TRUE(cursor->Next(&has, &entry).ok());
+      EXPECT_TRUE(has);
+      bool found = false;
+      EXPECT_TRUE(
+          fx.tree->Delete(entry.extent, entry.payload, kCt, &found).ok());
+      EXPECT_TRUE(found);
+      live.erase(entry.payload);
+    }
+  }
+
+  static TimeExtent Everything() {
+    return TimeExtent::Ground(0, 10000, 0, 10000);
+  }
+
+  // After FlushPending: a consistent tree that answers like brute force.
+  void ExpectFlushedAndIntact() {
+    ASSERT_TRUE(fx.tree->FlushPending(kCt).ok());
+    EXPECT_FALSE(fx.tree->has_pending_condense());
+    ASSERT_TRUE(fx.tree->CheckConsistency(kCt).ok());
+    EXPECT_EQ(fx.tree->size(), live.size());
+    for (const TimeExtent& query :
+         {Everything(), TimeExtent::Ground(1200, 1400, 1100, 1300),
+          TimeExtent::Ground(1900, 1950, 0, 1890)}) {
+      EXPECT_EQ(TreeQuery(*fx.tree, PredicateOp::kOverlaps, query, kCt),
+                BruteQuery(live, PredicateOp::kOverlaps, query, kCt));
+    }
+  }
+};
+
+// The deletes leave every child of the root underfull, so FlushPending's
+// pass removes them all: the orphans must still find their way back in.
+TEST(GRTree, FlushPendingRefillsADrainedRoot) {
+  PostponedDeletes run(8, 300, 200);
+  run.ExpectFlushedAndIntact();
+  // The tree takes inserts again.
+  ASSERT_TRUE(run.fx.tree
+                  ->Insert(TimeExtent::Ground(1500, 1510, 1450, 1480), 301,
+                           PostponedDeletes::kCt)
+                  .ok());
+  ASSERT_TRUE(run.fx.tree->CheckConsistency(PostponedDeletes::kCt).ok());
+}
+
+// Every prefix of a scan's answers, deleted, then flushed.
+TEST(GRTree, FlushPendingAfterAnyPrefixOfDeletes) {
+  constexpr uint64_t kRows = 150;
+  for (size_t max_entries : {4, 8}) {
+    for (size_t deletes = 0; deletes <= kRows; deletes += 5) {
+      SCOPED_TRACE("max_entries " + std::to_string(max_entries) +
+                   ", deletes " + std::to_string(deletes));
+      PostponedDeletes run(max_entries, kRows, deletes);
+      run.ExpectFlushedAndIntact();
+    }
+  }
+}
+
+// A node the deletes drained bounds nothing: until FlushPending its
+// ancestors' bounds must not stretch to cover chronon 1, or scans far from
+// the data descend into them.
+TEST(GRTree, DrainedNodesDoNotStretchTheirAncestors) {
+  PostponedDeletes run(8, 300, 200);
+  ASSERT_TRUE(run.fx.tree->has_pending_condense());
+  const TimeExtent empty_corner = TimeExtent::Ground(0, 500, 0, 500);
+  run.fx.store.ResetStats();
+  EXPECT_TRUE(TreeQuery(*run.fx.tree, PredicateOp::kOverlaps, empty_corner,
+                        PostponedDeletes::kCt)
+                  .empty());
+  EXPECT_EQ(run.fx.store.stats().node_reads, 1u);  // the root alone
+  const StatusOr<double> cost = run.fx.tree->EstimateScanCost(
+      PredicateOp::kOverlaps, empty_corner, PostponedDeletes::kCt);
+  ASSERT_TRUE(cost.ok());
+  EXPECT_EQ(cost.value(), 1.0);
+  run.ExpectFlushedAndIntact();
 }
 
 // Serves every node page of one level with a garbled entry count, as a torn
