@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/bytes.h"
-#include "common/date.h"
 
 namespace grtdb {
 
@@ -25,16 +24,6 @@ static_assert(kHorizon >= 0);
 // The R* minimum fill and forced-reinsert fraction [BEC90].
 constexpr double kMinFill = 0.4;
 constexpr double kReinsertFraction = 0.3;
-
-// Region arithmetic is exact in doubles over coordinates that lie in a
-// window narrower than 2^22 chronons, well inside +-2^40: every Area and
-// IntersectionArea is then a multiple of 1/2 below 2^44, and a sum of fewer
-// than 2^7 of them a multiple of 1/2 below 2^51. Every chronon
-// Timestamp::Parse accepts fits one window.
-constexpr int64_t kExactSpan = int64_t{1} << 22;
-constexpr int64_t kExactLimit = int64_t{1} << 40;
-static_assert(kMaxDayNumber - kMinDayNumber < kExactSpan);
-static_assert(kFormat.page_capacity < 128);
 
 // Encoding of an empty region (used for drained-but-kept nodes under the
 // kPostponeReinsert policy): resolves to Region::Empty at every time.
@@ -83,20 +72,6 @@ class NodePage {
   NodeView view_;
   uint32_t count_ = 0;
 };
-
-// Whether every coordinate of the non-empty `regions` lies in one window
-// where region arithmetic is exact (kExactSpan).
-bool InExactWindow(std::span<const Region> regions) {
-  int64_t lo = kExactLimit;
-  int64_t hi = -kExactLimit;
-  for (const Region& r : regions) {
-    if (r.IsEmpty()) continue;
-    // A non-empty region has tt1 <= tt2 and vt1 <= vt2.
-    lo = std::min({lo, r.tt1(), r.vt1()});
-    hi = std::max({hi, r.tt2(), r.vt2()});
-  }
-  return lo >= -kExactLimit && hi <= kExactLimit && hi - lo < kExactSpan;
-}
 
 double CenterDistance2(const Region& a, const Region& b) {
   if (a.IsEmpty() || b.IsEmpty()) return 0.0;
@@ -213,10 +188,15 @@ BoundSpec GRTree::NodeBound(const Node& node, int64_t ct) const {
 // area) unsummed. No child's overlap enlargement is below 0, since its
 // enlarged region contains its own (kHorizon). So once a child holds the
 // entry, a child whose area grows has a greater key and needs no sums.
-// That argument needs exact sums, and Insert takes any int64 chronon from
-// C++: it applies only when the node's regions lie in one exact window
-// (kExactSpan); otherwise every child is summed. Either way the choice is
-// the one summing every child would make.
+// The chosen child is then the one summing every child would pick wherever
+// region arithmetic is exact: over coordinates in a window narrower than
+// 2^22 chronons within +-2^40, every Area and IntersectionArea is a
+// multiple of 1/2 below 2^44 and a sum of up to 99 of them stays below 2^51.
+// That covers every chronon Timestamp::Parse accepts (kMinDayNumber ..
+// kMaxDayNumber). Beyond it, where only C++ callers of
+// Timestamp::FromChronon reach, rounding can give a growing child a
+// negative overlap enlargement and the full loop might pick it; the skip
+// picks a child whose area does not grow instead, as valid a choice.
 size_t GRTree::ChooseSubtree(const Node& node, const BoundSpec& bound,
                              int64_t ct) const {
   const int64_t eval = ct + kHorizon;
@@ -232,8 +212,7 @@ size_t GRTree::ChooseSubtree(const Node& node, const BoundSpec& bound,
     regions[n + i] = BoundSpec::Enclose(pair, ct).Resolve(eval);
     some_child_holds = some_child_holds || regions[n + i].Equals(regions[i]);
   }
-  const bool skip_growing =
-      children_are_leaves && some_child_holds && InExactWindow(regions);
+  const bool skip_growing = children_are_leaves && some_child_holds;
 
   size_t best_index = 0;
   bool have_best = false;

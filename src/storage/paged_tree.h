@@ -353,19 +353,12 @@ class PagedTree {
     return Status::OK();
   }
 
-  // Collapses single-child internal roots; an internal root drained of
-  // every child becomes an empty leaf.
+  // Collapses single-child internal roots.
   Status ShrinkRoot() {
     for (;;) {
       typename Tree::Node root;
       GRTDB_RETURN_IF_ERROR(self().ReadNode(root_, &root));
-      if (root.level == 0 || root.entries.size() > 1) return Status::OK();
-      if (root.entries.empty()) {
-        root.level = 0;
-        GRTDB_RETURN_IF_ERROR(self().WriteNode(root_, root));
-        height_ = 1;
-        return Status::OK();
-      }
+      if (root.level == 0 || root.entries.size() != 1) return Status::OK();
       GRTDB_RETURN_IF_ERROR(store_->FreeNode(root_));
       root_ = root.entries[0].payload;
       --height_;

@@ -518,8 +518,9 @@ TEST(GRTree, InsertDecisionsGolden) {
   }
 }
 
-// Extents spread over far more than 2^22 chronons, some near +-2^45: region
-// arithmetic is no longer exact there, so ChooseSubtree sums every child.
+// Extents spread over far more than 2^22 chronons, some near +-2^45, where
+// region arithmetic rounds: the tree stays consistent and its answers match
+// brute force.
 TEST(GRTree, ExtentsBeyondTheExactWindowStayCorrect) {
   TreeFixture fx;
   Random rng(31);
