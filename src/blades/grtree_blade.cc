@@ -195,8 +195,8 @@ PurposeFunctions MakeBladeFns(const GRTreeBladeOptions& options) {
     GrtHandle* state = StateOf(desc);
     Status status = Status::OK();
     if (state != nullptr && state->tree->has_pending_condense()) {
-      state->wrote = true;
-      status = state->tree->FlushPending(ScanTime(ctx));
+      status = WithWalTxn(
+          state, [&] { return state->tree->FlushPending(ScanTime(ctx)); });
     }
     Status closed = CloseHandle<GrtHandle>(desc);
     if (status.ok()) status = closed;
@@ -290,9 +290,9 @@ PurposeFunctions MakeBladeFns(const GRTreeBladeOptions& options) {
     if (state != nullptr && policy == DeletionPolicy::kPostponeReinsert &&
         state->tree->has_pending_condense()) {
       // Deferred re-insertions happen once the scan no longer needs a
-      // stable tree (§5.5).
-      state->wrote = true;
-      status = state->tree->FlushPending(ScanTime(ctx));
+      // stable tree (§5.5), logged like any other index mutation.
+      status = WithWalTxn(
+          state, [&] { return state->tree->FlushPending(ScanTime(ctx)); });
     }
     if (state != nullptr) state->active_scan = nullptr;
     delete scan;

@@ -525,13 +525,16 @@ Status GRTree::FlushPending(int64_t ct) {
   if (!has_pending_condense_) return Status::OK();
 
   std::vector<std::pair<NodeEntry, uint32_t>> orphans;
-  // Post-order condense: collect entries of underfull non-root nodes.
+  // Post-order condense: collect entries of underfull non-root nodes. A
+  // kept node is written only if it changed; the others would re-encode to
+  // the bytes they hold.
   std::function<Status(NodeId, bool, bool*, BoundSpec*)> condense =
       [&](NodeId node_id, bool is_root, bool* removed,
           BoundSpec* bound) -> Status {
     Node node;
     GRTDB_RETURN_IF_ERROR(ReadNode(node_id, &node));
     *removed = false;
+    bool changed = false;
     if (node.level > 0) {
       for (size_t i = 0; i < node.entries.size();) {
         bool child_removed = false;
@@ -540,7 +543,9 @@ Status GRTree::FlushPending(int64_t ct) {
                                        &child_removed, &child_bound));
         if (child_removed) {
           node.entries.erase(node.entries.begin() + i);
+          changed = true;
         } else {
+          changed = changed || !(node.entries[i].bound == child_bound);
           node.entries[i].bound = child_bound;
           ++i;
         }
@@ -554,13 +559,14 @@ Status GRTree::FlushPending(int64_t ct) {
       *removed = true;
       return Status::OK();
     }
-    if (is_root && node.entries.empty()) {
+    if (is_root && node.entries.empty() && node.level > 0) {
       // No child is left, so no path leads down to the orphans' levels:
       // the root starts over as an empty leaf.
       node.level = 0;
       height_ = 1;
+      changed = true;
     }
-    GRTDB_RETURN_IF_ERROR(WriteNode(node_id, node));
+    if (changed) GRTDB_RETURN_IF_ERROR(WriteNode(node_id, node));
     *bound = NodeBound(node, ct);
     return Status::OK();
   };
@@ -629,29 +635,49 @@ Status GRTree::Cursor::PushNode(NodeId id) {
 }
 
 void GRTree::Cursor::Reset() {
+  // The answers since the last restart join the sorted prefix. Sorting
+  // only them keeps a restart after every delete (kRestartAlways) linear.
+  const auto fresh = returned_.begin() + static_cast<ptrdiff_t>(sorted_);
+  std::sort(fresh, returned_.end());
+  std::inplace_merge(returned_.begin(), fresh, returned_.end());
+  sorted_ = returned_.size();
   pending_.clear();
   epoch_ = tree_->condense_epoch();
   needs_prime_ = true;
   ++restarts_;
 }
 
+// No entry is returned twice, restart or not, yet between restarts an
+// answer is only appended to returned_, never looked up: a depth-first
+// pass over one condense epoch reaches each leaf entry at most once. Within
+// an epoch the only change this cursor's tree sees is the removal of the
+// entry just returned (a DELETE through the index). Delete's condense,
+// FlushPending and splits bump the epoch before they move entries between
+// nodes. An insert, whose forced reinsert moves entries within an epoch,
+// never runs under an open scan: INSERT scans nothing, and UPDATE collects
+// its rows by sequential scan before it writes. The table lock keeps other
+// statements' writes out. So only the answers returned before the last
+// restart, the sorted prefix, can come back.
 Status GRTree::Cursor::Next(bool* has, Entry* out) {
   *has = false;
   if (tree_->condense_epoch() != epoch_) {
     // The tree condensed under us (paper §5.5): restart from the root.
-    // Entries already returned stay in returned_ and are skipped.
     Reset();
   }
   if (needs_prime_) {
     needs_prime_ = false;
     GRTDB_RETURN_IF_ERROR(PushNode(tree_->root_));
   }
+  const auto before_restart =
+      returned_.begin() + static_cast<ptrdiff_t>(sorted_);
   while (!pending_.empty()) {
     const Pending top = pending_.back();
     pending_.pop_back();
     if (!top.answer) {
       GRTDB_RETURN_IF_ERROR(PushNode(top.entry.payload));
-    } else if (returned_.insert(top.entry.payload).second) {
+    } else if (!std::binary_search(returned_.begin(), before_restart,
+                                   top.entry.payload)) {
+      returned_.push_back(top.entry.payload);
       *out = top.entry;
       *has = true;
       return Status::OK();

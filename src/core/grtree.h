@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "common/status.h"
@@ -131,7 +130,12 @@ class GRTree : public PagedTree<GRTree, /*kRootEpoch=*/true> {
     bool needs_prime_ = true;
     // Depth-first work list; the next entry to take is at the back.
     std::vector<Pending> pending_;
-    std::set<uint64_t> returned_;
+    // The payload of every answer returned, append-only. The first
+    // `sorted_` are those returned before the last restart, sorted; Next
+    // skips an answer found among them (see Next for why no other lookup
+    // is needed).
+    std::vector<uint64_t> returned_;
+    size_t sorted_ = 0;
   };
 
   static StatusOr<std::unique_ptr<GRTree>> Create(NodeStore* store,

@@ -40,6 +40,8 @@ class Gauge {
   std::atomic<int64_t> value_{0};
 };
 
+struct HistogramTally;
+
 // Power-of-two bucketed histogram: bucket i counts values v with
 // bit_width(v) == i (bucket 0 holds v == 0), so bucket i covers
 // [2^(i-1), 2^i). The last bucket absorbs everything at or above
@@ -49,13 +51,22 @@ class Histogram {
  public:
   static constexpr size_t kBuckets = 22;
 
-  void Record(uint64_t v) {
+  // The bucket Record counts `v` in.
+  static size_t BucketOf(uint64_t v) {
     size_t b = 0;
     while (b + 1 < kBuckets && (v >> b) != 0) ++b;
-    buckets_[b].fetch_add(1, std::memory_order_relaxed);
+    return b;
+  }
+
+  void Record(uint64_t v) {
+    buckets_[BucketOf(v)].fetch_add(1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(v, std::memory_order_relaxed);
   }
+
+  // Adds samples tallied elsewhere: afterwards the histogram holds what
+  // Record-ing each of them would have left.
+  inline void Merge(const HistogramTally& tally);
 
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
@@ -109,6 +120,30 @@ class Histogram {
   std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> sum_{0};
 };
+
+// A Histogram's buckets, count and sum kept by one thread without atomics,
+// for Histogram::Merge to add to the shared one in a single step.
+struct HistogramTally {
+  uint64_t buckets[Histogram::kBuckets] = {};
+  uint64_t count = 0;
+  uint64_t sum = 0;
+
+  void Record(uint64_t v) {
+    ++buckets[Histogram::BucketOf(v)];
+    ++count;
+    sum += v;
+  }
+};
+
+inline void Histogram::Merge(const HistogramTally& tally) {
+  for (size_t i = 0; i < kBuckets; ++i) {
+    if (tally.buckets[i] != 0) {
+      buckets_[i].fetch_add(tally.buckets[i], std::memory_order_relaxed);
+    }
+  }
+  count_.fetch_add(tally.count, std::memory_order_relaxed);
+  sum_.fetch_add(tally.sum, std::memory_order_relaxed);
+}
 
 // One metric at Snapshot() time.
 struct MetricSample {

@@ -13,23 +13,25 @@ namespace grtdb {
 // RAII wrapper around one VII purpose-function invocation: records the call
 // under the access method's name for it in the statement's QueryProfile
 // (the paper's Fig. 6 call record) and — when server observability is on —
-// times it into the profile, the vii.<fn>.us histogram and the
-// vii.<fn>.calls counter. The histogram, the flight recorder's slow-call
-// check and the sampled span stay per call: a latency distribution cannot
-// be rebuilt from per-statement sums, and a crash dump must not lose events
-// deferred to the end of the statement. Construct immediately before
-// invoking the hook; the enclosed call is timed until the scope dies.
+// times it into the profile and into the session's purpose-call tally,
+// which the server folds into vii.<fn>.calls and vii.<fn>.us once per
+// statement. The tally keeps the histogram's buckets, so the registry holds
+// after each statement exactly what recording every call there would have
+// left, without a shared atomic per call (an index scan makes one call per
+// row). The flight recorder's slow-call check and the sampled span stay
+// per call: a crash dump must not lose events deferred to the end of the
+// statement. Construct immediately before invoking the hook; the enclosed
+// call is timed until the scope dies.
 class PurposeCallScope {
  public:
   PurposeCallScope(Server* server, ServerSession* session,
                    const AccessMethodDef* am, obs::PurposeFn fn)
-      : server_(server),
-        session_(session),
+      : session_(session),
         fn_(fn),
         span_(obs::SpanName::kPurpose, static_cast<uint64_t>(fn)) {
     session_->profile().CountCall(fn,
                                   am->purpose_names[static_cast<size_t>(fn)]);
-    obs_timed_ = server_->observability_enabled();
+    obs_timed_ = server->observability_enabled();
     // The always-on flight recorder flags outliers even with observability
     // off, so the call is also timed whenever its slow threshold is armed.
     slow_ns_ = obs::FlightRecorder::Global().enabled()
@@ -48,17 +50,13 @@ class PurposeCallScope {
     }
     if (!obs_timed_) return;
     session_->profile().AddCallTime(fn_, ns);
-    if (obs::Counter* calls = server_->vii_call_counter(fn_)) calls->Add();
-    if (obs::Histogram* us = server_->vii_time_histogram(fn_)) {
-      us->Record(ns / 1000);
-    }
+    session_->purpose_tally(fn_).Record(ns / 1000);
   }
 
   PurposeCallScope(const PurposeCallScope&) = delete;
   PurposeCallScope& operator=(const PurposeCallScope&) = delete;
 
  private:
-  Server* server_;
   ServerSession* session_;
   obs::PurposeFn fn_;
   bool timed_ = false;

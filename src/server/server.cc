@@ -235,6 +235,8 @@ Status Server::CloseSession(ServerSession* session) {
   owned->memory().EndDuration(MiDuration::kPerStatement);
   owned->memory().EndDuration(MiDuration::kPerSession);
   named_memory_.RemoveDurationSource(&owned->memory());
+  // Purpose calls made outside a statement are not lost with the session.
+  FoldPurposeTally(owned.get());
   return status;
 }
 
@@ -336,7 +338,21 @@ Status Server::RunStatement(ServerSession* session, const std::string& text,
   // A failed statement returns no rows: a scan that errs part-way has
   // emitted some already. Its messages (the SET EXPLAIN plan) stay.
   if (!status.ok()) out->rows.clear();
+  // A nested statement (EXPLAIN PROFILE's inner one, EXECUTE's) folds what
+  // it called so far; the enclosing one folds the rest.
+  FoldPurposeTally(session);
   return status;
+}
+
+void Server::FoldPurposeTally(ServerSession* session) {
+  for (size_t i = 0; i < obs::kPurposeFnCount; ++i) {
+    obs::HistogramTally& tally =
+        session->purpose_tally(static_cast<obs::PurposeFn>(i));
+    if (tally.count == 0) continue;
+    vii_calls_[i]->Add(tally.count);
+    vii_us_[i]->Merge(tally);
+    tally = obs::HistogramTally{};
+  }
 }
 
 Status Server::EndImplicitTxn(ServerSession* session, bool implicit,

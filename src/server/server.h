@@ -77,6 +77,13 @@ class ServerSession {
     return log;
   }
 
+  // The µs of `fn`'s timed calls this session made since the server last
+  // folded them into the registry's vii.<fn>.calls and vii.<fn>.us (at the
+  // end of every statement).
+  obs::HistogramTally& purpose_tally(obs::PurposeFn fn) {
+    return purpose_tally_[static_cast<size_t>(fn)];
+  }
+
   // ---- prepared statements ---------------------------------------------
   // A session-local handle onto the server-wide plan cache. Only text keys
   // are stored — never plan pointers — so DDL invalidating the cache can
@@ -179,6 +186,7 @@ class ServerSession {
   bool explain_ = false;
   CurrentTimeMode time_mode_ = CurrentTimeMode::kPerStatement;
   obs::QueryProfile profile_;
+  obs::HistogramTally purpose_tally_[obs::kPurposeFnCount];
   mutable std::mutex prepared_mu_;
   std::map<std::string, PreparedHandle> prepared_;  // lower-cased name
   const std::vector<sql::Literal>* bound_params_ = nullptr;
@@ -235,14 +243,6 @@ class Server {
   // ---- observability ----------------------------------------------------
   obs::MetricsRegistry& metrics() { return metrics_; }
   bool observability_enabled() const { return options_.observability; }
-  // Cached per-purpose-function registry handles (vii.<fn>.calls /
-  // vii.<fn>.us), used by PurposeCallScope.
-  obs::Counter* vii_call_counter(obs::PurposeFn fn) {
-    return vii_calls_[static_cast<size_t>(fn)];
-  }
-  obs::Histogram* vii_time_histogram(obs::PurposeFn fn) {
-    return vii_us_[static_cast<size_t>(fn)];
-  }
   // Statements slower than SET SLOW_QUERY_NS land here with their profile.
   obs::SlowQueryLog& slow_query_log() { return slow_query_log_; }
   // The request-span tracer (SET TRACE_SAMPLE, sys_spans, DUMP TRACE).
@@ -362,9 +362,13 @@ class Server {
   // each parsed statement in: opens the statement-scoped durations, runs
   // ExecuteStatement, offers the statement to slow-query retention under
   // `text`, and ends the durations whatever the outcome. A failed
-  // statement's rows are dropped; its messages are kept.
+  // statement's rows are dropped; its messages are kept. Then it folds
+  // the session's purpose-call tally into the registry.
   Status RunStatement(ServerSession* session, const std::string& text,
                       const sql::Statement& stmt, ResultSet* out);
+  // Adds the session's purpose-call tally to vii.<fn>.calls and
+  // vii.<fn>.us, and clears it.
+  void FoldPurposeTally(ServerSession* session);
   // The trace a request entry point roots: none when one is already
   // installed on this thread (the net front end roots at frame arrival;
   // EXPLAIN TRACE roots its own), else the sampler's decision.
@@ -512,6 +516,7 @@ class Server {
   MiNamedMemory named_memory_;
   TraceFacility trace_;
   obs::MetricsRegistry metrics_;
+  // vii.<fn>.calls and vii.<fn>.us, fed by FoldPurposeTally.
   obs::Counter* vii_calls_[obs::kPurposeFnCount] = {};
   obs::Histogram* vii_us_[obs::kPurposeFnCount] = {};
   LockManager lock_manager_;

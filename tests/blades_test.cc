@@ -446,6 +446,92 @@ TEST(ExternalFileIndex, FailedLogAppendLeavesNoTrace) {
   std::filesystem::remove_all(options.external_dir);
 }
 
+// The node-write records of the WAL frames in `data`, one or more whole
+// frames as the log receives them ([u32 len][u32 crc] payload of records).
+uint64_t CountLoggedWrites(const uint8_t* data, size_t size) {
+  uint64_t writes = 0;
+  size_t at = 0;
+  while (at + wal::kFrameHeaderSize <= size) {
+    const size_t end = at + wal::kFrameHeaderSize + LoadU32(data + at);
+    for (at += wal::kFrameHeaderSize; at < end;) {
+      switch (data[at]) {
+        case wal::kRecWrite:
+          ++writes;
+          at += 1 + 8 + kPageSize;
+          break;
+        case wal::kRecFree:
+          at += 1 + 8;
+          break;
+        default:  // begin, commit
+          at += 1;
+      }
+    }
+  }
+  return writes;
+}
+
+// §5.3 with §5.5: under kPostponeReinsert the FlushPending that ends an
+// OS-file index's scan is one more WAL transaction, so every node the
+// DELETE writes reaches the log before the file: the cache under the WAL
+// receives exactly the logged writes, none written through.
+TEST(ExternalFileIndex, PostponedFlushIsLogged) {
+  Server server;
+  GRTreeBladeOptions options;
+  options.storage = GRTreeBladeOptions::Storage::kExternalFile;
+  options.tree.max_entries = 8;
+  options.tree.deletion_policy = DeletionPolicy::kPostponeReinsert;
+  options.external_dir =
+      ::testing::TempDir() + "blades_flush_" + std::to_string(::getpid());
+  std::filesystem::create_directories(options.external_dir);
+  ASSERT_TRUE(RegisterGRTreeBlade(&server, options).ok());
+  ServerSession* session = server.CreateSession();
+  ResultSet result;
+  auto exec = [&](const std::string& sql) {
+    Status status = server.Execute(session, sql, &result);
+    ASSERT_TRUE(status.ok()) << sql << " -> " << status.ToString();
+  };
+  exec("CREATE TABLE t (id int, e grt_timeextent)");
+  exec("CREATE INDEX t_idx ON t(e grt_opclass) USING grtree_am");
+  exec("SET CURRENT_TIME TO 5000");
+  for (int i = 0; i < 600; ++i) {
+    exec("INSERT INTO t VALUES (" + std::to_string(i) + ", '" +
+         std::to_string(1000 + i) + ", " + std::to_string(1010 + i) + ", " +
+         std::to_string(900 + i) + ", " + std::to_string(950 + i) + "')");
+  }
+  IndexStack* stack =
+      static_cast<IndexStack*>(server.catalog().FindIndex("t_idx")->am_state
+                                   .get());
+  ASSERT_NE(stack->wal, nullptr);
+  uint64_t logged_writes = 0;
+  stack->wal->SetWriteHookForTesting(
+      [&](int fd, const uint8_t* data, size_t size) -> ssize_t {
+        const ssize_t written = ::write(fd, data, size);
+        if (written == static_cast<ssize_t>(size)) {
+          logged_writes += CountLoggedWrites(data, size);
+        }
+        return written;
+      });
+  const WalStats before = stack->wal->wal_stats();
+  const uint64_t cache_writes = stack->cache->stats().node_writes;
+
+  // Rows 0..100 overlap; deleting them leaves leaves underfull.
+  exec("DELETE FROM t WHERE Overlaps(e, '1000, 1100, 0, 1040')");
+  EXPECT_EQ(result.affected, 101u);
+  const WalStats after = stack->wal->wal_stats();
+  stack->wal->SetWriteHookForTesting(nullptr);
+  // One transaction per deleted row, and one for the flush.
+  EXPECT_EQ(after.transactions_committed - before.transactions_committed,
+            101u + 1u);
+  EXPECT_GT(logged_writes, 0u);
+  EXPECT_EQ(stack->cache->stats().node_writes - cache_writes, logged_writes);
+  EXPECT_FALSE(stack->wal->in_transaction());
+  exec("CHECK INDEX t_idx");
+  exec("SELECT COUNT(*) FROM t WHERE Overlaps(e, '0, 10000, 0, 10000')");
+  EXPECT_EQ(result.rows[0][0], "499");
+  exec("DROP INDEX t_idx");
+  std::filesystem::remove_all(options.external_dir);
+}
+
 // ------------------------------------------------ the shared store stack --
 // Each index of the four blades keeps one store stack and node cache from
 // CREATE INDEX to DROP INDEX, shared by every statement that opens it.

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <unordered_map>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/random.h"
@@ -39,6 +41,18 @@ std::set<uint64_t> TreeQuery(GRTree& tree, PredicateOp op,
   std::set<uint64_t> out;
   for (const auto& entry : results) out.insert(entry.payload);
   return out;
+}
+
+// One Crc32 over every page `space` holds, in page order, read through
+// `store`.
+uint32_t PagesCrc(const MemorySpace& space, NodeStore* store) {
+  uint32_t crc = Crc32Init();
+  uint8_t page[kPageSize];
+  for (PageId id = 0; id < space.page_count(); ++id) {
+    EXPECT_TRUE(store->ReadNode(id, page).ok());
+    crc = Crc32Feed(crc, page, kPageSize);
+  }
+  return Crc32Final(crc);
 }
 
 std::set<uint64_t> BruteQuery(
@@ -468,6 +482,79 @@ TEST(GRTree, CursorRescanAfterResetSkipsNothingNew) {
   EXPECT_EQ(seen.size(), 50u);
 }
 
+// §5.5 restarts as often as they can come: Reset after every answer, and
+// after every k-th, with and without the scan deleting what it returns,
+// under each policy. A restarted cursor returns each qualifying entry
+// exactly once, and what the scan left stays reachable.
+TEST(GRTree, RestartStormReturnsEveryAnswerOnce) {
+  const int64_t ct = 2000;
+  const TimeExtent query = TimeExtent::Ground(1000, 1500, 900, 1500);
+  for (size_t max_entries : {4, 8}) {
+    for (DeletionPolicy policy : {DeletionPolicy::kRestartAlways,
+                                  DeletionPolicy::kRestartOnCondense,
+                                  DeletionPolicy::kPostponeReinsert}) {
+      for (bool deletes : {false, true}) {
+        for (uint64_t stride : {1, 2, 3, 5, 8, 13, 1000}) {
+          SCOPED_TRACE("max_entries " + std::to_string(max_entries) +
+                       ", policy " + std::to_string(static_cast<int>(policy)) +
+                       (deletes ? ", deleting" : "") + ", Reset every " +
+                       std::to_string(stride));
+          GRTree::Options options;
+          options.max_entries = max_entries;
+          options.deletion_policy = policy;
+          TreeFixture fx(options);
+          Random rng(max_entries * 100 + stride);
+          std::unordered_map<uint64_t, TimeExtent> live;
+          for (uint64_t i = 1; i <= 300; ++i) {
+            const int64_t tt1 = rng.UniformRange(1000, 1999);
+            const int64_t vt1 = rng.UniformRange(900, 1900);
+            const TimeExtent extent =
+                TimeExtent::Ground(tt1, tt1 + rng.UniformRange(0, 50), vt1,
+                                   vt1 + rng.UniformRange(0, 50));
+            ASSERT_TRUE(fx.tree->Insert(extent, i, ct).ok());
+            live[i] = extent;
+          }
+          const std::set<uint64_t> qualifying =
+              BruteQuery(live, PredicateOp::kOverlaps, query, ct);
+          ASSERT_FALSE(qualifying.empty());
+
+          auto cursor_or = fx.tree->Search(PredicateOp::kOverlaps, query, ct);
+          ASSERT_TRUE(cursor_or.ok());
+          auto cursor = std::move(cursor_or).value();
+          std::set<uint64_t> seen;
+          uint64_t answers = 0;
+          while (true) {
+            bool has = false;
+            GRTree::Entry entry;
+            ASSERT_TRUE(cursor->Next(&has, &entry).ok());
+            if (!has) break;
+            // The first duplicate ends the scan: a cursor that repeats
+            // answers across restarts would never finish.
+            ASSERT_TRUE(seen.insert(entry.payload).second)
+                << "duplicate delivery of " << entry.payload;
+            if (deletes) {
+              bool found = false;
+              ASSERT_TRUE(
+                  fx.tree->Delete(entry.extent, entry.payload, ct, &found)
+                      .ok());
+              ASSERT_TRUE(found);
+              live.erase(entry.payload);
+            }
+            if (++answers % stride == 0) cursor->Reset();
+          }
+          EXPECT_EQ(seen, qualifying);
+          EXPECT_GE(cursor->restarts(), answers / stride);
+          ASSERT_TRUE(fx.tree->FlushPending(ct).ok());
+          ASSERT_TRUE(fx.tree->CheckConsistency(ct).ok());
+          const TimeExtent everything = TimeExtent::Ground(0, 10000, 0, 10000);
+          EXPECT_EQ(TreeQuery(*fx.tree, PredicateOp::kOverlaps, everything, ct),
+                    BruteQuery(live, PredicateOp::kOverlaps, everything, ct));
+        }
+      }
+    }
+  }
+}
+
 // Every insert decision, pinned: a seeded op stream (inserts, and the
 // deletes of logical updates and deletions, at advancing current time),
 // then one Crc32 over every page the store holds, in page order.
@@ -508,11 +595,191 @@ TEST(GRTree, InsertDecisionsGolden) {
       }
     }
     EXPECT_EQ(tree->height(), c.height);
+    const uint32_t crc = PagesCrc(space, &store);
+    EXPECT_EQ(crc, c.crc) << std::hex << crc;
+  }
+}
+
+// Feeds every node read, in order, into a running Crc32 shared with the
+// scan that drives it (which adds its answers and restarts).
+class ScanRecorder final : public NodeStore {
+ public:
+  ScanRecorder(NodeStore* inner, uint32_t* crc) : inner_(inner), crc_(crc) {}
+
+  Status AllocateNode(NodeId* id) override { return inner_->AllocateNode(id); }
+  Status FreeNode(NodeId id) override { return inner_->FreeNode(id); }
+  Status ReadNode(NodeId id, uint8_t* out) override {
+    Feed('r', id);
+    return inner_->ReadNode(id, out);
+  }
+  Status ViewNode(NodeId id, NodeView* view) override {
+    Feed('r', id);
+    return inner_->ViewNode(id, view);
+  }
+  Status WriteNode(NodeId id, const uint8_t* data) override {
+    return inner_->WriteNode(id, data);
+  }
+  uint64_t LoOfNode(NodeId id) const override { return inner_->LoOfNode(id); }
+  Status Flush() override { return inner_->Flush(); }
+
+  // One tagged value: 'r' a node read, 'a' an answer, 's' restarts.
+  void Feed(uint8_t tag, uint64_t value) {
+    uint8_t bytes[9] = {tag};
+    StoreU64(bytes + 1, value);
+    *crc_ = Crc32Feed(*crc_, bytes, sizeof(bytes));
+  }
+
+ private:
+  NodeStore* inner_;
+  uint32_t* crc_;
+};
+
+// A tree grown by a seeded workload, then reopened over a ScanRecorder.
+struct RecordedTree {
+  MemorySpace space;
+  Pager pager{&space, 512};
+  PagerNodeStore store{&pager};
+  ScanRecorder recorder;
+  BitemporalWorkload workload;
+  std::unique_ptr<GRTree> tree;
+
+  RecordedTree(const GRTree::Options& options, int actions, uint64_t seed,
+               uint32_t* crc)
+      : recorder(&store, crc), workload([seed] {
+          WorkloadOptions wopts;
+          wopts.seed = seed;
+          return wopts;
+        }()) {
+    NodeId anchor;
+    auto built_or = GRTree::Create(&store, options, &anchor);
+    EXPECT_TRUE(built_or.ok());
+    std::unique_ptr<GRTree> built = std::move(built_or).value();
+    for (int action = 0; action < actions; ++action) {
+      for (const IndexOp& op : workload.NextAction()) {
+        if (op.kind == IndexOp::Kind::kInsert) {
+          EXPECT_TRUE(built->Insert(op.extent, op.payload, op.ct).ok());
+        } else {
+          bool found = false;
+          EXPECT_TRUE(
+              built->Delete(op.extent, op.payload, op.ct, &found).ok());
+          EXPECT_TRUE(found);
+        }
+      }
+    }
+    auto tree_or = GRTree::Open(&recorder, anchor, options);
+    EXPECT_TRUE(tree_or.ok());
+    tree = std::move(tree_or).value();
+  }
+
+  // Drains a scan into the record; returns its answer count.
+  size_t Scan(PredicateOp op, const TimeExtent& query, int64_t ct) {
+    auto cursor_or = tree->Search(op, query, ct);
+    EXPECT_TRUE(cursor_or.ok());
+    if (!cursor_or.ok()) return 0;
+    auto cursor = std::move(cursor_or).value();
+    size_t answers = 0;
+    while (true) {
+      bool has = false;
+      GRTree::Entry entry;
+      EXPECT_TRUE(cursor->Next(&has, &entry).ok());
+      if (!has) break;
+      recorder.Feed('a', entry.payload);
+      ++answers;
+    }
+    return answers;
+  }
+};
+
+// The scan order, pinned: one Crc32 over every node read in order, every
+// answer in order and the restarts, for scans of all four predicates at two
+// current times and for cursor-driven deletes under the three §5.5
+// policies. A change to the cursor that keeps what it visits and returns,
+// and when, keeps the constants.
+TEST(GRTree, ScanOrderGolden) {
+  struct Case {
+    size_t max_entries;  // 0: a full page
+    int actions;
+    uint64_t seed;
+    uint32_t crc;
+  };
+  for (const Case& c : {Case{0, 3000, 4242, 0xf56cb262u},
+                        Case{8, 1200, 2424, 0xe0124599u}}) {
+    SCOPED_TRACE("max_entries " + std::to_string(c.max_entries));
     uint32_t crc = Crc32Init();
-    uint8_t page[kPageSize];
-    for (PageId id = 0; id < space.page_count(); ++id) {
-      ASSERT_TRUE(store.ReadNode(id, page).ok());
-      crc = Crc32Feed(crc, page, kPageSize);
+    {
+      GRTree::Options options;
+      options.max_entries = c.max_entries;
+      RecordedTree t(options, c.actions, c.seed, &crc);
+      ASSERT_GE(t.tree->height(), 2u);
+      // The live versions, in payload order, for Equal probes.
+      std::vector<std::pair<uint64_t, TimeExtent>> live(
+          t.workload.live().begin(), t.workload.live().end());
+      std::sort(live.begin(), live.end(),
+                [](const auto& a, const auto& b) { return a.first < b.first; });
+      const int64_t now = t.workload.current_time();
+      size_t answers = 0;
+      for (int64_t ct : {now, now + 400}) {
+        for (int i = 0; i < 3; ++i) {
+          const TimeExtent rect = t.workload.GroundRectQuery(150);
+          const TimeExtent point = t.workload.TimeSliceQuery(
+              rect.tt_begin.chronon(), rect.vt_begin.chronon());
+          answers += t.Scan(PredicateOp::kOverlaps, rect, ct);
+          answers += t.Scan(PredicateOp::kContainedIn, rect, ct);
+          answers += t.Scan(PredicateOp::kContains, point, ct);
+        }
+        const TimeExtent stair = t.workload.CurrentStairQuery();
+        answers += t.Scan(PredicateOp::kOverlaps, stair, ct);
+        answers += t.Scan(PredicateOp::kContainedIn, stair, ct);
+        for (size_t i = 0; i < live.size(); i += live.size() / 7) {
+          answers += t.Scan(PredicateOp::kEqual, live[i].second, ct);
+        }
+      }
+      EXPECT_GT(answers, 0u);
+    }
+    for (DeletionPolicy policy : {DeletionPolicy::kRestartAlways,
+                                  DeletionPolicy::kRestartOnCondense,
+                                  DeletionPolicy::kPostponeReinsert}) {
+      GRTree::Options options;
+      options.max_entries = c.max_entries;
+      options.deletion_policy = policy;
+      RecordedTree t(options, c.actions, c.seed, &crc);
+      const int64_t ct = t.workload.current_time();
+      // DELETE ... WHERE Overlaps(e, q) through the index, as the blade
+      // drives it: each answer deleted, the cursor reset after a delete
+      // under kRestartAlways, the postponed condense flushed at the end.
+      const TimeExtent query =
+          TimeExtent::Ground(10000, (10000 + ct) / 2, 9800, ct + 400);
+      auto cursor_or = t.tree->Search(PredicateOp::kOverlaps, query, ct);
+      ASSERT_TRUE(cursor_or.ok());
+      auto cursor = std::move(cursor_or).value();
+      size_t deleted = 0;
+      while (true) {
+        bool has = false;
+        GRTree::Entry entry;
+        ASSERT_TRUE(cursor->Next(&has, &entry).ok());
+        if (!has) break;
+        t.recorder.Feed('a', entry.payload);
+        const uint64_t epoch = t.tree->condense_epoch();
+        bool found = false;
+        ASSERT_TRUE(
+            t.tree->Delete(entry.extent, entry.payload, ct, &found).ok());
+        ASSERT_TRUE(found);
+        ++deleted;
+        if (policy == DeletionPolicy::kRestartAlways &&
+            epoch == t.tree->condense_epoch()) {
+          cursor->Reset();
+        }
+      }
+      t.recorder.Feed('s', cursor->restarts());
+      EXPECT_GT(deleted, 0u);
+      EXPECT_EQ(cursor->restarts() == 0,
+                policy == DeletionPolicy::kPostponeReinsert);
+      ASSERT_TRUE(t.tree->FlushPending(ct).ok());
+      ASSERT_TRUE(t.tree->CheckConsistency(ct).ok());
+      // What the DELETE left, scanned once more.
+      EXPECT_EQ(t.Scan(PredicateOp::kOverlaps,
+                       TimeExtent::Ground(0, 100000, 0, 100000), ct),
+                t.tree->size());
     }
     EXPECT_EQ(Crc32Final(crc), c.crc) << std::hex << Crc32Final(crc);
   }
@@ -657,6 +924,22 @@ TEST(GRTree, DrainedNodesDoNotStretchTheirAncestors) {
   ASSERT_TRUE(cost.ok());
   EXPECT_EQ(cost.value(), 1.0);
   run.ExpectFlushedAndIntact();
+}
+
+// FlushPending writes only the nodes it changes: a flush after 60 deletes
+// leaves the same pages, byte for byte, as rewriting every node it keeps
+// did (the Crc32 over every page), for a small share of the writes.
+TEST(GRTree, FlushPendingWritesOnlyChangedNodes) {
+  PostponedDeletes run(8, 2000, 60);
+  GRTreeStats stats;
+  ASSERT_TRUE(run.fx.tree->ComputeStats(PostponedDeletes::kCt, 0, &stats).ok());
+  run.fx.store.ResetStats();
+  run.ExpectFlushedAndIntact();
+  const uint64_t flush_writes = run.fx.store.stats().node_writes;
+  EXPECT_GT(flush_writes, 0u);
+  EXPECT_LT(flush_writes * 4, stats.nodes) << stats.nodes << " nodes";
+  const uint32_t crc = PagesCrc(run.fx.space, &run.fx.store);
+  EXPECT_EQ(crc, 0xa090685fu) << std::hex << crc;
 }
 
 // Serves every node page of one level with a garbled entry count, as a torn

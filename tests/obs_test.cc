@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -14,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "blades/access_method.h"
 #include "blades/btree_blade.h"
 #include "blades/gist_blade.h"
 #include "blades/grtree_blade.h"
@@ -26,6 +28,7 @@
 #include "server/server.h"
 #include "storage/node_cache.h"
 #include "storage/node_store.h"
+#include "storage/wal_store.h"
 
 namespace grtdb {
 namespace {
@@ -67,6 +70,26 @@ TEST(MetricsRegistry, HistogramBucketsByPowerOfTwo) {
   // Everything at or above 2^20 lands in the overflow bucket.
   h.Record(~0ull);
   EXPECT_EQ(h.bucket(obs::Histogram::kBuckets - 1), 1u);
+}
+
+// A tally merged in one step leaves what recording its samples one by one
+// leaves: the same buckets, count and sum.
+TEST(MetricsRegistry, HistogramMergeEqualsRecordingEachSample) {
+  obs::Histogram recorded;
+  obs::Histogram merged;
+  obs::HistogramTally tally;
+  for (uint64_t v : {0ull, 1ull, 3ull, 3ull, 700ull, 1ull << 30, ~0ull >> 1}) {
+    recorded.Record(v);
+    tally.Record(v);
+  }
+  merged.Record(5);
+  recorded.Record(5);
+  merged.Merge(tally);
+  EXPECT_EQ(merged.count(), recorded.count());
+  EXPECT_EQ(merged.sum(), recorded.sum());
+  for (size_t i = 0; i < obs::Histogram::kBuckets; ++i) {
+    EXPECT_EQ(merged.bucket(i), recorded.bucket(i)) << "bucket " << i;
+  }
 }
 
 TEST(MetricsRegistry, QuantileEstimatesFromBuckets) {
@@ -393,6 +416,80 @@ TEST_F(ObsSqlTest, ExplainProfileReportsFig6Sequence) {
   EXPECT_TRUE(saw_getnext);
   EXPECT_TRUE(saw_sequence);
   EXPECT_TRUE(saw_rows);
+}
+
+// The vii.<fn>.calls counters and vii.<fn>.us histograms are fed once per
+// statement from the session's tally, never per call: after every
+// statement (an index scan, an INSERT, a DELETE through the index, EXPLAIN
+// PROFILE, a prepared EXECUTE, a failed INSERT) and after the session
+// closes, each function's counter delta equals its histogram's count delta
+// and the calls the statements' profiles counted.
+TEST_F(ObsSqlTest, PurposeMetricsFoldOncePerStatementExactly) {
+  auto name = [](size_t i) {
+    return std::string("vii.") +
+           obs::PurposeFnName(static_cast<obs::PurposeFn>(i));
+  };
+  auto calls_of = [&](size_t i) {
+    return server_.metrics().GetCounter(name(i) + ".calls");
+  };
+  auto us_of = [&](size_t i) {
+    return server_.metrics().GetHistogram(name(i) + ".us");
+  };
+  uint64_t base_calls[obs::kPurposeFnCount];
+  uint64_t base_count[obs::kPurposeFnCount];
+  for (size_t i = 0; i < obs::kPurposeFnCount; ++i) {
+    base_calls[i] = calls_of(i)->value();
+    base_count[i] = us_of(i)->count();
+  }
+  uint64_t profiled[obs::kPurposeFnCount] = {};
+  auto expect_exact = [&](const std::string& after) {
+    SCOPED_TRACE("after " + after);
+    uint64_t total = 0;
+    for (size_t i = 0; i < obs::kPurposeFnCount; ++i) {
+      const obs::Histogram* us = us_of(i);
+      uint64_t in_buckets = 0;
+      for (size_t b = 0; b < obs::Histogram::kBuckets; ++b) {
+        in_buckets += us->bucket(b);
+      }
+      const uint64_t calls = calls_of(i)->value() - base_calls[i];
+      EXPECT_EQ(calls, profiled[i]) << name(i);
+      EXPECT_EQ(us->count() - base_count[i], profiled[i]) << name(i);
+      EXPECT_EQ(in_buckets, us->count()) << name(i);
+      total += calls;
+    }
+    EXPECT_GT(total, 0u);
+  };
+  auto run = [&](const std::string& sql, bool ok) {
+    EXPECT_EQ(Exec(sql).ok(), ok) << sql;
+    for (size_t i = 0; i < obs::kPurposeFnCount; ++i) {
+      profiled[i] += session_->profile().fn_calls[i];
+    }
+    expect_exact(sql);
+  };
+  run("SELECT id FROM t WHERE Overlaps(e, '20000, UC, 19900, NOW')", true);
+  run("INSERT INTO t VALUES (40, '20000, UC, 19940, NOW')", true);
+  run("DELETE FROM t WHERE ContainedIn(e, '19000, UC, 19935, 20000')", true);
+  run("EXPLAIN PROFILE SELECT id FROM t "
+      "WHERE Overlaps(e, '20000, UC, 19900, NOW')",
+      true);
+  run("PREPARE p AS SELECT id FROM t WHERE Overlaps(e, ?)", true);
+  run("EXECUTE p ('20000, UC, 19910, NOW')", true);
+  WalNodeStore* wal =
+      static_cast<IndexStack*>(
+          server_.catalog().FindIndex("t_idx")->am_state.get())
+          ->wal.get();
+  ASSERT_NE(wal, nullptr);
+  wal->SetWriteHookForTesting([](int, const uint8_t*, size_t) -> ssize_t {
+    errno = EIO;
+    return -1;
+  });
+  run("INSERT INTO t VALUES (41, '20000, UC, 19941, NOW')", false);
+  wal->SetWriteHookForTesting(nullptr);
+  // The failed INSERT reached am_insert: two calls, one per INSERT.
+  EXPECT_EQ(profiled[static_cast<size_t>(obs::PurposeFn::kAmInsert)], 2u);
+  ASSERT_TRUE(server_.CloseSession(session_).ok());
+  session_ = nullptr;
+  expect_exact("CloseSession");
 }
 
 TEST_F(ObsSqlTest, ExplainProfileRequiresAStatement) {
