@@ -46,23 +46,21 @@ void NetClient::Close() {
     ::close(fd_);
     fd_ = -1;
   }
+  std::string().swap(payload_);
 }
 
 Status NetClient::RoundTrip(Request* request, ResultSet* out) {
   if (fd_ < 0) return Status::IOError("not connected");
   request->trace_id = trace_id_;
   Status io = WriteFrame(fd_, EncodeRequest(*request));
+  if (io.ok()) io = ReadFrame(fd_, &payload_);
   if (io.ok()) {
-    std::string payload;
-    io = ReadFrame(fd_, &payload);
-    if (io.ok()) {
-      Response response;
-      io = DecodeResponse(payload, &response);
-      if (io.ok()) {
-        if (out != nullptr) *out = std::move(response.result);
-        return response.status;
-      }
-    }
+    // Decoded in place: a caller that reuses `out` reuses its capacity.
+    ResultSet discarded;
+    Status verdict;
+    io = DecodeResponse(payload_, &verdict,
+                        out != nullptr ? out : &discarded);
+    if (io.ok()) return verdict;
   }
   // Transport broke mid-exchange: the connection's framing state is
   // unknown, so it is dead from here on.

@@ -58,6 +58,8 @@ class NetClient {
 
   int fd_ = -1;
   uint64_t trace_id_ = 0;
+  // The connection's receive buffer, reused for every response.
+  std::string payload_;
 };
 
 }  // namespace net

@@ -1,10 +1,13 @@
 #include "net/protocol.h"
 
+#include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <span>
+#include <string_view>
 
 #include "common/bytes.h"
 
@@ -34,13 +37,13 @@ void PutString(std::string* out, const std::string& s) {
   out->append(s);
 }
 
-void PutStringList(std::string* out, const std::vector<std::string>& list) {
+void PutStringList(std::string* out, std::span<const std::string> list) {
   PutU32(out, static_cast<uint32_t>(list.size()));
   for (const std::string& s : list) PutString(out, s);
 }
 
 // The bytes PutStringList writes for `list`.
-size_t StringListBytes(const std::vector<std::string>& list) {
+size_t StringListBytes(std::span<const std::string> list) {
   size_t bytes = 4;
   for (const std::string& s : list) bytes += 4 + s.size();
   return bytes;
@@ -50,7 +53,7 @@ size_t StringListBytes(const std::vector<std::string>& list) {
 // false once the payload runs short; callers bail to InvalidArgument.
 class Reader {
  public:
-  explicit Reader(const std::string& data) : data_(data) {}
+  explicit Reader(std::string_view data) : data_(data) {}
 
   bool GetU8(uint8_t* v) {
     if (pos_ + 1 > data_.size()) return false;
@@ -72,30 +75,40 @@ class Reader {
     return true;
   }
 
-  bool GetString(std::string* s) {
+  bool GetString(std::string_view* s) {
     uint32_t len = 0;
     if (!GetU32(&len)) return false;
-    if (pos_ + len > data_.size()) return false;
-    s->assign(data_, pos_, len);
+    if (len > data_.size() - pos_) return false;
+    *s = data_.substr(pos_, len);
     pos_ += len;
+    return true;
+  }
+
+  bool GetString(std::string* s) {
+    std::string_view view;
+    if (!GetString(&view)) return false;
+    s->assign(view);
     return true;
   }
 
   bool GetStringList(std::vector<std::string>* list) {
     uint32_t count = 0;
-    if (!GetU32(&count)) return false;
-    // An honest count can never exceed the bytes left (each element
-    // carries at least its 4-byte length); reject early so a hostile
-    // count cannot drive a huge reserve.
-    if (count > data_.size() - pos_) return false;
+    if (!GetU32(&count) || !CountFits(count, 4)) return false;
     list->clear();
     list->reserve(count);
     for (uint32_t i = 0; i < count; ++i) {
-      std::string s;
+      std::string_view s;
       if (!GetString(&s)) return false;
-      list->push_back(std::move(s));
+      list->emplace_back(s);
     }
     return true;
+  }
+
+  // An honest list count never exceeds the bytes left divided by the
+  // smallest element (a string's 4-byte length, a row's 4-byte count);
+  // checked before a count drives a reserve.
+  bool CountFits(uint32_t count, size_t min_element_bytes) const {
+    return count <= (data_.size() - pos_) / min_element_bytes;
   }
 
   bool AtEnd() const { return pos_ == data_.size(); }
@@ -105,7 +118,7 @@ class Reader {
     return reinterpret_cast<const uint8_t*>(data_.data()) + pos_;
   }
 
-  const std::string& data_;
+  std::string_view data_;
   size_t pos_ = 0;
 };
 
@@ -195,7 +208,7 @@ std::string EncodeRequest(const Request& request) {
   return out;
 }
 
-Status DecodeRequest(const std::string& payload, Request* out) {
+Status DecodeRequest(std::string_view payload, Request* out) {
   Reader reader(payload);
   uint8_t opcode = 0;
   out->stmt_name.clear();
@@ -256,9 +269,7 @@ std::string EncodeResponse(const Response& response) {
   size_t size = 1 + 4 + response.status.message().size() + 8 +
                 StringListBytes(result.columns) + 4 +
                 StringListBytes(result.messages);
-  for (const std::vector<std::string>& row : result.rows) {
-    size += StringListBytes(row);
-  }
+  for (ResultRows::Row row : result.rows) size += StringListBytes(row);
   std::string out;
   out.reserve(size);
   PutU8(&out, static_cast<uint8_t>(response.status.code()));
@@ -266,38 +277,47 @@ std::string EncodeResponse(const Response& response) {
   PutU64(&out, result.affected);
   PutStringList(&out, result.columns);
   PutU32(&out, static_cast<uint32_t>(result.rows.size()));
-  for (const std::vector<std::string>& row : result.rows) {
-    PutStringList(&out, row);
-  }
+  for (ResultRows::Row row : result.rows) PutStringList(&out, row);
   PutStringList(&out, result.messages);
   return out;
 }
 
-Status DecodeResponse(const std::string& payload, Response* out) {
+Status DecodeResponse(std::string_view payload, Status* status,
+                      ResultSet* result) {
   Reader reader(payload);
   uint8_t code = 0;
   std::string message;
   uint32_t row_count = 0;
-  out->result.Clear();
+  result->Clear();
+  auto malformed = [result] {
+    result->Clear();
+    return Status::InvalidArgument("malformed response payload");
+  };
   if (!reader.GetU8(&code) || !reader.GetString(&message) ||
-      !reader.GetU64(&out->result.affected) ||
-      !reader.GetStringList(&out->result.columns) ||
-      !reader.GetU32(&row_count)) {
-    return Status::InvalidArgument("malformed response payload");
+      !reader.GetU64(&result->affected) ||
+      !reader.GetStringList(&result->columns) ||
+      !reader.GetU32(&row_count) || !reader.CountFits(row_count, 4)) {
+    return malformed();
   }
-  out->result.rows.clear();
-  out->result.rows.reserve(std::min<size_t>(row_count, 1024));
+  // Most rows have a cell, so row_count is a fair first guess at the
+  // cells too; both stay within the payload's 4-byte elements.
+  result->rows.Reserve(row_count, row_count);
   for (uint32_t i = 0; i < row_count; ++i) {
-    std::vector<std::string> row;
-    if (!reader.GetStringList(&row)) {
-      return Status::InvalidArgument("malformed response payload");
+    uint32_t cells = 0;
+    if (!reader.GetU32(&cells) || !reader.CountFits(cells, 4)) {
+      return malformed();
     }
-    out->result.rows.push_back(std::move(row));
+    for (uint32_t c = 0; c < cells; ++c) {
+      std::string_view cell;
+      if (!reader.GetString(&cell)) return malformed();
+      result->rows.AddCell(cell);
+    }
+    result->rows.EndRow();
   }
-  if (!reader.GetStringList(&out->result.messages) || !reader.AtEnd()) {
-    return Status::InvalidArgument("malformed response payload");
+  if (!reader.GetStringList(&result->messages) || !reader.AtEnd()) {
+    return malformed();
   }
-  out->status = MakeStatus(code, std::move(message));
+  *status = MakeStatus(code, std::move(message));
   return Status::OK();
 }
 
@@ -369,24 +389,39 @@ Status ReadFrame(int fd, std::string* payload) {
   return ReadExact(fd, payload->data(), length, nullptr);
 }
 
-Status WriteFrame(int fd, const std::string& payload) {
+Status WriteFrame(int fd, std::string_view payload) {
   if (payload.size() > kMaxFrameBytes) {
     return Status::InvalidArgument("frame of " +
                                    std::to_string(payload.size()) +
                                    " bytes exceeds limit");
   }
-  std::string frame;
-  frame.reserve(4 + payload.size());
-  PutU32(&frame, static_cast<uint32_t>(payload.size()));
-  frame.append(payload);
-  size_t sent = 0;
-  while (sent < frame.size()) {
-    ssize_t w = ::write(fd, frame.data() + sent, frame.size() - sent);
-    if (w < 0) {
+  uint8_t header[4];
+  StoreU32(header, static_cast<uint32_t>(payload.size()));
+  iovec parts[2] = {{header, sizeof(header)},
+                    {const_cast<char*>(payload.data()), payload.size()}};
+  msghdr message{};
+  message.msg_iov = parts;
+  message.msg_iovlen = 2;
+  size_t left = sizeof(header) + payload.size();
+  while (left > 0) {
+    const ssize_t sent = ::sendmsg(fd, &message, MSG_NOSIGNAL);
+    if (sent < 0) {
       if (errno == EINTR) continue;
-      return Status::IOError(std::string("write: ") + std::strerror(errno));
+      return Status::IOError(std::string("sendmsg: ") + std::strerror(errno));
     }
-    sent += static_cast<size_t>(w);
+    // Step the iovecs past what went out; a partial send resumes there.
+    left -= static_cast<size_t>(sent);
+    size_t skip = static_cast<size_t>(sent);
+    while (skip > 0 && skip >= message.msg_iov->iov_len) {
+      skip -= message.msg_iov->iov_len;
+      ++message.msg_iov;
+      --message.msg_iovlen;
+    }
+    if (skip > 0) {
+      message.msg_iov->iov_base =
+          static_cast<char*>(message.msg_iov->iov_base) + skip;
+      message.msg_iov->iov_len -= skip;
+    }
   }
   return Status::OK();
 }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -64,9 +65,18 @@ struct Response {
 // Payload (not frame) encode/decode. Decode returns InvalidArgument on a
 // truncated or malformed payload and never reads out of bounds.
 std::string EncodeRequest(const Request& request);
-Status DecodeRequest(const std::string& payload, Request* out);
+Status DecodeRequest(std::string_view payload, Request* out);
 std::string EncodeResponse(const Response& response);
-Status DecodeResponse(const std::string& payload, Response* out);
+// Decodes the server's verdict into `*status` and the result into
+// `*result`, in place: the result is cleared first and keeps its
+// capacity, so one ResultSet reused across responses allocates nothing
+// per row. On a decode error `*result` is left empty and `*status` as it
+// was.
+Status DecodeResponse(std::string_view payload, Status* status,
+                      ResultSet* result);
+inline Status DecodeResponse(std::string_view payload, Response* out) {
+  return DecodeResponse(payload, &out->status, &out->result);
+}
 
 // Rebuilds a Status from its wire (code, message) pair. Unknown codes map
 // to Internal, so a newer peer degrades loudly instead of silently-OK.
@@ -74,9 +84,14 @@ Status MakeStatus(uint8_t code, std::string message);
 
 // Blocking frame I/O over a connected socket. Loops over partial
 // reads/writes and EINTR. ReadFrame returns Aborted on clean EOF at a
-// frame boundary (peer closed), IOError on anything else.
+// frame boundary (peer closed), IOError on anything else. It resizes
+// `*payload` to the frame, so a caller that passes one string for every
+// frame allocates only past its largest frame so far. WriteFrame sends
+// the header and the payload with one sendmsg, without copying them into
+// one buffer, and with MSG_NOSIGNAL: a peer that closed early makes it
+// return IOError instead of raising SIGPIPE, which would end the process.
 Status ReadFrame(int fd, std::string* payload);
-Status WriteFrame(int fd, const std::string& payload);
+Status WriteFrame(int fd, std::string_view payload);
 
 }  // namespace net
 }  // namespace grtdb

@@ -759,12 +759,10 @@ Status Server::ExecSelect(ServerSession* session, const sql::SelectStmt& stmt,
     ++count;
     ++session->profile().rows_returned;
     if (stmt.count_star) return Status::OK();
-    std::vector<std::string> rendered;
-    rendered.reserve(projection.size());
     for (int column : projection) {
-      rendered.push_back(RenderValue(row[static_cast<size_t>(column)]));
+      out->rows.AddCell(RenderValue(row[static_cast<size_t>(column)]));
     }
-    out->rows.push_back(std::move(rendered));
+    out->rows.EndRow();
     return Status::OK();
   };
 
@@ -801,7 +799,8 @@ Status Server::ExecSelect(ServerSession* session, const sql::SelectStmt& stmt,
   }
 
   if (status.ok() && stmt.count_star) {
-    out->rows.push_back({std::to_string(count)});
+    out->rows.AddCell(std::to_string(count));
+    out->rows.EndRow();
   }
   if (status.ok()) out->affected = count;
   return EndImplicitTxn(session, implicit, status);

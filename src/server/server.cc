@@ -337,7 +337,7 @@ Status Server::RunStatement(ServerSession* session, const std::string& text,
   session->memory().EndDuration(MiDuration::kPerStatement);
   // A failed statement returns no rows: a scan that errs part-way has
   // emitted some already. Its messages (the SET EXPLAIN plan) stay.
-  if (!status.ok()) out->rows.clear();
+  if (!status.ok()) out->rows.Clear();
   // A nested statement (EXPLAIN PROFILE's inner one, EXECUTE's) folds what
   // it called so far; the enclosing one folds the rest.
   FoldPurposeTally(session);
@@ -615,7 +615,8 @@ Status Server::ExecDumpTrace(const sql::DumpTraceStmt& stmt, ResultSet* out) {
         static_cast<unsigned long long>(span.a),
         static_cast<unsigned long long>(span.b),
         i + 1 == spans.size() ? "" : ",");
-    out->rows.push_back({line});
+    out->rows.AddCell(line);
+    out->rows.EndRow();
   }
   out->rows.push_back({"]}"});
   return Status::OK();
@@ -653,7 +654,8 @@ Status Server::ExecDumpHeat(const sql::DumpHeatStmt& stmt, ResultSet* out) {
                   static_cast<unsigned long long>(node.writes),
                   static_cast<unsigned long long>(node.pin_wait_ns),
                   i + 1 == nodes.size() ? "" : ",");
-    out->rows.push_back({line});
+    out->rows.AddCell(line);
+    out->rows.EndRow();
   }
   out->rows.push_back({"]}"});
   return Status::OK();
@@ -784,7 +786,8 @@ Status Server::ExecExportMetrics(ResultSet* out) {
   while (start < text.size()) {
     size_t end = text.find('\n', start);
     if (end == std::string::npos) end = text.size();
-    out->rows.push_back({text.substr(start, end - start)});
+    out->rows.AddCell(text, start, end - start);
+    out->rows.EndRow();
     start = end + 1;
   }
   return Status::OK();

@@ -370,8 +370,8 @@ void Server::DumpSystemView(const char* name, ResultSet* out) {
     out->columns.push_back(column.name);
   }
   for (const Row& row : rows) {
-    std::vector<std::string>& rendered = out->rows.emplace_back();
-    for (const Value& value : row) rendered.push_back(RenderValue(value));
+    for (const Value& value : row) out->rows.AddCell(RenderValue(value));
+    out->rows.EndRow();
   }
 }
 

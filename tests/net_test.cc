@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -12,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "blades/grtree_blade.h"
 #include "net/net_client.h"
 #include "net/protocol.h"
 #include "obs/span_tracer.h"
@@ -36,7 +40,8 @@ TEST(Protocol, ResponseRoundTrip) {
   Response in;
   in.status = Status::LockTimeout("lock on 't'");
   in.result.columns = {"a", "b"};
-  in.result.rows = {{"1", "x"}, {"2", ""}};
+  in.result.rows.push_back({"1", "x"});
+  in.result.rows.push_back({"2", ""});
   in.result.messages = {"PLAN: sequential scan"};
   in.result.affected = 7;
   Response out;
@@ -237,7 +242,8 @@ Response GoldenResponse() {
   response.status = Status::InvalidArgument("bad");
   response.result.affected = 2;
   response.result.columns = {"id", "e"};
-  response.result.rows = {{"1", "x"}, {"2", ""}};
+  response.result.rows.push_back({"1", "x"});
+  response.result.rows.push_back({"2", ""});
   response.result.messages = {"PLAN: seq"};
   return response;
 }
@@ -296,8 +302,10 @@ TEST(Protocol, GoldenResponseBytes) {
 }
 
 TEST(Protocol, GoldenFrameBytes) {
+  // A socket pair, not a pipe: WriteFrame sends with sendmsg, which only
+  // sockets take.
   int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   ASSERT_TRUE(WriteFrame(fds[1], "abc").ok());
   char raw[7];
   ASSERT_EQ(::read(fds[0], raw, sizeof(raw)), 7);
@@ -368,19 +376,31 @@ void Mutate(std::mt19937* rng, std::string* bytes) {
 
 // Seeded mutation fuzzing of both payload decoders. Each mutant must decode
 // to OK or InvalidArgument, and whatever decodes must re-encode to bytes
-// that decode to the same value.
+// that decode to the same value. Every response mutant is also decoded
+// into one Response reused across all iterations, as a client reuses its
+// ResultSet: it must equal the fresh decode, or be empty after an error,
+// so no cell of an earlier mutant survives into a later one.
 TEST(Protocol, SeededMutationFuzz) {
   std::vector<std::string> requests;
   for (const auto& golden : GoldenRequests()) {
     requests.push_back(EncodeRequest(golden.first));
   }
+  // A wider response too: rows of three, zero and one cells, one cell
+  // past std::string's inline buffer.
+  Response wide;
+  wide.result.columns = {"a", "b", "c"};
+  wide.result.rows.push_back({"1", "a cell of more than fifteen bytes", ""});
+  wide.result.rows.push_back({});
+  wide.result.rows.push_back({"NULL"});
   std::vector<std::string> responses = {EncodeResponse(GoldenResponse()),
+                                        EncodeResponse(wide),
                                         EncodeResponse(Response{})};
 
   std::mt19937 rng(20260417);
   constexpr int kIterations = 50000;
   int decoded_requests = 0;
   int decoded_responses = 0;
+  Response reused;
   for (int i = 0; i < kIterations; ++i) {
     const bool request_side = i % 2 == 0;
     const std::vector<std::string>& corpus =
@@ -406,7 +426,15 @@ TEST(Protocol, SeededMutationFuzz) {
       const Status status = DecodeResponse(bytes, &response);
       ASSERT_TRUE(status.ok() || status.IsInvalidArgument())
           << "iteration " << i << ": " << status.ToString();
-      if (!status.ok()) continue;
+      const Status reused_status = DecodeResponse(bytes, &reused);
+      ASSERT_EQ(reused_status.code(), status.code()) << "iteration " << i;
+      if (!status.ok()) {
+        ASSERT_TRUE(reused.result.rows.empty()) << "iteration " << i;
+        ASSERT_TRUE(reused.result.columns.empty()) << "iteration " << i;
+        ASSERT_TRUE(reused.result.messages.empty()) << "iteration " << i;
+        continue;
+      }
+      ASSERT_TRUE(SameResponse(reused, response)) << "iteration " << i;
       ++decoded_responses;
       const std::string again = EncodeResponse(response);
       Response round;
@@ -793,6 +821,110 @@ TEST_F(NetTest, WireTraceIdPropagatesIntoSysSpans) {
   ASSERT_TRUE(client.Execute("SELECT trace_id FROM sys_spans", &result).ok());
   for (const auto& row : result.rows) {
     EXPECT_EQ(row[0], std::to_string(kTraceId));
+  }
+}
+
+// Statements run back to back through one reused ResultSet, the largest
+// result first, and each answer must equal what an embedded session that
+// runs the same statements gets in a fresh ResultSet: no row, column or
+// message of an earlier answer may survive the reuse.
+TEST_F(NetTest, ReusedResultSetMatchesEmbeddedResults) {
+  ASSERT_TRUE(RegisterGRTreeBlade(server_.get()).ok());
+  std::string setup =
+      "CREATE TABLE t (id int, name text, note text, e grt_timeextent); "
+      "CREATE INDEX t_idx ON t(e grt_opclass) USING grtree_am; "
+      "SET CURRENT_TIME TO 20000; ";
+  for (int i = 0; i < 300; ++i) {
+    setup += "INSERT INTO t VALUES (" + std::to_string(i) +
+             ", 'a name longer than fifteen bytes " + std::to_string(i) +
+             "', " + (i % 2 == 0 ? std::string("NULL") : "'n'") +
+             ", '20000, UC, " + std::to_string(19500 + i) + ", NOW'); ";
+  }
+  ServerSession* embedded = server_->CreateSession();
+  ResultSet result;
+  ASSERT_TRUE(server_->ExecuteScript(embedded, setup, &result).ok());
+
+  NetClient client;
+  ASSERT_TRUE(Connect(&client).ok());
+  // Each statement with its row count, so that equal answers cannot be two
+  // empty ones.
+  const std::pair<const char*, size_t> statements[] = {
+      {"SELECT * FROM t", 300},
+      {"SELECT id, e FROM t WHERE Overlaps(e, '20000, 20000, 19500, 19510')",
+       11},
+      {"SELECT id, note FROM t WHERE id = 8", 1},
+      {"SELECT COUNT(*) FROM t", 1},
+      {"SET EXPLAIN ON", 0},
+      {"SELECT name FROM t WHERE id < 3", 3},  // and the plan message
+      {"SET EXPLAIN OFF", 0},
+      {"DUMP TRACE", 0},  // the columns of sys_spans and a summary message
+      {"SELECT * FROM t WHERE id = -1", 0},
+      {"SELECT * FROM missing", 0},
+  };
+  for (const auto& [sql, rows] : statements) {
+    SCOPED_TRACE(sql);
+    ResultSet expected;
+    const Status want = server_->Execute(embedded, sql, &expected);
+    const Status got = client.Execute(sql, &result);
+    ASSERT_EQ(got.code(), want.code()) << got.ToString();
+    EXPECT_EQ(expected.rows.size(), rows);
+    EXPECT_EQ(result.columns, expected.columns);
+    EXPECT_EQ(result.rows, expected.rows);
+    EXPECT_EQ(result.messages, expected.messages);
+    EXPECT_EQ(result.affected, expected.affected);
+  }
+  ASSERT_TRUE(server_->CloseSession(embedded).ok());
+}
+
+// A client that sends a query and closes before reading the answer makes
+// the worker's write fail. The server drops that connection and keeps
+// serving the others; a write that raised SIGPIPE ended the whole process.
+TEST_F(NetTest, EarlyDisconnectDropsOnlyThatConnection) {
+  ServerSession* loader = server_->CreateSession();
+  ResultSet result;
+  ASSERT_TRUE(
+      server_->Execute(loader, "CREATE TABLE t (id int, pad text)", &result)
+          .ok());
+  // 256 rows of 16 KiB: a 4 MiB answer, more than one send can take.
+  const std::string pad(16 * 1024, 'p');
+  for (int i = 0; i < 256; ++i) {
+    ASSERT_TRUE(server_
+                    ->Execute(loader,
+                              "INSERT INTO t VALUES (" + std::to_string(i) +
+                                  ", '" + pad + "')",
+                              &result)
+                    .ok());
+  }
+  ASSERT_TRUE(server_->CloseSession(loader).ok());
+
+  const obs::Counter* closed =
+      server_->metrics().GetCounter("net.connections_closed");
+  Request select;
+  select.sql = "SELECT * FROM t";
+  for (int round = 0; round < 3; ++round) {
+    const uint64_t closed_before = closed->value();
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(net_->port());
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0);
+    ASSERT_TRUE(WriteFrame(fd, EncodeRequest(select)).ok());
+    ::close(fd);
+    // The worker reads the request, runs it, fails to send the answer and
+    // closes the connection; wait (bounded) for that.
+    for (int i = 0; i < 5000 && closed->value() == closed_before; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_GT(closed->value(), closed_before) << "round " << round;
+
+    NetClient other;
+    ASSERT_TRUE(Connect(&other).ok());
+    ASSERT_TRUE(other.Execute("SELECT COUNT(*) FROM t", &result).ok());
+    ASSERT_EQ(result.rows.size(), 1u);
+    EXPECT_EQ(result.rows[0][0], "256");
   }
 }
 

@@ -302,7 +302,9 @@ class ObsSqlTest : public ::testing::Test {
   // buckets).
   std::map<std::string, std::vector<std::string>> MetricsByName() {
     std::map<std::string, std::vector<std::string>> out;
-    for (const auto& row : result_.rows) out[row[0]] = row;
+    for (const auto& row : result_.rows) {
+      out[row[0]].assign(row.begin(), row.end());
+    }
     return out;
   }
 
@@ -605,7 +607,9 @@ TEST_F(ObsSqlTest, SlowQueryLogRetainsScriptAndPrepareStatements) {
   MustExec("SET SLOW_QUERY_NS = 0");
   MustExec("SELECT * FROM sys_slow_queries");
   std::map<std::string, std::vector<std::string>> by_sql;
-  for (const auto& row : result_.rows) by_sql[row[11]] = row;
+  for (const auto& row : result_.rows) {
+    by_sql[row[11]].assign(row.begin(), row.end());
+  }
   ASSERT_TRUE(by_sql.count("SELECT id FROM t WHERE id = 7"));
   ASSERT_TRUE(by_sql.count("SELECT id FROM t WHERE id = 8"));
   ASSERT_TRUE(by_sql.count("PREPARE probe"));
@@ -1270,7 +1274,7 @@ class IndexStatsTest : public ::testing::Test {
       const std::string& index) {
     std::map<std::string, std::vector<std::string>> out;
     for (const auto& row : result_.rows) {
-      if (row[0] == index) out[row[2]] = row;
+      if (row[0] == index) out[row[2]].assign(row.begin(), row.end());
     }
     return out;
   }

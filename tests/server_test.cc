@@ -12,6 +12,92 @@
 namespace grtdb {
 namespace {
 
+// ------------------------------------------------------------- ResultRows --
+
+TEST(ResultRows, RowsOfMixedWidthsAndNoCells) {
+  ResultRows rows;
+  EXPECT_TRUE(rows.empty());
+  rows.push_back({"a", "b", "c"});
+  rows.push_back({});
+  rows.AddCell("only");
+  rows.EndRow();
+  rows.EndRow();  // a zero-cell row built with EndRow alone
+  ASSERT_EQ(rows.size(), 4u);
+  EXPECT_FALSE(rows.empty());
+  ASSERT_EQ(rows[0].size(), 3u);
+  EXPECT_EQ(rows[0][2], "c");
+  EXPECT_TRUE(rows[1].empty());
+  ASSERT_EQ(rows[2].size(), 1u);
+  EXPECT_EQ(rows[2][0], "only");
+  EXPECT_TRUE(rows[3].empty());
+  EXPECT_EQ(rows.front()[0], "a");
+  EXPECT_TRUE(rows.back().empty());
+  std::vector<std::vector<std::string>> seen;
+  for (ResultRows::Row row : rows) seen.emplace_back(row.begin(), row.end());
+  EXPECT_EQ(seen, (std::vector<std::vector<std::string>>{
+                      {"a", "b", "c"}, {}, {"only"}, {}}));
+}
+
+TEST(ResultRows, CellsPastTheInlineBufferSurviveGrowth) {
+  // Longer than std::string's inline buffer, and with an embedded NUL; a
+  // hundred rows make the cell vector move its strings several times.
+  const std::string long_cell(100, 'x');
+  const std::string with_nul("a\0b", 3);
+  ResultRows rows;
+  for (int i = 0; i < 100; ++i) {
+    rows.AddCell(long_cell + std::to_string(i));
+    rows.AddCell(with_nul);
+    rows.EndRow();
+  }
+  ASSERT_EQ(rows.size(), 100u);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_EQ(rows[i].size(), 2u);
+    EXPECT_EQ(rows[i][0], long_cell + std::to_string(i));
+    EXPECT_EQ(rows[i][1], with_nul);
+  }
+}
+
+TEST(ResultRows, ClearThenReuseKeepsNothingOld) {
+  ResultRows rows;
+  for (int i = 0; i < 50; ++i) {
+    rows.push_back({std::to_string(i), std::string(40, 'y')});
+  }
+  rows.Clear();
+  EXPECT_TRUE(rows.empty());
+  EXPECT_TRUE(rows.begin() == rows.end());
+  rows.push_back({"z"});
+  rows.EndRow();
+  ASSERT_EQ(rows.size(), 2u);
+  ASSERT_EQ(rows[0].size(), 1u);
+  EXPECT_EQ(rows[0][0], "z");
+  EXPECT_TRUE(rows[1].empty());
+  ResultRows fresh;
+  fresh.push_back({"z"});
+  fresh.push_back({});
+  EXPECT_EQ(rows, fresh);
+}
+
+TEST(ResultRows, EqualityComparesCellsAndRowBoundaries) {
+  ResultRows ab_c;
+  ab_c.push_back({"a", "b"});
+  ab_c.push_back({"c"});
+  ResultRows same;
+  same.push_back({"a", "b"});
+  same.push_back({"c"});
+  ResultRows a_bc;
+  a_bc.push_back({"a"});
+  a_bc.push_back({"b", "c"});
+  ResultRows other_cell;
+  other_cell.push_back({"a", "b"});
+  other_cell.push_back({"d"});
+  EXPECT_EQ(ab_c, same);
+  EXPECT_NE(ab_c, a_bc);  // the same cells, cut into other rows
+  EXPECT_NE(ab_c, other_cell);
+  same.EndRow();
+  EXPECT_NE(ab_c, same);  // one more, empty, row
+  EXPECT_EQ(ResultRows(), ResultRows());
+}
+
 // ------------------------------------------------------------- Value/Table --
 
 TEST(Value, BasicsAndEquality) {

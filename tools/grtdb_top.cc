@@ -19,6 +19,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <numeric>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,11 +38,11 @@ int Fail(const char* what, const grtdb::Status& status) {
   return 1;
 }
 
-// One panel: title line, header, aligned rows, capped at max_rows with a
-// "(N more)" footer. An empty result renders "(none)" so a frame always
-// shows every surface it polled.
+// One panel: title line, header, aligned rows in `order` (indexes into
+// result.rows), capped at max_rows with a "(N more)" footer. An empty
+// result renders "(none)" so a frame always shows every surface it polled.
 void RenderPanel(const std::string& title, const grtdb::ResultSet& result,
-                 size_t max_rows) {
+                 const std::vector<size_t>& order, size_t max_rows) {
   std::printf("== %s ==\n", title.c_str());
   if (result.rows.empty()) {
     std::printf("  (none)\n\n");
@@ -50,13 +52,14 @@ void RenderPanel(const std::string& title, const grtdb::ResultSet& result,
   for (size_t c = 0; c < result.columns.size(); ++c) {
     width[c] = result.columns[c].size();
   }
-  const size_t shown = std::min(result.rows.size(), max_rows);
+  const size_t shown = std::min(order.size(), max_rows);
   for (size_t r = 0; r < shown; ++r) {
-    for (size_t c = 0; c < result.rows[r].size() && c < width.size(); ++c) {
-      width[c] = std::max(width[c], result.rows[r][c].size());
+    const grtdb::ResultRows::Row row = result.rows[order[r]];
+    for (size_t c = 0; c < row.size() && c < width.size(); ++c) {
+      width[c] = std::max(width[c], row[c].size());
     }
   }
-  auto line = [&width](const std::vector<std::string>& cells) {
+  auto line = [&width](std::span<const std::string> cells) {
     std::printf(" ");
     for (size_t c = 0; c < cells.size() && c < width.size(); ++c) {
       std::printf(" %-*s", static_cast<int>(width[c]), cells[c].c_str());
@@ -64,25 +67,23 @@ void RenderPanel(const std::string& title, const grtdb::ResultSet& result,
     std::printf("\n");
   };
   line(result.columns);
-  for (size_t r = 0; r < shown; ++r) line(result.rows[r]);
+  for (size_t r = 0; r < shown; ++r) line(result.rows[order[r]]);
   if (result.rows.size() > shown) {
     std::printf("  ... (%zu more)\n", result.rows.size() - shown);
   }
   std::printf("\n");
 }
 
-// Numeric-descending sort on column `col` (string cells), so the busiest
-// contention rows and metric surprises float to the top of a capped panel.
-void SortByColumnDesc(grtdb::ResultSet* result, size_t col) {
-  std::sort(result->rows.begin(), result->rows.end(),
-            [col](const std::vector<std::string>& a,
-                  const std::vector<std::string>& b) {
-              const double av =
-                  col < a.size() ? std::atof(a[col].c_str()) : 0.0;
-              const double bv =
-                  col < b.size() ? std::atof(b[col].c_str()) : 0.0;
-              return av > bv;
-            });
+// Numeric-descending sort of the row order `*order` on column `col`
+// (string cells), so the busiest contention rows and metric surprises
+// float to the top of a capped panel.
+void SortByColumnDesc(const grtdb::ResultRows& rows, size_t col,
+                      std::vector<size_t>* order) {
+  auto value = [&rows, col](size_t r) {
+    return col < rows[r].size() ? std::atof(rows[r][col].c_str()) : 0.0;
+  };
+  std::sort(order->begin(), order->end(),
+            [&value](size_t a, size_t b) { return value(a) > value(b); });
 }
 
 // Polls the four observatory views and renders one frame. Returns false
@@ -111,10 +112,13 @@ bool RenderFrame(grtdb::net::NetClient* client, grtdb::ResultSet* sessions,
       Fail(panel.title, status);
       return false;
     }
+    std::vector<size_t> order(out->rows.size());
+    std::iota(order.begin(), order.end(), size_t{0});
     if (panel.sort_col >= 0) {
-      SortByColumnDesc(out, static_cast<size_t>(panel.sort_col));
+      SortByColumnDesc(out->rows, static_cast<size_t>(panel.sort_col),
+                       &order);
     }
-    RenderPanel(panel.title, *out, panel.max_rows);
+    RenderPanel(panel.title, *out, order, panel.max_rows);
   }
   return true;
 }
