@@ -7,7 +7,6 @@
 #include "blades/timeextent.h"
 #include "common/strings.h"
 #include "storage/layout.h"
-#include "temporal/predicates.h"
 
 namespace grtdb {
 
@@ -17,10 +16,9 @@ namespace {
 
 struct GrtScanState {
   std::unique_ptr<GRTree::Cursor> cursor;
-  PredicateOp first_op = PredicateOp::kOverlaps;
-  TimeExtent first_query;
-  // Hard-coded residual checks for AND terms beyond the first (§5.2).
-  std::vector<std::pair<PredicateOp, TimeExtent>> residual;
+  // Hard-coded residual checks for AND terms beyond the first (§5.2), each
+  // compiled once per scan at its current time.
+  std::vector<GRTree::EntryTest> residual;
   // Dynamic-dispatch mode re-evaluates the registered strategy UDRs on
   // every candidate instead.
   const MiAmQualDesc* qual = nullptr;
@@ -133,6 +131,24 @@ Status TranslateQual(const MiAmQualDesc& qual,
 
 int64_t ScanTime(MiCallContext& ctx) { return BladeCurrentTime(ctx); }
 
+// Opens (or reopens) the scan's cursor on the qualification's first term
+// and compiles the others as residual tests, all at the scan's time.
+Status StartScan(GRTree* tree, GrtScanState* scan) {
+  std::vector<std::pair<PredicateOp, TimeExtent>> terms;
+  GRTDB_RETURN_IF_ERROR(TranslateQual(*scan->qual, &terms));
+  if (terms.empty()) {
+    return Status::InvalidArgument("empty qualification");
+  }
+  scan->residual.clear();
+  for (size_t i = 1; i < terms.size(); ++i) {
+    scan->residual.emplace_back(terms[i].first, terms[i].second, scan->ct);
+  }
+  auto cursor_or = tree->Search(terms[0].first, terms[0].second, scan->ct);
+  if (!cursor_or.ok()) return cursor_or.status();
+  scan->cursor = std::move(cursor_or).value();
+  return Status::OK();
+}
+
 // -------------------------------------------------------- purpose bodies --
 // Each purpose function is a closure over the blade options; the factory
 // below exports them under the registration prefix.
@@ -213,18 +229,7 @@ PurposeFunctions MakeBladeFns(const GRTreeBladeOptions& options) {
     scan->ct = ScanTime(ctx);
     scan->qual = sd->qual;
     scan->dynamic = dynamic;
-    std::vector<std::pair<PredicateOp, TimeExtent>> terms;
-    GRTDB_RETURN_IF_ERROR(TranslateQual(*sd->qual, &terms));
-    if (terms.empty()) {
-      return Status::InvalidArgument("empty qualification");
-    }
-    scan->first_op = terms[0].first;
-    scan->first_query = terms[0].second;
-    scan->residual.assign(terms.begin() + 1, terms.end());
-    auto cursor_or =
-        state->tree->Search(scan->first_op, scan->first_query, scan->ct);
-    if (!cursor_or.ok()) return cursor_or.status();
-    scan->cursor = std::move(cursor_or).value();
+    GRTDB_RETURN_IF_ERROR(StartScan(state->tree.get(), scan.get()));
     state->active_scan = scan.get();
     sd->user_data = scan.release();
     return Status::OK();
@@ -251,10 +256,8 @@ PurposeFunctions MakeBladeFns(const GRTreeBladeOptions& options) {
             EvaluateQualOnValue(ctx, *scan->qual, key, &matches));
       } else {
         // Hard-coded residual checks (the paper's choice).
-        const Region data = ResolveExtent(entry.extent, scan->ct);
-        for (const auto& [op, query] : scan->residual) {
-          if (!GRTree::LeafTest(op, data,
-                                ResolveExtent(query, scan->ct))) {
+        for (const GRTree::EntryTest& test : scan->residual) {
+          if (!test.Matches(entry.extent)) {
             matches = false;
             break;
           }
@@ -275,11 +278,7 @@ PurposeFunctions MakeBladeFns(const GRTreeBladeOptions& options) {
     }
     // A rescan restarts the scan from scratch (fresh cursor, fresh
     // duplicate filter).
-    auto cursor_or =
-        state->tree->Search(scan->first_op, scan->first_query, scan->ct);
-    if (!cursor_or.ok()) return cursor_or.status();
-    scan->cursor = std::move(cursor_or).value();
-    return Status::OK();
+    return StartScan(state->tree.get(), scan);
   };
 
   const DeletionPolicy policy = options.tree.deletion_policy;

@@ -10,7 +10,7 @@ namespace grtdb {
 namespace {
 
 constexpr size_t kNodeHeaderSize = 8;  // level u32 + count u32
-constexpr size_t kEntrySize = BoundSpec::kBinarySize + 8;  // bound + payload
+constexpr size_t kEntrySize = GRTree::EntryTest::kEntryBytes;
 constexpr PagedTreeFormat kFormat{0x47525452 /* "GRTR" */, "GR-tree",
                                   (kPageSize - kNodeHeaderSize) / kEntrySize,
                                   4};
@@ -38,11 +38,6 @@ BoundSpec EmptyBound() {
   return spec;
 }
 
-TimeExtent ExtentFromBound(const BoundSpec& bound) {
-  return TimeExtent(bound.tt_begin, bound.tt_end, bound.vt_begin,
-                    bound.vt_end);
-}
-
 // One node page pinned for reading, its entries decoded in place. Holds the
 // store's view, and with it a cache frame's read latch, until destroyed:
 // keep it to one function and drop it before writing the store.
@@ -59,19 +54,102 @@ class NodePage {
 
   uint32_t level() const { return LoadU32(view_.data()); }
   uint32_t count() const { return count_; }
+  // The first entry; the others follow kEntrySize apart.
+  const uint8_t* entries() const { return view_.data() + kNodeHeaderSize; }
+  const uint8_t* entry(uint32_t i) const { return entries() + i * kEntrySize; }
   BoundSpec bound(uint32_t i) const { return BoundSpec::DecodeFrom(entry(i)); }
   uint64_t payload(uint32_t i) const {
     return LoadU64(entry(i) + BoundSpec::kBinarySize);
   }
 
  private:
-  const uint8_t* entry(uint32_t i) const {
-    return view_.data() + kNodeHeaderSize + i * kEntrySize;
-  }
-
   NodeView view_;
   uint32_t count_ = 0;
 };
+
+// The compiled entry tests: LeafTest or InternalTest with the predicate
+// fixed at compile time and every step inline, on a resolved region ...
+template <PredicateOp kOp, bool kLeaf>
+bool RegionTest(const Region& region, const Region& query) {
+  if constexpr (!kLeaf) {
+    if constexpr (kOp == PredicateOp::kOverlaps ||
+                  kOp == PredicateOp::kContainedIn) {
+      return region.Overlaps(query);
+    } else {
+      return region.Contains(query);
+    }
+  } else if constexpr (kOp == PredicateOp::kOverlaps) {
+    return region.Overlaps(query);
+  } else if constexpr (kOp == PredicateOp::kContains) {
+    return region.Contains(query);
+  } else if constexpr (kOp == PredicateOp::kContainedIn) {
+    return query.Contains(region);
+  } else {
+    return region.Equals(query);
+  }
+}
+
+// ... and on an encoded entry, BoundSpec::DecodeFrom(entry).Resolve(ct).
+template <PredicateOp kOp, bool kLeaf>
+bool TestEntry(const uint8_t* entry, const Region& query, int64_t ct) {
+  if constexpr (kLeaf && kOp == PredicateOp::kEqual) {
+    // Equal regions begin at the same transaction time, so an entry whose
+    // resolved TTbegin differs is rejected before it is decoded: a
+    // rectangle begins at TTbegin, a stair at max(TTbegin, VTbegin), and
+    // an empty region equals no non-empty query.
+    if (!query.IsEmpty()) {
+      const int64_t tt_begin = LoadI64(entry);
+      const bool rectangle = (entry[TimeExtent::kBinarySize] & 1) != 0;
+      const int64_t vt_begin = LoadI64(entry + 16);
+      const int64_t tt1 = rectangle ? tt_begin : std::max(tt_begin, vt_begin);
+      if (tt1 != query.tt1()) return false;
+    }
+  }
+  return RegionTest<kOp, kLeaf>(BoundSpec::DecodeFrom(entry).Resolve(ct),
+                                query);
+}
+
+template <PredicateOp kOp, bool kLeaf>
+uint32_t FilterEntries(const GRTree::EntryTest& test, const uint8_t* entries,
+                       uint32_t count, uint32_t* out) {
+  const Region query = test.query();
+  const int64_t ct = test.ct();
+  uint32_t passed = 0;
+  for (uint32_t i = 0; i < count; ++i) {
+    out[passed] = i;
+    passed += TestEntry<kOp, kLeaf>(entries + i * kEntrySize, query, ct);
+  }
+  return passed;
+}
+
+template <bool kLeaf>
+auto FilterFor(PredicateOp op) {
+  switch (op) {
+    case PredicateOp::kOverlaps:
+      return &FilterEntries<PredicateOp::kOverlaps, kLeaf>;
+    case PredicateOp::kContains:
+      return &FilterEntries<PredicateOp::kContains, kLeaf>;
+    case PredicateOp::kContainedIn:
+      return &FilterEntries<PredicateOp::kContainedIn, kLeaf>;
+    case PredicateOp::kEqual:
+      break;
+  }
+  return &FilterEntries<PredicateOp::kEqual, kLeaf>;
+}
+
+auto MatchFor(PredicateOp op) {
+  switch (op) {
+    case PredicateOp::kOverlaps:
+      return &RegionTest<PredicateOp::kOverlaps, true>;
+    case PredicateOp::kContains:
+      return &RegionTest<PredicateOp::kContains, true>;
+    case PredicateOp::kContainedIn:
+      return &RegionTest<PredicateOp::kContainedIn, true>;
+    case PredicateOp::kEqual:
+      break;
+  }
+  return &RegionTest<PredicateOp::kEqual, true>;
+}
 
 double CenterDistance2(const Region& a, const Region& b) {
   if (a.IsEmpty() || b.IsEmpty()) return 0.0;
@@ -111,6 +189,14 @@ bool GRTree::LeafTest(PredicateOp op, const Region& data,
   }
   return false;
 }
+
+GRTree::EntryTest::EntryTest(PredicateOp op, const TimeExtent& query,
+                             int64_t ct)
+    : query_(ResolveExtent(query, ct)),
+      ct_(ct),
+      leaf_(FilterFor<true>(op)),
+      internal_(FilterFor<false>(op)),
+      match_(MatchFor(op)) {}
 
 // ------------------------------------------------------------ lifecycle ---
 
@@ -608,28 +694,24 @@ Status GRTree::FlushPending(int64_t ct) {
 
 // --------------------------------------------------------------- search ---
 
-GRTree::Cursor::Cursor(GRTree* tree, PredicateOp op, TimeExtent query,
-                       int64_t ct)
-    : tree_(tree),
-      op_(op),
-      query_(ResolveExtent(query, ct)),
-      ct_(ct),
-      epoch_(tree->condense_epoch()) {}
+GRTree::Cursor::Cursor(GRTree* tree, const EntryTest& test)
+    : tree_(tree), test_(test), epoch_(tree->condense_epoch()) {}
 
 Status GRTree::Cursor::PushNode(NodeId id) {
-  // Last entry first, so the first qualifier ends on top: nodes are
-  // visited and answers returned in entry order, depth first.
   NodePage node;
   GRTDB_RETURN_IF_ERROR(node.Pin(tree_->store_, id));
   const bool leaf = node.level() == 0;
-  for (uint32_t i = node.count(); i-- > 0;) {
-    const BoundSpec bound = node.bound(i);
-    const Region region = bound.Resolve(ct_);
-    if (leaf ? LeafTest(op_, region, query_)
-             : InternalTest(op_, region, query_)) {
-      pending_.push_back(
-          Pending{Entry{ExtentFromBound(bound), node.payload(i)}, leaf});
-    }
+  uint32_t passed[kFormat.page_capacity];
+  const uint32_t n = test_.Filter(leaf, node.entries(), node.count(), passed);
+  // Last qualifier first, so the first ends on top: nodes are visited and
+  // answers returned in entry order, depth first. A child is pushed by its
+  // id alone.
+  for (uint32_t k = n; k-- > 0;) {
+    const uint32_t i = passed[k];
+    Pending& pending = pending_.emplace_back();
+    pending.entry.payload = node.payload(i);
+    pending.answer = leaf;
+    if (leaf) pending.entry.extent = TimeExtent::DecodeFrom(node.entry(i));
   }
   return Status::OK();
 }
@@ -688,7 +770,7 @@ Status GRTree::Cursor::Next(bool* has, Entry* out) {
 
 StatusOr<std::unique_ptr<GRTree::Cursor>> GRTree::Search(
     PredicateOp op, const TimeExtent& query, int64_t ct) {
-  return std::unique_ptr<Cursor>(new Cursor(this, op, query, ct));
+  return std::unique_ptr<Cursor>(new Cursor(this, EntryTest(op, query, ct)));
 }
 
 Status GRTree::SearchAll(PredicateOp op, const TimeExtent& query, int64_t ct,
@@ -710,9 +792,10 @@ Status GRTree::SearchAll(PredicateOp op, const TimeExtent& query, int64_t ct,
 StatusOr<double> GRTree::EstimateScanCost(PredicateOp op,
                                           const TimeExtent& query,
                                           int64_t ct) const {
-  const Region query_region = ResolveExtent(query, ct);
+  const EntryTest test(op, query, ct);
   double cost = 1.0;
   std::vector<NodeId> frontier = {root_};
+  uint32_t passed[kFormat.page_capacity];
   while (!frontier.empty()) {
     std::vector<NodeId> next;
     uint64_t overlapping = 0;
@@ -722,10 +805,12 @@ StatusOr<double> GRTree::EstimateScanCost(PredicateOp op,
       GRTDB_RETURN_IF_ERROR(node.Pin(store_, id));
       if (node.level() == 0) return cost;
       children_are_leaves = node.level() == 1;
-      for (uint32_t i = 0; i < node.count(); ++i) {
-        if (InternalTest(op, node.bound(i).Resolve(ct), query_region)) {
-          ++overlapping;
-          if (!children_are_leaves) next.push_back(node.payload(i));
+      const uint32_t n =
+          test.Filter(/*leaf=*/false, node.entries(), node.count(), passed);
+      overlapping += n;
+      if (!children_are_leaves) {
+        for (uint32_t k = 0; k < n; ++k) {
+          next.push_back(node.payload(passed[k]));
         }
       }
     }

@@ -89,6 +89,50 @@ class GRTree : public PagedTree<GRTree, /*kRootEpoch=*/true> {
     uint64_t payload = 0;
   };
 
+  // A scan's entry test, compiled once per scan: the query resolved at the
+  // scan's current time, and the leaf and internal tests of its predicate
+  // as template instances (the hard-coded strategy and ...Internal()
+  // functions of §5.2) that run on the raw entry bytes of a pinned page,
+  // with no per-entry dispatch. Cursor::PushNode, EstimateScanCost and the
+  // blade's residual AND terms all test through it; LeafTest and
+  // InternalTest are the reference it agrees with. It belongs to a scan,
+  // not to a cached plan: the query and `ct` change with each execution.
+  class EntryTest {
+   public:
+    // Bytes from one node entry to the next: the encoded bound, then the
+    // 8-byte payload.
+    static constexpr size_t kEntryBytes = BoundSpec::kBinarySize + 8;
+
+    EntryTest(PredicateOp op, const TimeExtent& query, int64_t ct);
+
+    // Of the `count` entries at `entries` (kEntryBytes apart), writes the
+    // indices of those passing the leaf test (`leaf`) or the internal test
+    // to `out`, ascending, and returns how many passed.
+    uint32_t Filter(bool leaf, const uint8_t* entries, uint32_t count,
+                    uint32_t* out) const {
+      return (leaf ? leaf_ : internal_)(*this, entries, count, out);
+    }
+
+    // The leaf test of one data extent (a residual AND term).
+    bool Matches(const TimeExtent& data) const {
+      return match_(ResolveExtent(data, ct_), query_);
+    }
+
+    const Region& query() const { return query_; }
+    int64_t ct() const { return ct_; }
+
+   private:
+    using FilterFn = uint32_t (*)(const EntryTest&, const uint8_t*, uint32_t,
+                                  uint32_t*);
+    using MatchFn = bool (*)(const Region& data, const Region& query);
+
+    Region query_;
+    int64_t ct_;
+    FilterFn leaf_;
+    FilterFn internal_;
+    MatchFn match_;
+  };
+
   // A scan over qualifying leaf entries (the Cursor object of Table 5:
   // query predicate + tree-traversal state). Created by Search(); stays
   // valid across deletions according to the tree's DeletionPolicy — it
@@ -115,16 +159,14 @@ class GRTree : public PagedTree<GRTree, /*kRootEpoch=*/true> {
       bool answer = false;
     };
 
-    Cursor(GRTree* tree, PredicateOp op, TimeExtent query, int64_t ct);
+    Cursor(GRTree* tree, const EntryTest& test);
 
-    // Tests each entry of node `id` on its pinned page and pushes the
+    // Tests the entries of node `id` on its pinned page and pushes the
     // ones that pass.
     Status PushNode(NodeId id);
 
     GRTree* tree_;
-    PredicateOp op_;
-    Region query_;
-    int64_t ct_;
+    EntryTest test_;
     uint64_t epoch_;
     uint64_t restarts_ = 0;
     bool needs_prime_ = true;
@@ -187,10 +229,11 @@ class GRTree : public PagedTree<GRTree, /*kRootEpoch=*/true> {
   const Options& options() const { return options_; }
 
   // Internal-node pruning test for `op` — the hard-coded counterpart of a
-  // strategy function (OverlapsInternal() etc., §5.2). Exposed for tests.
+  // strategy function (OverlapsInternal() etc., §5.2) — on resolved
+  // regions. The reference EntryTest agrees with; exposed for tests.
   static bool InternalTest(PredicateOp op, const Region& bound,
                            const Region& query);
-  // Exact leaf test for `op`.
+  // Exact leaf test for `op`, likewise.
   static bool LeafTest(PredicateOp op, const Region& data,
                        const Region& query);
 

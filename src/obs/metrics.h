@@ -19,14 +19,45 @@ namespace obs {
 // stable for the registry's lifetime (values are heap-allocated and never
 // erased), so subsystems cache the pointer at wiring time.
 
+// A counter striped by thread: Add writes only the calling thread's
+// stripe, each on its own cache line, so threads counting the same event
+// (two readers' node-cache hits) do not pass one line back and forth.
+// value() sums the stripes, so the count stays exact; like every metric
+// read it is relaxed, exact once the adders are quiet.
 class Counter {
  public:
-  void Add(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
-  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
+  static constexpr size_t kStripes = 16;
+
+  void Add(uint64_t n = 1) {
+    stripes_[ThreadStripe()].value.fetch_add(n, std::memory_order_relaxed);
+  }
+  uint64_t value() const {
+    uint64_t sum = 0;
+    for (const Stripe& stripe : stripes_) {
+      sum += stripe.value.load(std::memory_order_relaxed);
+    }
+    return sum;
+  }
+  void Reset() {
+    for (Stripe& stripe : stripes_) {
+      stripe.value.store(0, std::memory_order_relaxed);
+    }
+  }
 
  private:
-  std::atomic<uint64_t> value_{0};
+  // The calling thread's stripe: threads take stripes round-robin as they
+  // first count anything, so up to kStripes threads never share one.
+  static size_t ThreadStripe() {
+    static std::atomic<size_t> next{0};
+    thread_local const size_t stripe =
+        next.fetch_add(1, std::memory_order_relaxed) % kStripes;
+    return stripe;
+  }
+
+  struct alignas(64) Stripe {
+    std::atomic<uint64_t> value{0};
+  };
+  Stripe stripes_[kStripes];
 };
 
 class Gauge {

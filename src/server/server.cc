@@ -282,6 +282,8 @@ obs::TraceHandle Server::RootTrace() {
 
 Status Server::Execute(ServerSession* session, const std::string& sql,
                        ResultSet* out) {
+  // A statement that fails before it runs leaves no answer of the last.
+  out->Clear();
   obs::TraceScope root_scope(RootTrace(), obs::SpanName::kRequest);
   SessionStatementScope stmt_scope(session, sql);
   sql::Statement stmt;
@@ -294,6 +296,7 @@ Status Server::Execute(ServerSession* session, const std::string& sql,
 
 Status Server::ExecuteScript(ServerSession* session,
                              const std::string& script, ResultSet* out) {
+  out->Clear();
   // One root spans the whole script (a script arrives as one request).
   obs::TraceScope root_scope(RootTrace(), obs::SpanName::kRequest);
   SessionStatementScope stmt_scope(session, script);
@@ -754,6 +757,7 @@ Status Server::ExecutePrepared(ServerSession* session,
                                const std::string& name,
                                const std::vector<sql::Literal>& params,
                                ResultSet* out) {
+  out->Clear();
   for (const sql::Literal& param : params) {
     if (param.kind == sql::Literal::Kind::kParam) {
       return Status::InvalidArgument(

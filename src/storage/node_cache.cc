@@ -58,7 +58,7 @@ void NodeCache::set_heat(obs::HeatTracker* heat, const std::string& label) {
 Status NodeCache::WriteBackLocked(Frame& frame) {
   GRTDB_RETURN_IF_ERROR(inner_->WriteNode(frame.node_id, frame.data.get()));
   frame.dirty = false;
-  write_backs_.fetch_add(1, std::memory_order_relaxed);
+  write_backs_.Add();
   if (m_write_backs_ != nullptr) m_write_backs_->Add();
   return Status::OK();
 }
@@ -72,17 +72,18 @@ Status NodeCache::GrabFrameLocked(size_t* frame) {
     return Status::OK();
   }
   size_t victim = frames_.size();
-  uint64_t victim_tick = ~0ull;
+  uint64_t victim_stamp = ~0ull;
   for (size_t i = 0; i < frames_.size(); ++i) {
     if (frames_[i].pins.load(std::memory_order_acquire) != 0) continue;
     if (frames_[i].node_id == kInvalidNodeId) {
       victim = i;
       break;
     }
-    const uint64_t tick = frames_[i].lru_tick.load(std::memory_order_relaxed);
-    if (tick < victim_tick) {
+    const uint64_t stamp =
+        frames_[i].lru_stamp.load(std::memory_order_relaxed);
+    if (stamp < victim_stamp) {
       victim = i;
-      victim_tick = tick;
+      victim_stamp = stamp;
     }
   }
   if (victim == frames_.size()) {
@@ -102,7 +103,7 @@ Status NodeCache::GrabFrameLocked(size_t* frame) {
     const NodeId evicted = f.node_id;
     node_table_.erase(f.node_id);
     f.node_id = kInvalidNodeId;
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+    evictions_.Add();
     if (m_evictions_ != nullptr) m_evictions_->Add();
     obs::FlightRecorder::Global().RecordEvent(obs::FlightEvent::kCacheEviction,
                                               evicted, was_dirty ? 1 : 0);
@@ -114,9 +115,10 @@ Status NodeCache::GrabFrameLocked(size_t* frame) {
 Status NodeCache::PinFrame(NodeId id, size_t* frame,
                            std::shared_lock<std::shared_mutex>* latch,
                            bool* hit, uint64_t* pin_wait_ns) {
-  // The pin spans until Unpin() (possibly via a NodeView), which balances
-  // this witness record; error returns below balance it immediately. The
-  // success paths deliberately transfer the held record to the caller.
+  // The latch is held until EndView() (possibly via a NodeView), which
+  // balances this witness record; error returns below balance it
+  // immediately. The success paths deliberately transfer the held record
+  // to the caller.
   GRTDB_WITNESS_ACQUIRE(CacheLatchClass());  // NOLINT(grtdb-resource-balance)
   *hit = true;
   *pin_wait_ns = 0;
@@ -134,10 +136,10 @@ Status NodeCache::PinFrame(NodeId id, size_t* frame,
     }
     auto it = node_table_.find(id);
     if (it != node_table_.end()) {
-      Frame& f = frames_[it->second];
-      f.pins.fetch_add(1, std::memory_order_acq_rel);
-      f.lru_tick.store(NextTick(), std::memory_order_relaxed);
-      hits_.fetch_add(1, std::memory_order_relaxed);
+      // A hit: the shared latch keeps the frame mapped, so no pin.
+      frames_[it->second].lru_stamp.store(obs::Ticks(),
+                                          std::memory_order_relaxed);
+      hits_.Add();
       if (m_hits_ != nullptr) m_hits_->Add();
       *frame = it->second;
       *latch = std::move(shared);
@@ -176,32 +178,31 @@ Status NodeCache::PinFrame(NodeId id, size_t* frame,
       f.node_id = id;
       f.dirty = false;
       node_table_[id] = slot;
-      misses_.fetch_add(1, std::memory_order_relaxed);
+      misses_.Add();
       if (m_misses_ != nullptr) m_misses_->Add();
       *hit = false;
       it = node_table_.find(id);
     } else {
-      hits_.fetch_add(1, std::memory_order_relaxed);
+      hits_.Add();
       if (m_hits_ != nullptr) m_hits_->Add();
     }
     Frame& f = frames_[it->second];
     f.pins.fetch_add(1, std::memory_order_acq_rel);
-    f.lru_tick.store(NextTick(), std::memory_order_relaxed);
+    f.lru_stamp.store(obs::Ticks(), std::memory_order_relaxed);
     *frame = it->second;
   }
   // Downgrade: the pin keeps the frame (and its mapping's data buffer)
-  // alive across the latch gap, so re-acquiring shared is safe.
+  // alive across the latch gap, so re-acquiring shared is safe; once it
+  // is held, the latch does.
   *latch = std::shared_lock(latch_);
+  frames_[*frame].pins.fetch_sub(1, std::memory_order_acq_rel);
   return Status::OK();
 }
 
-void NodeCache::Unpin(size_t frame) {
-  frames_[frame].pins.fetch_sub(1, std::memory_order_acq_rel);
-  GRTDB_WITNESS_RELEASE(CacheLatchClass());
-}
+void NodeCache::EndView() { GRTDB_WITNESS_RELEASE(CacheLatchClass()); }
 
 Status NodeCache::ReadNode(NodeId id, uint8_t* out) {
-  reads_.fetch_add(1, std::memory_order_relaxed);
+  reads_.Add();
   if (m_reads_ != nullptr) m_reads_->Add();
   size_t frame;
   std::shared_lock<std::shared_mutex> latch;
@@ -218,12 +219,12 @@ Status NodeCache::ReadNode(NodeId id, uint8_t* out) {
   }
   std::memcpy(out, frames_[frame].data.get(), kPageSize);
   latch.unlock();
-  Unpin(frame);
+  EndView();
   return Status::OK();
 }
 
 Status NodeCache::ViewNode(NodeId id, NodeView* view) {
-  reads_.fetch_add(1, std::memory_order_relaxed);
+  reads_.Add();
   if (m_reads_ != nullptr) m_reads_->Add();
   size_t frame;
   std::shared_lock<std::shared_mutex> latch;
@@ -238,15 +239,14 @@ Status NodeCache::ViewNode(NodeId id, NodeView* view) {
     heat_->RecordAccess(heat_store_, id, obs::HeatAccess::kRead,
                         pin_wait_ns);
   }
-  view->AdoptPinned(this, frame, frames_[frame].data.get(),
-                    std::move(latch));
+  view->AdoptLatched(this, frames_[frame].data.get(), std::move(latch));
   return Status::OK();
 }
 
 Status NodeCache::FrameForWriteLocked(NodeId id, size_t* frame) {
   auto it = node_table_.find(id);
   if (it != node_table_.end()) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
+    hits_.Add();
     if (m_hits_ != nullptr) m_hits_->Add();
     *frame = it->second;
     return Status::OK();
@@ -258,13 +258,13 @@ Status NodeCache::FrameForWriteLocked(NodeId id, size_t* frame) {
   f.node_id = id;
   f.dirty = false;
   node_table_[id] = *frame;
-  misses_.fetch_add(1, std::memory_order_relaxed);
+  misses_.Add();
   if (m_misses_ != nullptr) m_misses_->Add();
   return Status::OK();
 }
 
 Status NodeCache::WriteNode(NodeId id, const uint8_t* data) {
-  writes_.fetch_add(1, std::memory_order_relaxed);
+  writes_.Add();
   if (m_writes_ != nullptr) m_writes_->Add();
   GRTDB_WITNESS_SCOPE(CacheLatchClass());
   const bool heat_on = heat_ != nullptr && heat_->enabled();
@@ -286,7 +286,7 @@ Status NodeCache::WriteNode(NodeId id, const uint8_t* data) {
   Frame& f = frames_[frame];
   std::memcpy(f.data.get(), data, kPageSize);
   f.dirty = true;
-  f.lru_tick.store(NextTick(), std::memory_order_relaxed);
+  f.lru_stamp.store(obs::Ticks(), std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -333,23 +333,23 @@ Status NodeCache::Flush() {
 
 const NodeStoreStats& NodeCache::stats() const {
   std::lock_guard guard(snapshot_mu_);
-  snapshot_.node_reads = reads_.load(std::memory_order_relaxed);
-  snapshot_.node_writes = writes_.load(std::memory_order_relaxed);
+  snapshot_.node_reads = reads_.value();
+  snapshot_.node_writes = writes_.value();
   snapshot_.lo_opens = 0;
-  snapshot_.cache_hits = hits_.load(std::memory_order_relaxed);
-  snapshot_.cache_misses = misses_.load(std::memory_order_relaxed);
-  snapshot_.cache_evictions = evictions_.load(std::memory_order_relaxed);
-  snapshot_.cache_write_backs = write_backs_.load(std::memory_order_relaxed);
+  snapshot_.cache_hits = hits_.value();
+  snapshot_.cache_misses = misses_.value();
+  snapshot_.cache_evictions = evictions_.value();
+  snapshot_.cache_write_backs = write_backs_.value();
   return snapshot_;
 }
 
 void NodeCache::ResetStats() {
-  reads_.store(0, std::memory_order_relaxed);
-  writes_.store(0, std::memory_order_relaxed);
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-  evictions_.store(0, std::memory_order_relaxed);
-  write_backs_.store(0, std::memory_order_relaxed);
+  reads_.Reset();
+  writes_.Reset();
+  hits_.Reset();
+  misses_.Reset();
+  evictions_.Reset();
+  write_backs_.Reset();
 }
 
 }  // namespace grtdb

@@ -25,11 +25,17 @@ namespace grtdb {
 // frame guarded by the cache's reader latch.
 //
 // Concurrency: a reader-writer latch protects the frame table. Lookups and
-// frame reads take it shared (pin counts and LRU ticks are atomics);
-// anything that loads, evicts, writes, or remaps frames takes it exclusive.
-// A NodeView from ViewNode holds the shared latch for its lifetime, so a
-// thread must drop its views before calling a mutating method on the same
-// cache — the pin discipline DESIGN.md documents.
+// frame reads take it shared; anything that loads, evicts, writes, or
+// remaps frames takes it exclusive. Apart from the latch, a hit writes
+// only its frame's LRU stamp, the reading thread's clock (obs::Ticks),
+// which nothing but eviction under the exclusive latch reads, and the
+// reading thread's own stripes of its counters (obs::Counter). It pins
+// nothing: the shared latch it holds already keeps every frame mapped.
+// Only a miss pins its frame, across the downgrade from the exclusive
+// latch to the shared one. A NodeView from ViewNode holds the
+// shared latch for its lifetime, so a thread must drop its views before
+// calling a mutating method on the same cache — the pin discipline
+// DESIGN.md documents.
 class NodeCache final : public NodeStore {
  public:
   // `inner` must outlive the cache. `capacity` is the frame count (>=1);
@@ -69,23 +75,28 @@ class NodeCache final : public NodeStore {
   // gate is off the per-access cost is one relaxed load and a branch.
   void set_heat(obs::HeatTracker* heat, const std::string& label);
 
-  // Called by NodeView::Reset when a pinned view is dropped.
-  void Unpin(size_t frame);
+  // Called by NodeView::Reset when a view is dropped, after its latch is
+  // released. Touches no frame.
+  void EndView();
 
  private:
   struct Frame {
+    // Held only across a miss's latch downgrade; eviction skips a pinned
+    // frame.
     std::atomic<uint32_t> pins{0};
-    std::atomic<uint64_t> lru_tick{0};
+    // obs::Ticks() at the last access; eviction takes the oldest.
+    std::atomic<uint64_t> lru_stamp{0};
     NodeId node_id = kInvalidNodeId;
     bool dirty = false;
     std::unique_ptr<uint8_t[]> data;
   };
 
-  // Returns with `latch` holding latch_ shared and the frame pinned;
-  // `*hit` reports whether the node was already resident. When heat
-  // tracking is armed, `*pin_wait_ns` reports the time this call spent
-  // blocked on the frame-table latch (0 when it was free or heat is off —
-  // the clock is only read after a failed try_lock).
+  // Returns with `latch` holding latch_ shared, which keeps the frame
+  // mapped until it is released; `*hit` reports whether the node was
+  // already resident. When heat tracking is armed, `*pin_wait_ns` reports
+  // the time this call spent blocked on the frame-table latch (0 when it
+  // was free or heat is off — the clock is only read after a failed
+  // try_lock).
   Status PinFrame(NodeId id, size_t* frame,
                   std::shared_lock<std::shared_mutex>* latch, bool* hit,
                   uint64_t* pin_wait_ns);
@@ -93,7 +104,6 @@ class NodeCache final : public NodeStore {
   Status GrabFrameLocked(size_t* frame);
   Status FrameForWriteLocked(NodeId id, size_t* frame);
   Status WriteBackLocked(Frame& frame);
-  uint64_t NextTick() { return tick_.fetch_add(1) + 1; }
 
   NodeStore* inner_;
   TraceFacility* trace_ = nullptr;
@@ -113,14 +123,13 @@ class NodeCache final : public NodeStore {
   // Frames at and past this index have never held a node (no page yet).
   size_t first_unused_ = 0;
   std::unordered_map<NodeId, size_t> node_table_;
-  std::atomic<uint64_t> tick_{0};
 
-  std::atomic<uint64_t> reads_{0};
-  std::atomic<uint64_t> writes_{0};
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> write_backs_{0};
+  obs::Counter reads_;
+  obs::Counter writes_;
+  obs::Counter hits_;
+  obs::Counter misses_;
+  obs::Counter evictions_;
+  obs::Counter write_backs_;
 
   mutable std::mutex snapshot_mu_;
   mutable NodeStoreStats snapshot_;

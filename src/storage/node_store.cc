@@ -16,18 +16,17 @@ NodeView& NodeView::operator=(NodeView&& other) noexcept {
     data_ = std::exchange(other.data_, nullptr);
     owned_ = std::move(other.owned_);
     cache_ = std::exchange(other.cache_, nullptr);
-    frame_ = other.frame_;
     latch_ = std::move(other.latch_);
   }
   return *this;
 }
 
 void NodeView::Reset() {
+  latch_ = std::shared_lock<std::shared_mutex>();
   if (cache_ != nullptr) {
-    cache_->Unpin(frame_);
+    cache_->EndView();
     cache_ = nullptr;
   }
-  latch_ = std::shared_lock<std::shared_mutex>();
   owned_.reset();
   data_ = nullptr;
 }
@@ -38,13 +37,11 @@ void NodeView::AdoptOwned(std::unique_ptr<uint8_t[]> owned) {
   owned_ = std::move(owned);
 }
 
-void NodeView::AdoptPinned(NodeCache* cache, size_t frame,
-                           const uint8_t* data,
-                           std::shared_lock<std::shared_mutex> latch) {
+void NodeView::AdoptLatched(NodeCache* cache, const uint8_t* data,
+                            std::shared_lock<std::shared_mutex> latch) {
   Reset();
   data_ = data;
   cache_ = cache;
-  frame_ = frame;
   latch_ = std::move(latch);
 }
 

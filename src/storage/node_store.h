@@ -36,9 +36,10 @@ struct NodeStoreStats {
 };
 
 // A read-only view of one node image. Either owns a private copy (the
-// default ViewNode path) or pins a NodeCache frame, in which case the view
-// also holds the cache's read latch for its lifetime: zero-copy for tree
-// search, but callers must drop the view before writing to the same store.
+// default ViewNode path) or points into a NodeCache frame, in which case
+// the view holds the cache's read latch, which keeps the frame mapped, for
+// its lifetime: zero-copy for tree search, but callers must drop the view
+// before writing to the same store.
 class NodeView {
  public:
   NodeView() = default;
@@ -54,16 +55,15 @@ class NodeView {
 
   // Takes ownership of a kPageSize heap copy (default / non-cached path).
   void AdoptOwned(std::unique_ptr<uint8_t[]> owned);
-  // Adopts a pinned cache frame; `latch` keeps readers latched while the
-  // view is live and `frame` is unpinned on Reset. Called by NodeCache.
-  void AdoptPinned(NodeCache* cache, size_t frame, const uint8_t* data,
-                   std::shared_lock<std::shared_mutex> latch);
+  // Adopts a cache frame's bytes; `latch`, the cache's shared latch, keeps
+  // the frame mapped while the view is live. Called by NodeCache.
+  void AdoptLatched(NodeCache* cache, const uint8_t* data,
+                    std::shared_lock<std::shared_mutex> latch);
 
  private:
   const uint8_t* data_ = nullptr;
   std::unique_ptr<uint8_t[]> owned_;
   NodeCache* cache_ = nullptr;
-  size_t frame_ = 0;
   std::shared_lock<std::shared_mutex> latch_;
 };
 
@@ -87,7 +87,7 @@ class NodeStore {
 
   // Read-only view of a node image. The default copies through ReadNode
   // (so decorators keep their locking/buffering semantics); NodeCache
-  // overrides it with a zero-copy pinned frame.
+  // overrides it with a zero-copy view of a latched frame.
   virtual Status ViewNode(NodeId id, NodeView* view);
 
   // The large object the node lives in, or 0 when the layout is not

@@ -7,23 +7,6 @@
 
 namespace grtdb {
 
-Region Region::Rect(int64_t tt1, int64_t tt2, int64_t vt1, int64_t vt2) {
-  if (tt1 > tt2 || vt1 > vt2) return Empty();
-  return Region(Kind::kRect, tt1, tt2, vt1, vt2);
-}
-
-Region Region::Stair(int64_t tt1, int64_t tt2, int64_t vt1) {
-  // Points require vt1 <= vt <= tt, so the populated transaction-time range
-  // starts at max(tt1, vt1); normalize so equality tests are structural.
-  int64_t eff_tt1 = std::max(tt1, vt1);
-  if (eff_tt1 > tt2) return Empty();
-  if (eff_tt1 == tt2) {
-    // Degenerate stair: a vertical segment — canonicalize to a rectangle.
-    return Region(Kind::kRect, tt2, tt2, vt1, tt2);
-  }
-  return Region(Kind::kStair, eff_tt1, tt2, vt1, /*vt2=*/tt2);
-}
-
 bool Region::ContainsPoint(int64_t tt, int64_t vt) const {
   switch (kind_) {
     case Kind::kEmpty:
@@ -34,49 +17,6 @@ bool Region::ContainsPoint(int64_t tt, int64_t vt) const {
       return tt1_ <= tt && tt <= tt2_ && vt1_ <= vt && vt <= tt;
   }
   return false;
-}
-
-bool Region::Overlaps(const Region& other) const {
-  if (IsEmpty() || other.IsEmpty()) return false;
-  const int64_t t_lo = std::max(tt1_, other.tt1_);
-  const int64_t t_hi = std::min(tt2_, other.tt2_);
-  if (t_lo > t_hi) return false;
-  if (kind_ == Kind::kRect && other.kind_ == Kind::kRect) {
-    return vt1_ <= other.vt2_ && other.vt1_ <= vt2_;
-  }
-  if (kind_ == Kind::kStair && other.kind_ == Kind::kStair) {
-    return std::max(vt1_, other.vt1_) <= t_hi;
-  }
-  // One stair, one rectangle.
-  const Region& stair = (kind_ == Kind::kStair) ? *this : other;
-  const Region& rect = (kind_ == Kind::kStair) ? other : *this;
-  return t_hi >= stair.vt1_ && t_hi >= rect.vt1_ && rect.vt2_ >= stair.vt1_;
-}
-
-bool Region::Contains(const Region& other) const {
-  if (other.IsEmpty()) return true;
-  if (IsEmpty()) return false;
-  if (kind_ == Kind::kRect) {
-    // A rectangle contains any region iff it contains the region's bounding
-    // rectangle corners (stairs are normalized, so vt2 == tt2 is the top).
-    return tt1_ <= other.tt1_ && other.tt2_ <= tt2_ && vt1_ <= other.vt1_ &&
-           other.vt2_ <= vt2_;
-  }
-  // This is a stair.
-  if (other.kind_ == Kind::kRect) {
-    return tt1_ <= other.tt1_ && other.tt2_ <= tt2_ && vt1_ <= other.vt1_ &&
-           other.vt2_ <= other.tt1_;  // the rectangle's top-left corner must
-                                      // be under the diagonal
-  }
-  // Stair contains stair.
-  return tt1_ <= other.tt1_ && other.tt2_ <= tt2_ && vt1_ <= other.vt1_;
-}
-
-bool Region::Equals(const Region& other) const {
-  if (kind_ != other.kind_) return false;
-  if (kind_ == Kind::kEmpty) return true;
-  return tt1_ == other.tt1_ && tt2_ == other.tt2_ && vt1_ == other.vt1_ &&
-         vt2_ == other.vt2_;
 }
 
 double Region::Area() const {
@@ -234,16 +174,6 @@ std::string Region::ToString() const {
   return "?";
 }
 
-Region ResolveExtent(const TimeExtent& extent, int64_t ct) {
-  const int64_t tte = extent.tt_end.is_uc() ? ct : extent.tt_end.chronon();
-  const int64_t tt1 = extent.tt_begin.chronon();
-  const int64_t vt1 = extent.vt_begin.chronon();
-  if (extent.vt_end.is_now()) {
-    return Region::Stair(tt1, tte, vt1);
-  }
-  return Region::Rect(tt1, tte, vt1, extent.vt_end.chronon());
-}
-
 BoundSpec BoundSpec::FromExtent(const TimeExtent& extent) {
   BoundSpec spec;
   spec.tt_begin = extent.tt_begin;
@@ -253,28 +183,6 @@ BoundSpec BoundSpec::FromExtent(const TimeExtent& extent) {
   spec.rectangle = !extent.vt_end.is_now();
   spec.hidden = false;
   return spec;
-}
-
-Region BoundSpec::Resolve(int64_t ct) const {
-  const int64_t tte = tt_end.is_uc() ? ct : tt_end.chronon();
-  const int64_t tt1 = tt_begin.chronon();
-  const int64_t vt1 = vt_begin.chronon();
-  if (!rectangle) {
-    return Region::Stair(tt1, tte, vt1);
-  }
-  int64_t vte;
-  if (vt_end.is_now()) {
-    vte = tte;
-  } else if (hidden) {
-    // Paper §3: "IF flag Hidden is set AND VTend is fixed AND VTend is less
-    // than the current time THEN set VTend to NOW". Taking the max keeps the
-    // fixed top while the grower is still concealed and switches to the
-    // growing top once it escapes.
-    vte = std::max(vt_end.chronon(), tte);
-  } else {
-    vte = vt_end.chronon();
-  }
-  return Region::Rect(tt1, tte, vt1, vte);
 }
 
 bool BoundSpec::UnderDiagonalForAllTime() const {

@@ -1,6 +1,7 @@
 #ifndef GRTDB_TEMPORAL_REGION_H_
 #define GRTDB_TEMPORAL_REGION_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -29,8 +30,22 @@ class Region {
   Region() : kind_(Kind::kEmpty), tt1_(0), tt2_(0), vt1_(0), vt2_(0) {}
 
   static Region Empty() { return Region(); }
-  static Region Rect(int64_t tt1, int64_t tt2, int64_t vt1, int64_t vt2);
-  static Region Stair(int64_t tt1, int64_t tt2, int64_t vt1);
+  static Region Rect(int64_t tt1, int64_t tt2, int64_t vt1, int64_t vt2) {
+    if (tt1 > tt2 || vt1 > vt2) return Empty();
+    return Region(Kind::kRect, tt1, tt2, vt1, vt2);
+  }
+  static Region Stair(int64_t tt1, int64_t tt2, int64_t vt1) {
+    // Points require vt1 <= vt <= tt, so the populated transaction-time
+    // range starts at max(tt1, vt1); normalize so equality tests are
+    // structural.
+    const int64_t eff_tt1 = std::max(tt1, vt1);
+    if (eff_tt1 > tt2) return Empty();
+    if (eff_tt1 == tt2) {
+      // Degenerate stair: a vertical segment — canonicalize to a rectangle.
+      return Region(Kind::kRect, tt2, tt2, vt1, tt2);
+    }
+    return Region(Kind::kStair, eff_tt1, tt2, vt1, /*vt2=*/tt2);
+  }
 
   Kind kind() const { return kind_; }
   bool IsEmpty() const { return kind_ == Kind::kEmpty; }
@@ -45,9 +60,49 @@ class Region {
   // True iff point (tt, vt) lies inside the region.
   bool ContainsPoint(int64_t tt, int64_t vt) const;
 
-  bool Overlaps(const Region& other) const;
-  bool Contains(const Region& other) const;
-  bool Equals(const Region& other) const;
+  // Inline: a GR-tree scan runs them on every entry it tests.
+  bool Overlaps(const Region& other) const {
+    if (IsEmpty() || other.IsEmpty()) return false;
+    const int64_t t_lo = std::max(tt1_, other.tt1_);
+    const int64_t t_hi = std::min(tt2_, other.tt2_);
+    if (t_lo > t_hi) return false;
+    if (kind_ == Kind::kRect && other.kind_ == Kind::kRect) {
+      return vt1_ <= other.vt2_ && other.vt1_ <= vt2_;
+    }
+    if (kind_ == Kind::kStair && other.kind_ == Kind::kStair) {
+      return std::max(vt1_, other.vt1_) <= t_hi;
+    }
+    // One stair, one rectangle.
+    const Region& stair = (kind_ == Kind::kStair) ? *this : other;
+    const Region& rect = (kind_ == Kind::kStair) ? other : *this;
+    return t_hi >= stair.vt1_ && t_hi >= rect.vt1_ && rect.vt2_ >= stair.vt1_;
+  }
+  bool Contains(const Region& other) const {
+    if (other.IsEmpty()) return true;
+    if (IsEmpty()) return false;
+    if (kind_ == Kind::kRect) {
+      // A rectangle contains any region iff it contains the region's
+      // bounding rectangle corners (stairs are normalized, so vt2 == tt2 is
+      // the top).
+      return tt1_ <= other.tt1_ && other.tt2_ <= tt2_ &&
+             vt1_ <= other.vt1_ && other.vt2_ <= vt2_;
+    }
+    // This is a stair.
+    if (other.kind_ == Kind::kRect) {
+      return tt1_ <= other.tt1_ && other.tt2_ <= tt2_ &&
+             vt1_ <= other.vt1_ &&
+             other.vt2_ <= other.tt1_;  // the rectangle's top-left corner
+                                        // must be under the diagonal
+    }
+    // Stair contains stair.
+    return tt1_ <= other.tt1_ && other.tt2_ <= tt2_ && vt1_ <= other.vt1_;
+  }
+  bool Equals(const Region& other) const {
+    if (kind_ != other.kind_) return false;
+    if (kind_ == Kind::kEmpty) return true;
+    return tt1_ == other.tt1_ && tt2_ == other.tt2_ && vt1_ == other.vt1_ &&
+           vt2_ == other.vt2_;
+  }
 
   double Area() const;
   // Half-perimeter (width + height) of the region's bounding rectangle; the
@@ -85,7 +140,15 @@ class Region {
 // applying the paper's §3 substitution ("IF TTend = UC THEN TTend := ct;
 // IF VTend = NOW THEN VTend := TTend"). Cases 1-2 yield rectangles, cases
 // 3-6 stair shapes.
-Region ResolveExtent(const TimeExtent& extent, int64_t ct);
+inline Region ResolveExtent(const TimeExtent& extent, int64_t ct) {
+  const int64_t tte = extent.tt_end.is_uc() ? ct : extent.tt_end.chronon();
+  const int64_t tt1 = extent.tt_begin.chronon();
+  const int64_t vt1 = extent.vt_begin.chronon();
+  if (extent.vt_end.is_now()) {
+    return Region::Stair(tt1, tte, vt1);
+  }
+  return Region::Rect(tt1, tte, vt1, extent.vt_end.chronon());
+}
 
 // The encoded form of a region as stored in a GR-tree entry: four
 // timestamps plus the "Rectangle" and "Hidden" flags (paper §3). Leaf
@@ -115,7 +178,27 @@ struct BoundSpec {
   // Concrete geometry at current time `ct`. Applies the Hidden-flag
   // adjustment of §3 ("IF Hidden AND VTend fixed AND VTend < ct THEN
   // VTend := NOW") before the UC/NOW substitution.
-  Region Resolve(int64_t ct) const;
+  Region Resolve(int64_t ct) const {
+    const int64_t tte = tt_end.is_uc() ? ct : tt_end.chronon();
+    const int64_t tt1 = tt_begin.chronon();
+    const int64_t vt1 = vt_begin.chronon();
+    if (!rectangle) {
+      return Region::Stair(tt1, tte, vt1);
+    }
+    int64_t vte;
+    if (vt_end.is_now()) {
+      vte = tte;
+    } else if (hidden) {
+      // Paper §3: "IF flag Hidden is set AND VTend is fixed AND VTend is
+      // less than the current time THEN set VTend to NOW". Taking the max
+      // keeps the fixed top while the grower is still concealed and
+      // switches to the growing top once it escapes.
+      vte = std::max(vt_end.chronon(), tte);
+    } else {
+      vte = vt_end.chronon();
+    }
+    return Region::Rect(tt1, tte, vt1, vte);
+  }
 
   // True when the region still grows as time passes.
   bool Grows() const { return tt_end.is_uc(); }

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/grtree.h"
+#include "obs/metrics.h"
 #include "storage/node_cache.h"
 #include "storage/node_store.h"
 #include "storage/pager.h"
@@ -34,7 +35,8 @@ int Fail(const char* what, const Status& status) {
 }
 
 // Scenario 1: one tree per thread, all over the same shared cache —
-// concurrent searches must be race-free and see identical results.
+// concurrent searches must be race-free and see identical results, and
+// the cache's striped counters must count every read exactly once.
 int ConcurrentScans() {
   MemorySpace space;
   Pager pager(&space, 512);
@@ -58,6 +60,25 @@ int ConcurrentScans() {
   if (!flushed.ok()) return Fail("flush", flushed);
 
   const TimeExtent query = TimeExtent::Ground(10, 300, 0, 320);
+  constexpr int kRounds = 25;
+  // The reads one thread's open and one scan take, counted alone.
+  uint64_t open_reads = 0;
+  uint64_t scan_reads = 0;
+  {
+    cache.ResetStats();
+    auto alone_or = GRTree::Open(&cache, anchor, options);
+    if (!alone_or.ok()) return Fail("open", alone_or.status());
+    open_reads = cache.stats().node_reads;
+    std::vector<GRTree::Entry> results;
+    Status s = alone_or.value()->SearchAll(PredicateOp::kOverlaps, query,
+                                           1000, &results);
+    if (!s.ok()) return Fail("scan", s);
+    scan_reads = cache.stats().node_reads - open_reads;
+  }
+  cache.ResetStats();
+  obs::MetricsRegistry registry;
+  cache.set_metrics(&registry);
+
   std::vector<size_t> counts(kThreads, 0);
   std::vector<int> failures(kThreads, 0);
   std::vector<std::thread> threads;
@@ -69,7 +90,7 @@ int ConcurrentScans() {
         return;
       }
       auto mine = std::move(mine_or).value();
-      for (int round = 0; round < 25; ++round) {
+      for (int round = 0; round < kRounds; ++round) {
         std::vector<GRTree::Entry> results;
         Status s = mine->SearchAll(PredicateOp::kOverlaps, query, 1000,
                                    &results);
@@ -97,8 +118,25 @@ int ConcurrentScans() {
     std::fprintf(stderr, "cache_stress: no cache hits under scans?\n");
     return 1;
   }
-  std::printf("cache_stress: scans OK (%zu results/scan, %.1f%% hit rate)\n",
-              counts[0], 100.0 * stats.cache_hit_rate());
+  const uint64_t expected = kThreads * (open_reads + kRounds * scan_reads);
+  const uint64_t registry_hits = registry.GetCounter("cache.hits")->value();
+  if (stats.cache_hits + stats.cache_misses != stats.node_reads ||
+      stats.node_reads != expected || registry_hits != stats.cache_hits) {
+    std::fprintf(stderr,
+                 "cache_stress: counts disagree: hits %llu + misses %llu, "
+                 "reads %llu, expected %llu, registry hits %llu\n",
+                 static_cast<unsigned long long>(stats.cache_hits),
+                 static_cast<unsigned long long>(stats.cache_misses),
+                 static_cast<unsigned long long>(stats.node_reads),
+                 static_cast<unsigned long long>(expected),
+                 static_cast<unsigned long long>(registry_hits));
+    return 1;
+  }
+  std::printf(
+      "cache_stress: scans OK (%zu results/scan, %.1f%% hit rate, %llu "
+      "reads counted exactly)\n",
+      counts[0], 100.0 * stats.cache_hit_rate(),
+      static_cast<unsigned long long>(stats.node_reads));
   return 0;
 }
 

@@ -785,6 +785,165 @@ TEST(GRTree, ScanOrderGolden) {
   }
 }
 
+// The compiled entry test against the reference. For every predicate, a
+// Filter over a page of seeded bounds passes exactly the entries LeafTest
+// or InternalTest passes on the bound resolved at the same time, and
+// Matches agrees with LeafTest on data extents. The bounds are leaf
+// encodings of the six Fig. 2 cases, Enclose bounds with and without the
+// Hidden flag, a drained node's empty bound, degenerate stairs and bounds
+// with arbitrary flags; the queries include empty ones and stored extents
+// (so Equal passes too); the current times fall before TTbegin as well as
+// after.
+TEST(GRTree, CompiledTestMatchesReference) {
+  Random rng(2505);
+  // Small coordinates make shared boundaries and equal regions common.
+  auto chronon = [&] {
+    return Timestamp::FromChronon(rng.UniformRange(0, 40));
+  };
+  // A data extent of Fig. 2 case `fig`.
+  auto case_extent = [&](int fig) {
+    const int64_t tt1 = rng.UniformRange(0, 40);
+    const Timestamp tt_end =
+        fig % 2 == 1 ? Timestamp::UC()
+                     : Timestamp::FromChronon(tt1 + rng.UniformRange(0, 20));
+    if (fig <= 2) {
+      const int64_t vt1 = rng.UniformRange(0, 40);
+      return TimeExtent(Timestamp::FromChronon(tt1), tt_end,
+                        Timestamp::FromChronon(vt1),
+                        Timestamp::FromChronon(vt1 + rng.UniformRange(0, 20)));
+    }
+    const int64_t vt1 = fig <= 4 ? tt1 : tt1 - rng.UniformRange(1, 20);
+    return TimeExtent(Timestamp::FromChronon(tt1), tt_end,
+                      Timestamp::FromChronon(vt1), Timestamp::NOW());
+  };
+  auto any_extent = [&] {
+    return case_extent(1 + static_cast<int>(rng.Uniform(6)));
+  };
+
+  std::vector<TimeExtent> data;
+  std::vector<BoundSpec> bounds;
+  for (int fig = 1; fig <= 6; ++fig) {
+    for (int i = 0; i < 20; ++i) {
+      data.push_back(case_extent(fig));
+      ASSERT_EQ(static_cast<int>(data.back().Classify()), fig);
+      bounds.push_back(BoundSpec::FromExtent(data.back()));
+    }
+  }
+  size_t hidden = 0;
+  size_t stairs = 0;
+  for (int i = 0; i < 300; ++i) {
+    std::vector<BoundSpec> children;
+    for (uint64_t c = 1 + rng.Uniform(4); c > 0; --c) {
+      children.push_back(BoundSpec::FromExtent(any_extent()));
+    }
+    bounds.push_back(BoundSpec::Enclose(children, rng.UniformRange(0, 60)));
+    hidden += bounds.back().hidden;
+    stairs += !bounds.back().rectangle;
+  }
+  EXPECT_GT(hidden, 0u);
+  EXPECT_GT(stairs, 0u);
+  EXPECT_GT(300 - hidden - stairs, 0u);
+  // A drained node's bound: empty at every time.
+  BoundSpec drained;
+  drained.tt_begin = Timestamp::FromChronon(1);
+  drained.tt_end = Timestamp::FromChronon(0);
+  drained.vt_begin = Timestamp::FromChronon(1);
+  drained.vt_end = Timestamp::FromChronon(0);
+  bounds.push_back(drained);
+  for (int i = 0; i < 40; ++i) {
+    // Degenerate stairs: VTbegin past TTbegin, vertical segments (the
+    // populated start equal to TTend) and stairs empty at some times.
+    BoundSpec stair;
+    stair.tt_begin = chronon();
+    stair.vt_begin = i % 4 == 0 ? stair.tt_begin : chronon();
+    stair.tt_end = i % 3 == 0 ? Timestamp::UC()
+                   : i % 3 == 1
+                       ? Timestamp::FromChronon(std::max(
+                             stair.tt_begin.chronon(),
+                             stair.vt_begin.chronon()))
+                       : chronon();
+    stair.vt_end = Timestamp::NOW();
+    stair.rectangle = false;
+    bounds.push_back(stair);
+    // Arbitrary timestamps and flags.
+    BoundSpec any;
+    any.tt_begin = chronon();
+    any.tt_end = rng.Bernoulli(0.3) ? Timestamp::UC() : chronon();
+    any.vt_begin = chronon();
+    any.vt_end = rng.Bernoulli(0.3) ? Timestamp::NOW() : chronon();
+    any.rectangle = rng.Bernoulli(0.7);
+    any.hidden = rng.Bernoulli(0.4);
+    bounds.push_back(any);
+  }
+
+  constexpr size_t kStride = GRTree::EntryTest::kEntryBytes;
+  std::vector<uint8_t> page(bounds.size() * kStride);
+  for (size_t i = 0; i < bounds.size(); ++i) {
+    bounds[i].EncodeTo(page.data() + i * kStride);
+    StoreU64(page.data() + i * kStride + BoundSpec::kBinarySize, i);
+  }
+
+  std::vector<TimeExtent> queries;
+  for (int i = 0; i < 40; ++i) queries.push_back(any_extent());
+  for (int i = 0; i < 20; ++i) {
+    queries.push_back(data[rng.Uniform(data.size())]);
+  }
+  // Empty at every time: TTbegin past TTend, and a stair whose VTbegin is
+  // past its TTend.
+  queries.push_back(TimeExtent::Ground(30, 20, 5, 10));
+  queries.push_back(TimeExtent(Timestamp::FromChronon(10),
+                               Timestamp::FromChronon(12),
+                               Timestamp::FromChronon(20), Timestamp::NOW()));
+
+  const uint32_t count = static_cast<uint32_t>(bounds.size());
+  std::vector<uint32_t> out(count);
+  size_t empty_queries = 0;
+  size_t passes[4][2] = {};
+  size_t fails[4][2] = {};
+  for (const TimeExtent& query : queries) {
+    for (int64_t ct : {-5, 0, 7, 15, 23, 31, 40, 52, 75}) {
+      const Region region = ResolveExtent(query, ct);
+      empty_queries += region.IsEmpty();
+      for (PredicateOp op :
+           {PredicateOp::kOverlaps, PredicateOp::kContains,
+            PredicateOp::kContainedIn, PredicateOp::kEqual}) {
+        const GRTree::EntryTest test(op, query, ct);
+        for (bool leaf : {true, false}) {
+          std::vector<uint32_t> expected;
+          for (uint32_t i = 0; i < count; ++i) {
+            const Region bound = bounds[i].Resolve(ct);
+            if (leaf ? GRTree::LeafTest(op, bound, region)
+                     : GRTree::InternalTest(op, bound, region)) {
+              expected.push_back(i);
+            }
+          }
+          const uint32_t n = test.Filter(leaf, page.data(), count, out.data());
+          ASSERT_EQ(std::vector<uint32_t>(out.begin(), out.begin() + n),
+                    expected)
+              << "op " << static_cast<int>(op) << (leaf ? " leaf" : " internal")
+              << ", query " << query.ToChrononString() << " at ct " << ct;
+          passes[static_cast<int>(op)][leaf] += n;
+          fails[static_cast<int>(op)][leaf] += count - n;
+        }
+        for (const TimeExtent& extent : data) {
+          ASSERT_EQ(test.Matches(extent),
+                    GRTree::LeafTest(op, ResolveExtent(extent, ct), region))
+              << "op " << static_cast<int>(op) << ", data "
+              << extent.ToChrononString() << ", query "
+              << query.ToChrononString() << " at ct " << ct;
+        }
+      }
+    }
+  }
+  EXPECT_GT(empty_queries, 2u * 9u);  // the two always-empty ones, and more
+  for (int op = 0; op < 4; ++op) {
+    for (int leaf = 0; leaf < 2; ++leaf) {
+      EXPECT_GT(passes[op][leaf], 0u) << "op " << op << " leaf " << leaf;
+      EXPECT_GT(fails[op][leaf], 0u) << "op " << op << " leaf " << leaf;
+    }
+  }
+}
+
 // Extents spread over far more than 2^22 chronons, some near +-2^45, where
 // region arithmetic rounds: the tree stays consistent and its answers match
 // brute force.

@@ -46,6 +46,76 @@ TEST(MetricsRegistry, CounterHandlesAreStableAndSharedByName) {
   EXPECT_NE(registry.GetCounter("y"), a);
 }
 
+// Each thread adds to its own stripe of a counter; the stripes sum to
+// exactly what every thread added.
+TEST(MetricsRegistry, CounterAddsFromEightThreadsSumExactly) {
+  obs::MetricsRegistry registry;
+  obs::Counter* counter = registry.GetCounter("hits");
+  constexpr uint64_t kThreads = 8;
+  constexpr uint64_t kAdds = 20000;
+  std::vector<std::thread> threads;
+  for (uint64_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([counter, t] {
+      for (uint64_t i = 0; i < kAdds; ++i) counter->Add(i % 2 == 0 ? 1 : t);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  uint64_t expected = 0;
+  for (uint64_t t = 0; t < kThreads; ++t) expected += kAdds / 2 * (1 + t);
+  EXPECT_EQ(counter->value(), expected);
+  EXPECT_EQ(registry.Snapshot()[0].value, static_cast<int64_t>(expected));
+}
+
+// Threads take stripes round-robin, so 2 * kStripes threads started one
+// after another leave every stripe non-zero; Reset and ResetAll zero them
+// all.
+TEST(MetricsRegistry, ResetZeroesEveryStripe) {
+  obs::MetricsRegistry registry;
+  obs::Counter* counter = registry.GetCounter("c");
+  obs::Counter* other = registry.GetCounter("d");
+  auto add_from_every_stripe = [&] {
+    for (size_t t = 0; t < 2 * obs::Counter::kStripes; ++t) {
+      std::thread([&] {
+        counter->Add(3);
+        other->Add(5);
+      }).join();
+    }
+  };
+  add_from_every_stripe();
+  EXPECT_EQ(counter->value(), 6 * obs::Counter::kStripes);
+  counter->Reset();
+  EXPECT_EQ(counter->value(), 0u);
+  EXPECT_EQ(other->value(), 10 * obs::Counter::kStripes);
+  add_from_every_stripe();
+  EXPECT_EQ(counter->value(), 6 * obs::Counter::kStripes);
+  registry.ResetAll();
+  EXPECT_EQ(counter->value(), 0u);
+  EXPECT_EQ(other->value(), 0u);
+  counter->Add(7);
+  EXPECT_EQ(counter->value(), 7u);
+}
+
+// The exposition text of counters and gauges, byte for byte: striping the
+// counters changed how they count, not what they print.
+TEST(MetricsRegistry, ExportTextOfCountersAndGaugesIsUnchanged) {
+  obs::MetricsRegistry registry;
+  obs::Counter* hits = registry.GetCounter("cache.hits");
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([hits] { hits->Add(10); });
+  }
+  for (std::thread& thread : threads) thread.join();
+  registry.GetCounter("a-b")->Add();
+  registry.GetGauge("pool.free")->Set(-4);
+  EXPECT_EQ(registry.ExportText(),
+            "# TYPE grtdb_a_b counter\n"
+            "grtdb_a_b 1\n"
+            "# TYPE grtdb_cache_hits counter\n"
+            "grtdb_cache_hits 40\n"
+            "# TYPE grtdb_pool_free gauge\n"
+            "grtdb_pool_free -4\n");
+}
+
 TEST(MetricsRegistry, GaugeTracksLastValue) {
   obs::MetricsRegistry registry;
   obs::Gauge* g = registry.GetGauge("pool.free");

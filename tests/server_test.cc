@@ -224,6 +224,42 @@ TEST_F(ServerTest, FailedStatementReturnsNoRows) {
   EXPECT_EQ(result_.messages[0], "PLAN: sequential scan");
 }
 
+// A statement rejected before it runs (a parse error, a script that does
+// not parse, a '?' where EXECUTE needs a value) leaves nothing of the
+// previous statement's answer in a reused ResultSet.
+TEST_F(ServerTest, RejectedStatementClearsAReusedResultSet) {
+  MustExec("CREATE TABLE t (a int)");
+  MustExec("INSERT INTO t VALUES (1)");
+  MustExec("INSERT INTO t VALUES (2)");
+  MustExec("PREPARE p AS SELECT a FROM t WHERE a > ?");
+  auto expect_cleared = [&](const Status& status, const char* what) {
+    EXPECT_TRUE(status.IsInvalidArgument()) << what << ": "
+                                            << status.ToString();
+    EXPECT_TRUE(result_.columns.empty()) << what;
+    EXPECT_TRUE(result_.rows.empty()) << what;
+    EXPECT_TRUE(result_.messages.empty()) << what;
+    EXPECT_EQ(result_.affected, 0u) << what;
+  };
+  auto fill = [&] {
+    MustExec("SELECT a FROM t");
+    ASSERT_EQ(result_.columns.size(), 1u);
+    ASSERT_EQ(result_.rows.size(), 2u);
+    ASSERT_EQ(result_.affected, 2u);
+    result_.messages.push_back("left over");
+  };
+  fill();
+  expect_cleared(Exec("SELEC a FROM t"), "parse error");
+  fill();
+  expect_cleared(server_.ExecuteScript(session_, "SELECT a FROM t; SELEC a",
+                                       &result_),
+                 "script parse error");
+  fill();
+  sql::Literal param;
+  param.kind = sql::Literal::Kind::kParam;
+  expect_cleared(server_.ExecutePrepared(session_, "p", {param}, &result_),
+                 "'?' argument");
+}
+
 TEST_F(ServerTest, CreateInsertSelect) {
   MustExec("CREATE TABLE emp (name text, salary int, hired date)");
   MustExec("INSERT INTO emp VALUES ('ann', 100, '01/15/1995')");
