@@ -52,8 +52,8 @@ int main() {
 
   Exec(server, session,
        "SELECT id FROM t WHERE Overlaps(e, '10000, 10000, 9985, 9990')");
-  PrintSequence("\nSELECT ... WHERE Overlaps(...)   [Fig. 6(b); the extra "
-                "open/scancost/close pair is the optimizer's cost probe]:",
+  PrintSequence("\nSELECT ... WHERE Overlaps(...)   [Fig. 6(b); the "
+                "optimizer's scancost probe runs inside the one open]:",
                 session);
 
   Exec(server, session,

@@ -324,8 +324,9 @@ Status Server::RowMatches(MiCallContext& ctx, const sql::Expr* expr,
   return Status::OK();
 }
 
-Status Server::ComputePlanMemo(ServerSession* session, Table* table,
+Status Server::ComputePlanMemo(StatementRun* run, Table* table,
                                const sql::Expr* where, PlanMemo* memo) {
+  ServerSession* session = run->ctx.session;
   memo->use_index = false;
   memo->index = nullptr;
   memo->terms.clear();
@@ -463,29 +464,24 @@ Status Server::ComputePlanMemo(ServerSession* session, Table* table,
       qual.children = std::move(terms);
     }
 
-    // Cost the candidate with am_scancost when the AM provides it.
+    // Cost the candidate with am_scancost when the AM provides it, on the
+    // statement's open of the index (which a scan of it then uses).
     double cost = memo->seq_cost * 0.5;
     AccessMethodDef* am = catalog_.FindAccessMethod(index->access_method);
     if (am != nullptr && am->hooks.am_scancost) {
-      MiCallContext ctx{this, session, current_time_};
-      std::unique_ptr<OpenIndex> open;
-      Status status = OpenIndexDesc(session, index, false, ctx, &open);
-      if (status.ok()) {
-        {
-          PurposeCallScope call(this, session, am,
-                                obs::PurposeFn::kAmScanCost);
-          status = am->hooks.am_scancost(ctx, &open->desc, &qual, &cost);
-        }
-        // A scan never reads more nodes than the tree holds: the count the
-        // last UPDATE STATISTICS measured caps every estimate.
-        IndexStatsReport measured;
-        if (status.ok() && GetIndexStats(index->name, &measured)) {
-          cost = std::min(cost, static_cast<double>(measured.nodes));
-        }
-        Status close = CloseIndexDesc(ctx, open.get());
-        if (status.ok()) status = close;
+      OpenIndex* open = nullptr;
+      GRTDB_RETURN_IF_ERROR(OpenIndexDesc(run, index, &open));
+      {
+        PurposeCallScope call(this, session, am, obs::PurposeFn::kAmScanCost);
+        GRTDB_RETURN_IF_ERROR(
+            am->hooks.am_scancost(run->ctx, &open->desc, &qual, &cost));
       }
-      if (!status.ok()) return status;
+      // A scan never reads more nodes than the tree holds: the count the
+      // last UPDATE STATISTICS measured caps every estimate.
+      IndexStatsReport measured;
+      if (GetIndexStats(index->name, &measured)) {
+        cost = std::min(cost, static_cast<double>(measured.nodes));
+      }
     }
     if (!memo->use_index || cost < best_cost) {
       memo->use_index = true;
@@ -549,11 +545,12 @@ Status Server::BindPlanMemo(ServerSession* session, const PlanMemo& memo,
   return Status::OK();
 }
 
-Status Server::PlanQuery(ServerSession* session, Table* table,
+Status Server::PlanQuery(StatementRun* run, Table* table,
                          const sql::Expr* where, Plan* plan) {
   // a = 1 when a cached memo was reused, 0 when this call planned afresh.
   obs::SpanScope plan_span(obs::SpanName::kPlan);
-  CachedPlan* cached = session == nullptr ? nullptr : session->active_plan();
+  ServerSession* session = run->ctx.session;
+  CachedPlan* cached = session->active_plan();
   if (cached != nullptr) {
     PlanMemo memo;
     bool have = false;
@@ -570,7 +567,7 @@ Status Server::PlanQuery(ServerSession* session, Table* table,
       // across. Racing first executions compute independently; the first
       // store wins and the computation is deterministic for the catalog
       // the shared statement gate holds still.
-      GRTDB_RETURN_IF_ERROR(ComputePlanMemo(session, table, where, &memo));
+      GRTDB_RETURN_IF_ERROR(ComputePlanMemo(run, table, where, &memo));
       std::lock_guard<std::mutex> lock(cached->memo_mu);
       if (!cached->planned) {
         cached->memo = memo;
@@ -586,7 +583,7 @@ Status Server::PlanQuery(ServerSession* session, Table* table,
     // conjunct to the residual exactly like the text path would.
   }
   PlanMemo memo;
-  GRTDB_RETURN_IF_ERROR(ComputePlanMemo(session, table, where, &memo));
+  GRTDB_RETURN_IF_ERROR(ComputePlanMemo(run, table, where, &memo));
   return BindPlanMemo(session, memo, plan);
 }
 
@@ -607,44 +604,38 @@ Status Server::ExecInsert(ServerSession* session, const sql::InsertStmt& stmt,
         CoerceLiteral(*literal, table->columns()[i].type, &value));
     row.push_back(std::move(value));
   }
-  return InsertRow(session, table, stmt.table, std::move(row), out);
+  return InsertRows(
+      session, table,
+      [&](const RowSink& insert) { return insert(std::move(row)); }, out);
 }
 
-Status Server::InsertRow(ServerSession* session, Table* table,
-                         const std::string& table_name, Row row,
-                         ResultSet* out) {
-  bool implicit = false;
-  GRTDB_RETURN_IF_ERROR(
-      txn_manager_.EnsureTxn(&session->txn_session(), &implicit));
-  MiCallContext ctx{this, session, current_time_};
-
-  Status status = LockTable(session, table_name, LockMode::kExclusive);
-  RecordId id;
-  if (status.ok()) status = table->Insert(std::move(row), &id);
-  if (status.ok()) {
-    // Fig. 6(a): am_open -> am_insert -> am_close for each virtual index.
-    for (IndexDef* index : catalog_.IndexesOnTable(table_name)) {
-      std::unique_ptr<OpenIndex> open;
-      status = OpenIndexDesc(session, index, false, ctx, &open);
-      if (!status.ok()) break;
-      if (open->am->hooks.am_insert) {
-        const Row* base_row = nullptr;
-        status = table->Get(id, &base_row);
-        if (status.ok()) {
-          Row key_row = KeyRowFor(open->desc, *base_row);
-          PurposeCallScope call(this, session, open->am,
-                                obs::PurposeFn::kAmInsert);
-          status =
-              open->am->hooks.am_insert(ctx, &open->desc, key_row, id.Pack());
-        }
-      }
-      Status close = CloseIndexDesc(ctx, open.get());
-      if (status.ok()) status = close;
-      if (!status.ok()) break;
+Status Server::InsertRows(
+    ServerSession* session, Table* table,
+    const std::function<Status(const RowSink&)>& produce, ResultSet* out) {
+  StatementRun run;
+  GRTDB_RETURN_IF_ERROR(BeginRun(session, &run));
+  Status status = LockTable(session, table->name(), LockMode::kExclusive);
+  if (status.ok()) status = OpenTableIndexes(&run, table->name());
+  uint64_t inserted = 0;
+  const RowSink insert = [&](Row row) -> Status {
+    RecordId id;
+    GRTDB_RETURN_IF_ERROR(table->Insert(std::move(row), &id));
+    const Row* stored = nullptr;
+    GRTDB_RETURN_IF_ERROR(table->Get(id, &stored));
+    for (const std::unique_ptr<OpenIndex>& open : run.opens) {
+      if (!open->am->hooks.am_insert) continue;
+      Row key_row = KeyRowFor(open->desc, *stored);
+      PurposeCallScope call(this, session, open->am,
+                            obs::PurposeFn::kAmInsert);
+      GRTDB_RETURN_IF_ERROR(open->am->hooks.am_insert(run.ctx, &open->desc,
+                                                      key_row, id.Pack()));
     }
-  }
-  if (status.ok()) out->affected += 1;
-  return EndImplicitTxn(session, implicit, status);
+    ++inserted;
+    return Status::OK();
+  };
+  if (status.ok()) status = produce(insert);
+  if (status.ok()) out->affected = inserted;
+  return EndRun(&run, status);
 }
 
 Status Server::IndexScan(MiCallContext& ctx, OpenIndex* open,
@@ -748,11 +739,8 @@ Status Server::ExecSelect(ServerSession* session, const sql::SelectStmt& stmt,
     out->columns.push_back("count");
   }
 
-  bool implicit = false;
-  GRTDB_RETURN_IF_ERROR(
-      txn_manager_.EnsureTxn(&session->txn_session(), &implicit));
-  MiCallContext ctx{this, session, current_time_};
-
+  StatementRun run;
+  GRTDB_RETURN_IF_ERROR(BeginRun(session, &run));
   Status status = LockTable(session, stmt.table, LockMode::kShared);
   uint64_t count = 0;
   const RowVisitor emit = [&](RecordId, const Row& row) -> Status {
@@ -767,7 +755,7 @@ Status Server::ExecSelect(ServerSession* session, const sql::SelectStmt& stmt,
   };
 
   Plan plan;
-  if (status.ok()) status = PlanQuery(session, table, stmt.where.get(), &plan);
+  if (status.ok()) status = PlanQuery(&run, table, stmt.where.get(), &plan);
   if (status.ok() && session->explain()) {
     if (plan.use_index) {
       out->messages.push_back(
@@ -785,17 +773,14 @@ Status Server::ExecSelect(ServerSession* session, const sql::SelectStmt& stmt,
   }
 
   if (status.ok() && plan.use_index) {
-    // Fig. 6(b): am_open -> am_beginscan -> am_getnext* -> am_endscan ->
-    // am_close.
-    std::unique_ptr<OpenIndex> open;
-    status = OpenIndexDesc(session, plan.index, false, ctx, &open);
-    if (status.ok()) {
-      status = IndexScan(ctx, open.get(), *table, plan, emit);
-      Status close = CloseIndexDesc(ctx, open.get());
-      if (status.ok()) status = close;
-    }
+    // Fig. 6(b) on the statement's open, which the planner's am_scancost
+    // probe made unless the plan was cached: am_beginscan -> am_getnext*
+    // -> am_endscan, and am_close when the run ends.
+    OpenIndex* open = nullptr;
+    status = OpenIndexDesc(&run, plan.index, &open);
+    if (status.ok()) status = IndexScan(run.ctx, open, *table, plan, emit);
   } else if (status.ok()) {
-    status = TableScan(ctx, *table, stmt.where.get(), emit);
+    status = TableScan(run.ctx, *table, stmt.where.get(), emit);
   }
 
   if (status.ok() && stmt.count_star) {
@@ -803,30 +788,20 @@ Status Server::ExecSelect(ServerSession* session, const sql::SelectStmt& stmt,
     out->rows.EndRow();
   }
   if (status.ok()) out->affected = count;
-  return EndImplicitTxn(session, implicit, status);
+  return EndRun(&run, status);
 }
 
 Status Server::ExecDelete(ServerSession* session, const sql::DeleteStmt& stmt,
                           ResultSet* out) {
   Table* table = catalog_.FindTable(stmt.table);
   if (table == nullptr) return NoWritableTable(stmt.table);
-  bool implicit = false;
-  GRTDB_RETURN_IF_ERROR(
-      txn_manager_.EnsureTxn(&session->txn_session(), &implicit));
-  MiCallContext ctx{this, session, current_time_};
-
+  StatementRun run;
+  GRTDB_RETURN_IF_ERROR(BeginRun(session, &run));
   Status status = LockTable(session, stmt.table, LockMode::kExclusive);
-
-  // Open every index on the table once for the statement.
-  std::vector<std::unique_ptr<OpenIndex>> opens;
-  if (status.ok()) {
-    for (IndexDef* index : catalog_.IndexesOnTable(stmt.table)) {
-      std::unique_ptr<OpenIndex> open;
-      status = OpenIndexDesc(session, index, false, ctx, &open);
-      if (!status.ok()) break;
-      opens.push_back(std::move(open));
-    }
-  }
+  // Every index on the table, opened once for the statement: the planner's
+  // probe and the scan use these opens too.
+  if (status.ok()) status = OpenTableIndexes(&run, stmt.table);
+  const std::vector<std::unique_ptr<OpenIndex>>& opens = run.opens;
 
   // An index scan visits the stored row, which Table::Delete frees: take
   // every index's key row before deleting.
@@ -841,7 +816,7 @@ Status Server::ExecDelete(ServerSession* session, const sql::DeleteStmt& stmt,
       if (!open.am->hooks.am_delete) continue;
       PurposeCallScope call(this, session, open.am,
                             obs::PurposeFn::kAmDelete);
-      GRTDB_RETURN_IF_ERROR(open.am->hooks.am_delete(ctx, &open.desc,
+      GRTDB_RETURN_IF_ERROR(open.am->hooks.am_delete(run.ctx, &open.desc,
                                                      key_rows[i], id.Pack()));
     }
     ++out->affected;
@@ -849,7 +824,7 @@ Status Server::ExecDelete(ServerSession* session, const sql::DeleteStmt& stmt,
   };
 
   Plan plan;
-  if (status.ok()) status = PlanQuery(session, table, stmt.where.get(), &plan);
+  if (status.ok()) status = PlanQuery(&run, table, stmt.where.get(), &plan);
   if (status.ok() && session->explain()) {
     out->messages.push_back(plan.use_index
                                 ? "PLAN: index scan on " + plan.index->name
@@ -859,16 +834,14 @@ Status Server::ExecDelete(ServerSession* session, const sql::DeleteStmt& stmt,
   if (status.ok() && plan.use_index) {
     // §5.5: retrieve qualifying entries with am_getnext, delete one by one.
     OpenIndex* scan_open = nullptr;
-    for (auto& open : opens) {
-      if (open->index == plan.index) scan_open = open.get();
+    status = OpenIndexDesc(&run, plan.index, &scan_open);
+    if (status.ok()) {
+      status = IndexScan(run.ctx, scan_open, *table, plan, delete_row);
     }
-    status = scan_open == nullptr
-                 ? Status::Internal("scan index not opened")
-                 : IndexScan(ctx, scan_open, *table, plan, delete_row);
   } else if (status.ok()) {
     // Sequential scan: collect matches first, then delete.
     std::vector<std::pair<RecordId, Row>> matches;
-    status = TableScan(ctx, *table, stmt.where.get(),
+    status = TableScan(run.ctx, *table, stmt.where.get(),
                        [&](RecordId id, const Row& row) {
                          matches.emplace_back(id, row);
                          return Status::OK();
@@ -877,12 +850,7 @@ Status Server::ExecDelete(ServerSession* session, const sql::DeleteStmt& stmt,
       status = delete_row(matches[i].first, matches[i].second);
     }
   }
-
-  for (auto& open : opens) {
-    Status close = CloseIndexDesc(ctx, open.get());
-    if (status.ok()) status = close;
-  }
-  return EndImplicitTxn(session, implicit, status);
+  return EndRun(&run, status);
 }
 
 Status Server::ExecUpdate(ServerSession* session, const sql::UpdateStmt& stmt,
@@ -905,11 +873,8 @@ Status Server::ExecUpdate(ServerSession* session, const sql::UpdateStmt& stmt,
     assignments.emplace_back(index, std::move(value));
   }
 
-  bool implicit = false;
-  GRTDB_RETURN_IF_ERROR(
-      txn_manager_.EnsureTxn(&session->txn_session(), &implicit));
-  MiCallContext ctx{this, session, current_time_};
-
+  StatementRun run;
+  GRTDB_RETURN_IF_ERROR(BeginRun(session, &run));
   Status status = LockTable(session, stmt.table, LockMode::kExclusive);
 
   // Collect matching rows with a sequential scan (updates via index scans
@@ -917,22 +882,13 @@ Status Server::ExecUpdate(ServerSession* session, const sql::UpdateStmt& stmt,
   // collects first for "Halloween" protection).
   std::vector<std::pair<RecordId, Row>> matches;
   if (status.ok()) {
-    status = TableScan(ctx, *table, stmt.where.get(),
+    status = TableScan(run.ctx, *table, stmt.where.get(),
                        [&](RecordId id, const Row& row) {
                          matches.emplace_back(id, row);
                          return Status::OK();
                        });
   }
-
-  std::vector<std::unique_ptr<OpenIndex>> opens;
-  if (status.ok()) {
-    for (IndexDef* index : catalog_.IndexesOnTable(stmt.table)) {
-      std::unique_ptr<OpenIndex> open;
-      status = OpenIndexDesc(session, index, false, ctx, &open);
-      if (!status.ok()) break;
-      opens.push_back(std::move(open));
-    }
-  }
+  if (status.ok()) status = OpenTableIndexes(&run, stmt.table);
 
   if (status.ok()) {
     for (auto& [id, old_row] : matches) {
@@ -942,7 +898,7 @@ Status Server::ExecUpdate(ServerSession* session, const sql::UpdateStmt& stmt,
       }
       status = table->Update(id, new_row);
       if (!status.ok()) break;
-      for (auto& open : opens) {
+      for (auto& open : run.opens) {
         Row old_key = KeyRowFor(open->desc, old_row);
         Row new_key = KeyRowFor(open->desc, new_row);
         bool key_changed = old_key.size() != new_key.size();
@@ -953,7 +909,7 @@ Status Server::ExecUpdate(ServerSession* session, const sql::UpdateStmt& stmt,
         {
           PurposeCallScope call(this, session, open->am,
                                 obs::PurposeFn::kAmUpdate);
-          status = open->am->hooks.am_update(ctx, &open->desc, old_key,
+          status = open->am->hooks.am_update(run.ctx, &open->desc, old_key,
                                              id.Pack(), new_key, id.Pack());
         }
         if (!status.ok()) break;
@@ -962,12 +918,7 @@ Status Server::ExecUpdate(ServerSession* session, const sql::UpdateStmt& stmt,
       ++out->affected;
     }
   }
-
-  for (auto& open : opens) {
-    Status close = CloseIndexDesc(ctx, open.get());
-    if (status.ok()) status = close;
-  }
-  return EndImplicitTxn(session, implicit, status);
+  return EndRun(&run, status);
 }
 
 }  // namespace grtdb

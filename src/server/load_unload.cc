@@ -19,76 +19,77 @@ Status Server::ExecLoad(ServerSession* session, const sql::LoadStmt& stmt,
   if (!in) {
     return Status::IOError("cannot open '" + stmt.path + "' for LOAD");
   }
-  std::string line;
-  uint64_t line_number = 0;
-  uint64_t loaded = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    if (StripWhitespace(line).empty()) continue;
-    const std::vector<std::string> fields = SplitAndTrim(line, '|');
-    if (fields.size() != table->columns().size()) {
-      return Status::InvalidArgument(
-          stmt.path + ":" + std::to_string(line_number) + ": expected " +
-          std::to_string(table->columns().size()) + " fields, got " +
-          std::to_string(fields.size()));
-    }
-    // Coerce each field: opaque columns go through the type's *import*
-    // support function; the rest through the usual literal coercion.
-    Row row;
-    row.reserve(fields.size());
-    for (size_t i = 0; i < fields.size(); ++i) {
-      const TypeDesc& type = table->columns()[i].type;
-      if (type.base == TypeDesc::Base::kOpaque) {
-        const OpaqueType* opaque = types_.FindOpaque(type.opaque_id);
-        if (opaque == nullptr) {
-          return Status::Corruption("unregistered opaque type id");
-        }
-        std::vector<uint8_t> bytes;
-        Status status = opaque->import(fields[i], &bytes);
-        if (!status.ok()) {
-          return Status::InvalidArgument(
-              stmt.path + ":" + std::to_string(line_number) + ": " +
-              status.message());
-        }
-        row.push_back(Value::Opaque(type.opaque_id, std::move(bytes)));
-        continue;
-      }
-      sql::Literal literal;
-      bool number_ok = true;
-      if (EqualsIgnoreCase(fields[i], "NULL")) {
-        literal.kind = sql::Literal::Kind::kNull;
-      } else if (type.base == TypeDesc::Base::kInteger) {
-        literal.kind = sql::Literal::Kind::kInteger;
-        number_ok = ParseInt64(fields[i], &literal.integer);
-      } else if (type.base == TypeDesc::Base::kFloat) {
-        literal.kind = sql::Literal::Kind::kFloat;
-        number_ok = ParseDouble(fields[i], &literal.real);
-      } else {
-        literal.kind = sql::Literal::Kind::kString;
-        literal.text = fields[i];
-      }
-      if (!number_ok) {
+  // The whole file is one statement: one transaction, one X lock on the
+  // table and one open of each index span it.
+  auto load_rows = [&](const RowSink& insert) -> Status {
+    std::string line;
+    uint64_t line_number = 0;
+    while (std::getline(in, line)) {
+      ++line_number;
+      if (StripWhitespace(line).empty()) continue;
+      const std::vector<std::string> fields = SplitAndTrim(line, '|');
+      if (fields.size() != table->columns().size()) {
         return Status::InvalidArgument(
-            stmt.path + ":" + std::to_string(line_number) + ": field '" +
-            fields[i] + "' is not a valid " + types_.NameOf(type));
+            stmt.path + ":" + std::to_string(line_number) + ": expected " +
+            std::to_string(table->columns().size()) + " fields, got " +
+            std::to_string(fields.size()));
       }
-      Value value;
-      Status coerce = CoerceLiteral(literal, type, &value);
-      if (!coerce.ok()) {
-        return Status::InvalidArgument(stmt.path + ":" +
-                                       std::to_string(line_number) + ": " +
-                                       coerce.message());
+      // Coerce each field: opaque columns go through the type's *import*
+      // support function; the rest through the usual literal coercion.
+      Row row;
+      row.reserve(fields.size());
+      for (size_t i = 0; i < fields.size(); ++i) {
+        const TypeDesc& type = table->columns()[i].type;
+        if (type.base == TypeDesc::Base::kOpaque) {
+          const OpaqueType* opaque = types_.FindOpaque(type.opaque_id);
+          if (opaque == nullptr) {
+            return Status::Corruption("unregistered opaque type id");
+          }
+          std::vector<uint8_t> bytes;
+          Status status = opaque->import(fields[i], &bytes);
+          if (!status.ok()) {
+            return Status::InvalidArgument(
+                stmt.path + ":" + std::to_string(line_number) + ": " +
+                status.message());
+          }
+          row.push_back(Value::Opaque(type.opaque_id, std::move(bytes)));
+          continue;
+        }
+        sql::Literal literal;
+        bool number_ok = true;
+        if (EqualsIgnoreCase(fields[i], "NULL")) {
+          literal.kind = sql::Literal::Kind::kNull;
+        } else if (type.base == TypeDesc::Base::kInteger) {
+          literal.kind = sql::Literal::Kind::kInteger;
+          number_ok = ParseInt64(fields[i], &literal.integer);
+        } else if (type.base == TypeDesc::Base::kFloat) {
+          literal.kind = sql::Literal::Kind::kFloat;
+          number_ok = ParseDouble(fields[i], &literal.real);
+        } else {
+          literal.kind = sql::Literal::Kind::kString;
+          literal.text = fields[i];
+        }
+        if (!number_ok) {
+          return Status::InvalidArgument(
+              stmt.path + ":" + std::to_string(line_number) + ": field '" +
+              fields[i] + "' is not a valid " + types_.NameOf(type));
+        }
+        Value value;
+        Status coerce = CoerceLiteral(literal, type, &value);
+        if (!coerce.ok()) {
+          return Status::InvalidArgument(stmt.path + ":" +
+                                         std::to_string(line_number) + ": " +
+                                         coerce.message());
+        }
+        row.push_back(std::move(value));
       }
-      row.push_back(std::move(value));
+      GRTDB_RETURN_IF_ERROR(insert(std::move(row)));
     }
-    ResultSet row_result;
-    GRTDB_RETURN_IF_ERROR(
-        InsertRow(session, table, stmt.table, std::move(row), &row_result));
-    ++loaded;
-  }
-  out->affected = loaded;
-  out->messages.push_back(std::to_string(loaded) + " row(s) loaded from " +
-                          stmt.path);
+    return Status::OK();
+  };
+  GRTDB_RETURN_IF_ERROR(InsertRows(session, table, load_rows, out));
+  out->messages.push_back(std::to_string(out->affected) +
+                          " row(s) loaded from " + stmt.path);
   return Status::OK();
 }
 

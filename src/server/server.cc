@@ -358,13 +358,21 @@ void Server::FoldPurposeTally(ServerSession* session) {
   }
 }
 
-Status Server::EndImplicitTxn(ServerSession* session, bool implicit,
-                              Status status) {
-  if (!implicit) return status;
+Status Server::BeginRun(ServerSession* session, StatementRun* run) {
+  run->ctx = MiCallContext{this, session, current_time()};
+  return txn_manager_.EnsureTxn(&session->txn_session(), &run->implicit_txn);
+}
+
+Status Server::EndRun(StatementRun* run, Status status) {
+  status = CloseIndexes(run, std::move(status));
+  if (!run->implicit_txn) return status;
+  ServerSession* session = run->ctx.session;
   Status end = status.ok() ? txn_manager_.Commit(&session->txn_session())
                            : txn_manager_.Rollback(&session->txn_session());
   session->memory().EndDuration(MiDuration::kPerTransaction);
-  return status.ok() ? end : status;
+  if (status.ok()) return end;
+  return end.ok() ? status
+                  : status.WithNote("rollback failed: " + end.message());
 }
 
 Status Server::ExecuteStatement(ServerSession* session,
@@ -962,10 +970,8 @@ Status Server::ExecDropIndex(ServerSession* session,
   if (am == nullptr) {
     return Status::Corruption("index references unknown access method");
   }
-  bool implicit = false;
-  GRTDB_RETURN_IF_ERROR(
-      txn_manager_.EnsureTxn(&session->txn_session(), &implicit));
-  MiCallContext ctx{this, session, current_time_};
+  StatementRun run;
+  GRTDB_RETURN_IF_ERROR(BeginRun(session, &run));
   MiAmTableDesc desc;
   desc.index = index;
   desc.table = catalog_.FindTable(index->table);
@@ -975,7 +981,7 @@ Status Server::ExecDropIndex(ServerSession* session,
   Status status = Status::OK();
   if (am->hooks.am_drop) {
     PurposeCallScope call(this, session, am, obs::PurposeFn::kAmDrop);
-    status = am->hooks.am_drop(ctx, &desc);
+    status = am->hooks.am_drop(run.ctx, &desc);
   }
   if (status.ok()) status = catalog_.DropIndex(stmt.index);
   if (status.ok()) {
@@ -983,7 +989,7 @@ Status Server::ExecDropIndex(ServerSession* session,
     std::lock_guard<std::mutex> lock(index_stats_mu_);
     index_stats_.erase(ToLower(stmt.index));
   }
-  return EndImplicitTxn(session, implicit, status);
+  return EndRun(&run, status);
 }
 
 Status Server::ExecDropFunction(const sql::DropFunctionStmt& stmt) {
@@ -1137,50 +1143,38 @@ Status Server::ExecCheckIndex(ServerSession* session,
   if (am == nullptr || !am->hooks.am_check) {
     return Status::NotSupported("access method provides no am_check");
   }
-  bool implicit = false;
-  GRTDB_RETURN_IF_ERROR(
-      txn_manager_.EnsureTxn(&session->txn_session(), &implicit));
-  MiCallContext ctx{this, session, current_time_};
-  std::unique_ptr<OpenIndex> open;
+  StatementRun run;
+  GRTDB_RETURN_IF_ERROR(BeginRun(session, &run));
+  OpenIndex* open = nullptr;
   Status status = LockTable(session, index->table, LockMode::kShared);
-  if (status.ok()) status = OpenIndexDesc(session, index, false, ctx, &open);
+  if (status.ok()) status = OpenIndexDesc(&run, index, &open);
   if (status.ok()) {
-    {
-      PurposeCallScope call(this, session, am, obs::PurposeFn::kAmCheck);
-      status = am->hooks.am_check(ctx, &open->desc);
-    }
-    Status close = CloseIndexDesc(ctx, open.get());
-    if (status.ok()) status = close;
+    PurposeCallScope call(this, session, am, obs::PurposeFn::kAmCheck);
+    status = am->hooks.am_check(run.ctx, &open->desc);
   }
-  if (status.ok()) {
-    out->messages.push_back("index '" + stmt.index + "' is consistent");
-  }
-  return EndImplicitTxn(session, implicit, status);
+  GRTDB_RETURN_IF_ERROR(EndRun(&run, status));
+  out->messages.push_back("index '" + stmt.index + "' is consistent");
+  return Status::OK();
 }
 
-Status Server::RunIndexStats(ServerSession* session, IndexDef* index,
+Status Server::RunIndexStats(StatementRun* run, IndexDef* index,
                              ResultSet* out) {
   AccessMethodDef* am = catalog_.FindAccessMethod(index->access_method);
   if (am == nullptr || !am->hooks.am_stats) {
     return Status::NotSupported("access method provides no am_stats");
   }
-  MiCallContext ctx{this, session, current_time_};
-  std::unique_ptr<OpenIndex> open;
-  Status status = LockTable(session, index->table, LockMode::kShared);
-  if (status.ok()) status = OpenIndexDesc(session, index, false, ctx, &open);
-  if (status.ok()) {
-    {
-      PurposeCallScope call(this, session, am, obs::PurposeFn::kAmStats);
-      status = am->hooks.am_stats(ctx, &open->desc);
-    }
-    Status close = CloseIndexDesc(ctx, open.get());
-    if (status.ok()) status = close;
+  OpenIndex* open = nullptr;
+  GRTDB_RETURN_IF_ERROR(
+      LockTable(run->ctx.session, index->table, LockMode::kShared));
+  GRTDB_RETURN_IF_ERROR(OpenIndexDesc(run, index, &open));
+  {
+    PurposeCallScope call(this, run->ctx.session, am,
+                          obs::PurposeFn::kAmStats);
+    GRTDB_RETURN_IF_ERROR(am->hooks.am_stats(run->ctx, &open->desc));
   }
-  if (status.ok()) {
-    out->messages.push_back("statistics updated for index '" + index->name +
-                            "'");
-  }
-  return status;
+  out->messages.push_back("statistics updated for index '" + index->name +
+                          "'");
+  return Status::OK();
 }
 
 Status Server::ExecUpdateStatistics(ServerSession* session,
@@ -1204,26 +1198,30 @@ Status Server::ExecUpdateStatistics(ServerSession* session,
     }
     targets.push_back(index);
   }
-  bool implicit = false;
-  GRTDB_RETURN_IF_ERROR(
-      txn_manager_.EnsureTxn(&session->txn_session(), &implicit));
+  StatementRun run;
+  GRTDB_RETURN_IF_ERROR(BeginRun(session, &run));
   Status status = Status::OK();
   for (IndexDef* index : targets) {
-    status = RunIndexStats(session, index, out);
+    status = RunIndexStats(&run, index, out);
     if (!status.ok()) break;
   }
   if (status.ok() && stmt.index.empty()) {
     out->messages.push_back("statistics updated for " +
                             std::to_string(targets.size()) + " index(es)");
   }
-  return EndImplicitTxn(session, implicit, status);
+  return EndRun(&run, status);
 }
 
 // ------------------------------------------------- purpose-fn plumbing ---
 
-Status Server::OpenIndexDesc(ServerSession* session, IndexDef* index,
-                             bool just_created, MiCallContext& ctx,
-                             std::unique_ptr<OpenIndex>* out) {
+Status Server::OpenIndexDesc(StatementRun* run, IndexDef* index,
+                             OpenIndex** out, bool just_created) {
+  for (const std::unique_ptr<OpenIndex>& open : run->opens) {
+    if (open->index == index) {
+      *out = open.get();
+      return Status::OK();
+    }
+  }
   AccessMethodDef* am = catalog_.FindAccessMethod(index->access_method);
   if (am == nullptr) {
     return Status::Corruption("index '" + index->name +
@@ -1239,20 +1237,38 @@ Status Server::OpenIndexDesc(ServerSession* session, IndexDef* index,
   open->desc.just_created = just_created;
   open->desc.am_state = &index->am_state;
   if (am->hooks.am_open) {
-    PurposeCallScope call(this, session, am, obs::PurposeFn::kAmOpen);
-    GRTDB_RETURN_IF_ERROR(am->hooks.am_open(ctx, &open->desc));
+    PurposeCallScope call(this, run->ctx.session, am, obs::PurposeFn::kAmOpen);
+    GRTDB_RETURN_IF_ERROR(am->hooks.am_open(run->ctx, &open->desc));
   }
-  *out = std::move(open);
+  *out = open.get();
+  run->opens.push_back(std::move(open));
   return Status::OK();
 }
 
-Status Server::CloseIndexDesc(MiCallContext& ctx, OpenIndex* open) {
-  if (open->am->hooks.am_close) {
-    PurposeCallScope call(this, ctx.session, open->am,
-                          obs::PurposeFn::kAmClose);
-    return open->am->hooks.am_close(ctx, &open->desc);
+Status Server::OpenTableIndexes(StatementRun* run, const std::string& table) {
+  for (IndexDef* index : catalog_.IndexesOnTable(table)) {
+    OpenIndex* open = nullptr;
+    GRTDB_RETURN_IF_ERROR(OpenIndexDesc(run, index, &open));
   }
   return Status::OK();
+}
+
+Status Server::CloseIndexes(StatementRun* run, Status status) {
+  for (const std::unique_ptr<OpenIndex>& open : run->opens) {
+    if (!open->am->hooks.am_close) continue;
+    Status close;
+    {
+      PurposeCallScope call(this, run->ctx.session, open->am,
+                            obs::PurposeFn::kAmClose);
+      close = open->am->hooks.am_close(run->ctx, &open->desc);
+    }
+    if (close.ok()) continue;
+    status = status.ok()
+                 ? close
+                 : status.WithNote("am_close failed: " + close.message());
+  }
+  run->opens.clear();
+  return status;
 }
 
 Row Server::KeyRowFor(const MiAmTableDesc& desc, const Row& base_row) const {
@@ -1321,10 +1337,8 @@ Status Server::ExecCreateIndex(ServerSession* session,
   GRTDB_RETURN_IF_ERROR(catalog_.AddIndex(index));
   IndexDef* stored = catalog_.FindIndex(stmt.name);
 
-  bool implicit = false;
-  GRTDB_RETURN_IF_ERROR(
-      txn_manager_.EnsureTxn(&session->txn_session(), &implicit));
-  MiCallContext ctx{this, session, current_time_};
+  StatementRun run;
+  GRTDB_RETURN_IF_ERROR(BeginRun(session, &run));
 
   // am_create, then am_open (which sees just_created, Table 5 step 1),
   // then a build pass inserting the existing rows, then am_close.
@@ -1344,7 +1358,7 @@ Status Server::ExecCreateIndex(ServerSession* session,
     // LOs or file and log, and its AM catalog record.
     if (created && am->hooks.am_drop) {
       PurposeCallScope call(this, session, am, obs::PurposeFn::kAmDrop);
-      Status freed = am->hooks.am_drop(ctx, &create_desc);
+      Status freed = am->hooks.am_drop(run.ctx, &create_desc);
       if (!freed.ok()) {
         status = status.WithNote("am_drop failed: " + freed.message());
       }
@@ -1353,28 +1367,20 @@ Status Server::ExecCreateIndex(ServerSession* session,
     if (!dropped.ok()) {
       status = status.WithNote("cleanup failed: " + dropped.message());
     }
-    if (implicit) {
-      Status rolled = txn_manager_.Rollback(&session->txn_session());
-      if (!rolled.ok()) {
-        status = status.WithNote("rollback failed: " + rolled.message());
-      }
-      session->memory().EndDuration(MiDuration::kPerTransaction);
-    }
-    return status;
+    return EndRun(&run, status);
   };
 
   if (am->hooks.am_create) {
     Status status;
     {
       PurposeCallScope call(this, session, am, obs::PurposeFn::kAmCreate);
-      status = am->hooks.am_create(ctx, &create_desc);
+      status = am->hooks.am_create(run.ctx, &create_desc);
     }
     if (!status.ok()) return fail(status);
     created = true;
   }
-  std::unique_ptr<OpenIndex> open;
-  Status status = OpenIndexDesc(session, stored, /*just_created=*/true, ctx,
-                                &open);
+  OpenIndex* open = nullptr;
+  Status status = OpenIndexDesc(&run, stored, &open, /*just_created=*/true);
   if (!status.ok()) return fail(status);
   // The descriptor created by am_create carries the blade's Tree object;
   // keep it (Informix passes the same descriptor to the following calls).
@@ -1387,7 +1393,7 @@ Status Server::ExecCreateIndex(ServerSession* session,
       Row key_row = KeyRowFor(open->desc, row);
       PurposeCallScope call(this, session, am, obs::PurposeFn::kAmInsert);
       Status insert_status =
-          am->hooks.am_insert(ctx, &open->desc, key_row, id.Pack());
+          am->hooks.am_insert(run.ctx, &open->desc, key_row, id.Pack());
       if (!insert_status.ok()) {
         status = insert_status;
         return false;
@@ -1396,18 +1402,10 @@ Status Server::ExecCreateIndex(ServerSession* session,
     });
     if (status.ok()) status = scan;
   }
-  if (status.ok()) {
-    Status close = CloseIndexDesc(ctx, open.get());
-    if (!close.ok()) status = close;
-  } else {
-    Status close = CloseIndexDesc(ctx, open.get());
-    if (!close.ok()) {
-      status = status.WithNote("am_close failed: " + close.message());
-    }
-  }
+  status = CloseIndexes(&run, status);
   if (!status.ok()) return fail(status);
 
-  GRTDB_RETURN_IF_ERROR(EndImplicitTxn(session, implicit, Status::OK()));
+  GRTDB_RETURN_IF_ERROR(EndRun(&run, Status::OK()));
   out->messages.push_back("index '" + stmt.name + "' created using " +
                           stmt.access_method);
   return Status::OK();

@@ -356,6 +356,18 @@ class Server {
     MiAmTableDesc desc;
   };
 
+  // One statement's run, from BeginRun to EndRun: its call context,
+  // whether its transaction was opened for it, and the indexes it has
+  // opened, in open order. A statement opens each virtual index once (Fig.
+  // 6, Table 5): the planner's am_scancost probe, the scan and every row of
+  // an INSERT or LOAD share that open, which §5.3 makes the unit of LO
+  // locking.
+  struct StatementRun {
+    MiCallContext ctx;
+    bool implicit_txn = false;
+    std::vector<std::unique_ptr<OpenIndex>> opens;
+  };
+
   Status ExecuteStatement(ServerSession* session, const sql::Statement& stmt,
                           ResultSet* out);
   // The envelope Execute, ExecuteScript, Prepare and ExecutePrepared run
@@ -373,11 +385,15 @@ class Server {
   // installed on this thread (the net front end roots at frame arrival;
   // EXPLAIN TRACE roots its own), else the sampler's decision.
   obs::TraceHandle RootTrace();
-  // Ends the transaction EnsureTxn opened implicitly for one statement (a
-  // no-op unless `implicit`): commit when `status` is OK, else roll back,
-  // then end the per-transaction duration. Returns `status`, or the
-  // commit's error when the statement itself succeeded.
-  Status EndImplicitTxn(ServerSession* session, bool implicit, Status status);
+  // Starts `run` for the session: its call context at the current time,
+  // and a transaction when the session has none open.
+  Status BeginRun(ServerSession* session, StatementRun* run);
+  // Ends `run`: CloseIndexes, then the transaction BeginRun opened, if it
+  // did — committed when `status` is OK, else rolled back — and its
+  // per-transaction duration. Returns `status` (a failed rollback noted on
+  // it), or the first failed close or the commit's error when the
+  // statement itself succeeded.
+  Status EndRun(StatementRun* run, Status status);
 
   // Plan-cache fetch with hit/miss accounting.
   Status GetCachedPlan(const std::string& sql,
@@ -409,9 +425,8 @@ class Server {
   Status ExecUpdateStatistics(ServerSession* session,
                               const sql::UpdateStatisticsStmt& stmt,
                               ResultSet* out);
-  // Runs one index's open -> am_stats -> close sequence.
-  Status RunIndexStats(ServerSession* session, IndexDef* index,
-                       ResultSet* out);
+  // Runs am_stats on the run's open of `index`.
+  Status RunIndexStats(StatementRun* run, IndexDef* index, ResultSet* out);
   Status ExecDumpFlight(ResultSet* out);
   Status ExecDumpTrace(const sql::DumpTraceStmt& stmt, ResultSet* out);
   Status ExecDumpHeat(const sql::DumpHeatStmt& stmt, ResultSet* out);
@@ -429,10 +444,14 @@ class Server {
                      ResultSet* out);
   Status ExecDeallocate(ServerSession* session,
                         const sql::DeallocateStmt& stmt, ResultSet* out);
-  // Shared insert path (heap insert + Fig. 6(a) index maintenance) used by
-  // INSERT and LOAD.
-  Status InsertRow(ServerSession* session, Table* table,
-                   const std::string& table_name, Row row, ResultSet* out);
+  // The insert path of INSERT and LOAD: one run, one X lock on `table` and
+  // one open of each of its indexes span the statement. `produce` hands
+  // each row to the sink it is given, which puts it into the table, then
+  // into every index (Fig. 6(a): am_open, am_insert per row, am_close).
+  using RowSink = std::function<Status(Row row)>;
+  Status InsertRows(ServerSession* session, Table* table,
+                    const std::function<Status(const RowSink&)>& produce,
+                    ResultSet* out);
   Status ExecUnload(ServerSession* session, const sql::UnloadStmt& stmt,
                     ResultSet* out);
 
@@ -472,10 +491,11 @@ class Server {
   // residual pointers, costs); binding re-coerces the constants, which is
   // where `?` parameters pick up their per-execution values. A session
   // executing a cached plan (active_plan() set) skips the compute step
-  // after the first execution.
-  Status PlanQuery(ServerSession* session, Table* table,
-                   const sql::Expr* where, Plan* plan);
-  Status ComputePlanMemo(ServerSession* session, Table* table,
+  // after the first execution. The am_scancost probe runs on the run's
+  // open of each candidate index, which the scan then uses.
+  Status PlanQuery(StatementRun* run, Table* table, const sql::Expr* where,
+                   Plan* plan);
+  Status ComputePlanMemo(StatementRun* run, Table* table,
                          const sql::Expr* where, PlanMemo* memo);
   Status BindPlanMemo(ServerSession* session, const PlanMemo& memo,
                       Plan* plan);
@@ -487,11 +507,18 @@ class Server {
   Status LockTable(ServerSession* session, const std::string& table,
                    LockMode mode);
 
-  // Purpose-function plumbing (Fig. 6 call sequences).
-  Status OpenIndexDesc(ServerSession* session, IndexDef* index,
-                       bool just_created, MiCallContext& ctx,
-                       std::unique_ptr<OpenIndex>* out);
-  Status CloseIndexDesc(MiCallContext& ctx, OpenIndex* open);
+  // Purpose-function plumbing (Fig. 6 call sequences). The only callers of
+  // am_open and am_close: OpenIndexDesc gives the run's open of `index`,
+  // calling am_open on first use only (`just_created` for CREATE INDEX's
+  // open of what am_create made); OpenTableIndexes opens every index on
+  // `table`, which a write maintains.
+  Status OpenIndexDesc(StatementRun* run, IndexDef* index, OpenIndex** out,
+                       bool just_created = false);
+  Status OpenTableIndexes(StatementRun* run, const std::string& table);
+  // The close pass: am_close on every index the run opened, in open order,
+  // which empties its set. Returns `status` if it failed, else the first
+  // failed close; each later close failure is noted on what it returns.
+  Status CloseIndexes(StatementRun* run, Status status);
   Row KeyRowFor(const MiAmTableDesc& desc, const Row& base_row) const;
 
   // The two scan loops. A scan hands each row it yields to a RowVisitor;

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <set>
@@ -211,10 +212,10 @@ TEST_F(BladeTest, Fig6GoldenCallSequences) {
   EXPECT_EQ(calls_of("INSERT INTO t VALUES (999, '10000, UC, 9000, NOW')"),
             (std::vector<std::string>{"grt_open", "grt_insert", "grt_close"}));
 
-  // Fig. 6(b), after the optimizer's open/scancost/close cost probe: 13
-  // rows and the exhausted getnext.
-  std::vector<std::string> select = {"grt_open", "grt_scancost", "grt_close",
-                                     "grt_open", "grt_beginscan"};
+  // Fig. 6(b), with the optimizer's cost probe inside the statement's one
+  // open: 13 rows and the exhausted getnext.
+  std::vector<std::string> select = {"grt_open", "grt_scancost",
+                                     "grt_beginscan"};
   repeat(&select, {"grt_getnext"}, 14);
   select.insert(select.end(), {"grt_endscan", "grt_close"});
   EXPECT_EQ(
@@ -228,13 +229,178 @@ TEST_F(BladeTest, Fig6GoldenCallSequences) {
 
   // §5.5: every index opened once for the statement, the cost probe, then
   // retrieve-and-delete — each qualifying getnext followed by its delete.
-  std::vector<std::string> del = {"grt_open", "grt_open", "grt_scancost",
-                                  "grt_close", "grt_beginscan"};
+  std::vector<std::string> del = {"grt_open", "grt_scancost",
+                                  "grt_beginscan"};
   repeat(&del, {"grt_getnext", "grt_delete"}, 12);
   del.insert(del.end(), {"grt_getnext", "grt_endscan", "grt_close"});
   EXPECT_EQ(
       calls_of("DELETE FROM t WHERE Overlaps(e, '10000, 10000, 9988, 9990')"),
       del);
+}
+
+// One open per statement: on a table carrying a GR-tree and an R*-tree
+// index on the same column, each statement calls each index's am_open at
+// most once, and its am_close once per am_open. The planner's am_scancost
+// probe, the scan and every row of an INSERT or LOAD share the open.
+class OpenPerStatementTest : public BladeTest {
+ protected:
+  void SetUp() override {
+    BladeTest::SetUp();
+    MustExec("CREATE TABLE t (id int, e grt_timeextent)");
+    MustExec("CREATE INDEX t_grt ON t(e grt_opclass) USING grtree_am");
+    MustExec("CREATE INDEX t_rst ON t(e rst_opclass) USING rstar_am");
+    MustExec("SET CURRENT_TIME TO 10000");
+  }
+
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  // How often the last statement called each purpose function, by name.
+  std::map<std::string, int> Calls() const {
+    std::map<std::string, int> calls;
+    for (const std::string& call : session_->purpose_log()) ++calls[call];
+    return calls;
+  }
+
+  // Checks the last statement's opens: `grt` of the GR-tree index and `rst`
+  // of the R*-tree index, each with as many closes.
+  void ExpectOpens(const std::string& what, int grt, int rst) const {
+    std::map<std::string, int> calls = Calls();
+    EXPECT_EQ(calls["grt_open"], grt) << what;
+    EXPECT_EQ(calls["grt_close"], grt) << what;
+    EXPECT_EQ(calls["rst_open"], rst) << what;
+    EXPECT_EQ(calls["rst_close"], rst) << what;
+  }
+
+  // Writes a LOAD file of `rows` rows, row i (id i) valid on day 9000 + i
+  // only; `bad_line` (1-based), if set, is malformed.
+  void WriteLoadFile(int rows, int bad_line = 0) {
+    std::ofstream out(path_);
+    for (int i = 0; i < rows; ++i) {
+      if (i + 1 == bad_line) {
+        out << "not a row\n";
+        continue;
+      }
+      out << i << "|10000, UC, " << 9000 + i << ", " << 9000 + i << "\n";
+    }
+  }
+
+  // The ids `SELECT id FROM t WHERE <where>` answers.
+  std::set<std::string> Probe(const std::string& where) {
+    MustExec("SELECT id FROM t WHERE " + where);
+    return Column0();
+  }
+
+  const std::string path_ = ::testing::TempDir() + "grtdb_open_rule_" +
+                            std::to_string(::getpid()) + ".unl";
+};
+
+TEST_F(OpenPerStatementTest, EveryStatementOpensEachIndexOnce) {
+  WriteLoadFile(40);
+  MustExec("LOAD FROM '" + path_ + "' INSERT INTO t");
+  EXPECT_EQ(result_.affected, 40u);
+  ExpectOpens("LOAD", 1, 1);
+  EXPECT_EQ(Calls()["grt_insert"], 40);
+  EXPECT_EQ(Calls()["rst_insert"], 40);
+
+  MustExec("INSERT INTO t VALUES (100, '10000, UC, 9990, 9990')");
+  ExpectOpens("INSERT", 1, 1);
+
+  // Both indexes are probed by the planner; the winner is scanned.
+  const std::string select =
+      "SELECT id FROM t WHERE Overlaps(e, '10000, 10000, 9000, 9004')";
+  MustExec(select);
+  EXPECT_EQ(Column0(),
+            (std::set<std::string>{"0", "1", "2", "3", "4"}));
+  ExpectOpens("SELECT", 1, 1);
+  EXPECT_EQ(Calls()["grt_scancost"], 1);
+  EXPECT_EQ(Calls()["rst_scancost"], 1);
+  EXPECT_EQ(Calls()["grt_beginscan"] + Calls()["rst_beginscan"], 1);
+
+  MustExec("EXPLAIN PROFILE " + select);
+  ExpectOpens("EXPLAIN PROFILE SELECT", 1, 1);
+
+  MustExec("UPDATE t SET e = '10000, UC, 5000, 5000' WHERE id = 7");
+  ExpectOpens("UPDATE", 1, 1);
+
+  MustExec("DELETE FROM t WHERE Overlaps(e, '10000, 10000, 9010, 9012')");
+  EXPECT_EQ(result_.affected, 3u);
+  ExpectOpens("DELETE", 1, 1);
+
+  MustExec("CHECK INDEX t_grt");
+  ExpectOpens("CHECK INDEX t_grt", 1, 0);
+  MustExec("CHECK INDEX t_rst");
+  ExpectOpens("CHECK INDEX t_rst", 0, 1);
+  MustExec("UPDATE STATISTICS");
+  ExpectOpens("UPDATE STATISTICS", 1, 1);
+
+  // A prepared statement probes on its first execution only.
+  MustExec("PREPARE q AS SELECT id FROM t WHERE Overlaps(e, ?)");
+  MustExec("EXECUTE q ('10000, 10000, 9020, 9021')");
+  EXPECT_EQ(Column0(), (std::set<std::string>{"20", "21"}));
+  ExpectOpens("first EXECUTE", 1, 1);
+  MustExec("EXECUTE q ('10000, 10000, 9030, 9031')");
+  EXPECT_EQ(Column0(), (std::set<std::string>{"30", "31"}));
+  std::map<std::string, int> calls = Calls();
+  EXPECT_EQ(calls["grt_open"] + calls["rst_open"], 1);
+  EXPECT_EQ(calls["grt_close"], calls["grt_open"]);
+  EXPECT_EQ(calls["rst_close"], calls["rst_open"]);
+  EXPECT_EQ(calls["grt_scancost"] + calls["rst_scancost"], 0);
+}
+
+// A LOAD whose k-th line is malformed fails with path:k:, after one open
+// and one close of each index; the rows before it stay in the table (no
+// undo) and in both indexes, which answer like a sequential scan.
+TEST_F(OpenPerStatementTest, MalformedLoadLineLeavesIndexesAgreeing) {
+  WriteLoadFile(30, /*bad_line=*/17);
+  Status status = Exec("LOAD FROM '" + path_ + "' INSERT INTO t");
+  ASSERT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_NE(status.message().find(path_ + ":17:"), std::string::npos)
+      << status.message();
+  ExpectOpens("failed LOAD", 1, 1);
+  EXPECT_EQ(Calls()["grt_insert"], 16);
+  EXPECT_EQ(Calls()["rst_insert"], 16);
+  EXPECT_EQ(session_->txn_session().current_txn(), nullptr);
+
+  const std::string where = "Overlaps(e, '10000, UC, 9000, NOW')";
+  MustExec("SET EXPLAIN ON");
+  const std::set<std::string> indexed = Probe(where);
+  ASSERT_FALSE(result_.messages.empty());
+  EXPECT_EQ(result_.messages[0].rfind("PLAN: index scan", 0), 0u);
+  EXPECT_EQ(indexed.size(), 16u);
+  MustExec("CHECK INDEX t_grt");
+  MustExec("CHECK INDEX t_rst");
+  MustExec("DROP INDEX t_grt");
+  MustExec("DROP INDEX t_rst");
+  EXPECT_EQ(Probe(where), indexed);
+  EXPECT_EQ(result_.messages[0], "PLAN: sequential scan");
+}
+
+// A LOAD inside an explicit transaction leaves it open; its rows and index
+// entries commit with it, and another session then finds them.
+TEST_F(OpenPerStatementTest, LoadInsideAnExplicitTransaction) {
+  WriteLoadFile(25);
+  MustExec("BEGIN WORK");
+  MustExec("LOAD FROM '" + path_ + "' INSERT INTO t");
+  EXPECT_EQ(result_.affected, 25u);
+  ExpectOpens("LOAD in a transaction", 1, 1);
+  EXPECT_NE(session_->txn_session().current_txn(), nullptr);
+  MustExec("INSERT INTO t VALUES (99, '10000, UC, 9003, 9003')");
+  MustExec("COMMIT WORK");
+
+  ServerSession* other = server_.CreateSession();
+  ResultSet seen;
+  ASSERT_TRUE(server_
+                  .Execute(other,
+                           "SELECT id FROM t WHERE "
+                           "Overlaps(e, '10000, 10000, 9002, 9003')",
+                           &seen)
+                  .ok());
+  std::set<std::string> ids;
+  for (const auto& row : seen.rows) ids.insert(row[0]);
+  EXPECT_EQ(ids, (std::set<std::string>{"2", "3", "99"}));
+  EXPECT_TRUE(server_.CloseSession(other).ok());
+  MustExec("CHECK INDEX t_grt");
+  MustExec("CHECK INDEX t_rst");
 }
 
 // Differential test through SQL: GR-tree answers == R*-tree answers ==

@@ -754,23 +754,23 @@ TEST_F(ProfileSequenceTest, LongIndexScanRendersItsWholeSequence) {
            "WHERE Overlaps(e, '20000, UC, 15000, 19999')");
   EXPECT_EQ(result_.rows.size(), static_cast<size_t>(kRows));
   EXPECT_EQ(ProfileLine("PROFILE sequence:"),
-            "PROFILE sequence: am_open am_scancost am_close am_open "
-            "am_beginscan am_getnext x5001 am_endscan am_close");
+            "PROFILE sequence: am_open am_scancost am_beginscan "
+            "am_getnext x5001 am_endscan am_close");
   EXPECT_EQ(ProfileLine("PROFILE rows_scanned="),
             "PROFILE rows_scanned=5000 rows_returned=5000");
 }
 
 TEST_F(ProfileSequenceTest, IndexDeletePastTheRunCapDropsOnlyTheTail) {
-  // 2500 deletes alternate getnext and delete: 5008 calls in 5007 runs (the
-  // two opens merge), so the last 911 calls fall past the 4096-run cap.
+  // 2500 deletes alternate getnext and delete: 5006 calls in 5006 runs, so
+  // the last 910 calls fall past the 4096-run cap.
   MustExec("EXPLAIN PROFILE DELETE FROM t "
            "WHERE Overlaps(e, '20000, UC, 15000, 17499')");
   EXPECT_EQ(result_.affected, 2500u);
   const std::string seq = ProfileLine("PROFILE sequence:");
   const std::string head =
-      "PROFILE sequence: am_open x2 am_scancost am_close am_beginscan "
+      "PROFILE sequence: am_open am_scancost am_beginscan "
       "am_getnext am_delete am_getnext am_delete ";
-  const std::string tail = " am_getnext am_delete ... +911 dropped";
+  const std::string tail = " am_delete am_getnext ... +910 dropped";
   ASSERT_GE(seq.size(), head.size() + tail.size());
   EXPECT_EQ(seq.substr(0, head.size()), head);
   EXPECT_EQ(seq.substr(seq.size() - tail.size()), tail);
@@ -780,7 +780,7 @@ TEST_F(ProfileSequenceTest, IndexDeletePastTheRunCapDropsOnlyTheTail) {
        at = seq.find(" am_delete", at + 1)) {
     ++kept_deletes;
   }
-  EXPECT_EQ(kept_deletes, 2046u);  // 4096 runs = 4 + 2046 pairs
+  EXPECT_EQ(kept_deletes, 2046u);  // 4096 runs = 3 + 2046 pairs + 1
   EXPECT_EQ(ProfileLine("PROFILE am_getnext calls=")
                 .rfind("PROFILE am_getnext calls=2501 ", 0),
             0u);

@@ -554,22 +554,14 @@ TEST_F(ToyAmTest, Figure6SelectSequence) {
   MustExec("SELECT n FROM nums WHERE IsEven(n)");
   EXPECT_EQ(result_.rows.size(), 4u);
   // Fig. 6(b): am_open -> am_beginscan -> am_getnext* -> am_endscan ->
-  // am_close (with a scancost probe during planning).
-  const auto& log = session_->purpose_log();
-  std::vector<std::string> scan_part;
-  for (const std::string& call : log) {
-    if (call != "toy_scancost") scan_part.push_back(call);
-  }
-  // Planner probe opens/closes once around the scan itself: strip the
-  // first open/close pair belonging to the scancost probe.
-  ASSERT_GE(scan_part.size(), 2u);
-  std::vector<std::string> expected = {"toy_open", "toy_close", "toy_open",
+  // am_close, with the planner's scancost probe inside the one open.
+  std::vector<std::string> expected = {"toy_open", "toy_scancost",
                                        "toy_beginscan"};
   // 4 matches + the exhausted call = 5 getnexts.
   for (int i = 0; i < 5; ++i) expected.push_back("toy_getnext");
   expected.push_back("toy_endscan");
   expected.push_back("toy_close");
-  EXPECT_EQ(scan_part, expected);
+  EXPECT_EQ(session_->purpose_log(), expected);
 }
 
 TEST_F(ToyAmTest, OptimizerUsesIndexOnlyForStrategyFunctions) {
@@ -679,6 +671,71 @@ TEST_F(ToyAmTest, FailedIndexBuildCleansUpCatalogAndTxn) {
   EXPECT_EQ(session_->memory().LiveBlocks(MiDuration::kPerTransaction), 0u);
   EXPECT_EQ(session_->memory().violation_count(), 0u);
   // The session is still fully usable.
+  MustExec("SELECT COUNT(*) FROM nums");
+  EXPECT_EQ(result_.rows[0][0], "8");
+}
+
+// A statement whose planner probe fails (am_scancost errors) fails, and its
+// close pass still runs am_close once for every index it opened: a second
+// access method on the same column, whose open and close have names of
+// their own, makes the two indexes' calls tell apart.
+TEST_F(ToyAmTest, FailedCostProbeClosesEveryOpenedIndex) {
+  BladeLibrary* library = server_.blade_libraries().Load("toy.bld");
+  library->Export("boom_open", std::any(AmSimpleFn(
+                                   [](MiCallContext&, MiAmTableDesc*) {
+                                     return Status::OK();
+                                   })));
+  library->Export("boom_close", std::any(AmSimpleFn(
+                                    [](MiCallContext&, MiAmTableDesc*) {
+                                      return Status::OK();
+                                    })));
+  library->Export(
+      "boom_scancost",
+      std::any(AmScanCostFn([](MiCallContext&, MiAmTableDesc*,
+                               const MiAmQualDesc*, double*) {
+        return Status::Aborted("toy cost boom");
+      })));
+  for (const char* fn : {"boom_open", "boom_close"}) {
+    MustExec(std::string("CREATE FUNCTION ") + fn +
+             "(pointer) RETURNING int EXTERNAL NAME 'toy.bld(" + fn +
+             ")' LANGUAGE c");
+  }
+  MustExec(
+      "CREATE FUNCTION boom_scancost(pointer) RETURNING float "
+      "EXTERNAL NAME 'toy.bld(boom_scancost)' LANGUAGE c");
+  MustExec(
+      "CREATE SECONDARY ACCESS_METHOD boom_am ("
+      "am_create = toy_create, am_drop = toy_drop, "
+      "am_open = boom_open, am_close = boom_close, "
+      "am_beginscan = toy_beginscan, am_endscan = toy_endscan, "
+      "am_getnext = toy_getnext, "
+      "am_insert = toy_insert, am_delete = toy_delete, "
+      "am_scancost = boom_scancost, am_sptype = 'S')");
+  MustExec(
+      "CREATE DEFAULT OPCLASS boom_opclass FOR boom_am "
+      "STRATEGIES(IsEven) SUPPORT(IsEven)");
+  MustExec("CREATE INDEX boom_idx ON nums(n) USING boom_am");
+
+  for (const char* sql : {"SELECT n FROM nums WHERE IsEven(n)",
+                          "DELETE FROM nums WHERE IsEven(n)"}) {
+    Status status = Exec(sql);
+    EXPECT_TRUE(status.IsAborted()) << sql << " -> " << status.ToString();
+    std::map<std::string, int> calls;
+    for (const std::string& call : session_->purpose_log()) ++calls[call];
+    EXPECT_EQ(calls["boom_scancost"], 1) << sql;
+    EXPECT_EQ(calls["boom_open"], 1) << sql;
+    EXPECT_EQ(calls["boom_close"], 1) << sql;
+    EXPECT_LE(calls["toy_open"], 1) << sql;
+    EXPECT_EQ(calls["toy_close"], calls["toy_open"]) << sql;
+    EXPECT_NE(session_->purpose_log().back().find("_close"),
+              std::string::npos)
+        << sql;
+    EXPECT_EQ(session_->txn_session().current_txn(), nullptr) << sql;
+  }
+  // DELETE opened both indexes before the planner probed them.
+  std::map<std::string, int> calls;
+  for (const std::string& call : session_->purpose_log()) ++calls[call];
+  EXPECT_EQ(calls["toy_open"], 1);
   MustExec("SELECT COUNT(*) FROM nums");
   EXPECT_EQ(result_.rows[0][0], "8");
 }

@@ -7,14 +7,15 @@
 //                [--smoke] [--prepared] [--no-check]
 //
 // Self-checking. Every run fails on an error, a missing trace or a short
-// op count; unless --no-check it also requires traced phase coverage
-// >= 0.90 (--prepared: a steady-state plan-cache hit rate > 0.9). These
+// op count; unless --no-check, --smoke also requires every traced op's
+// span tree to have the shape of a request (TraceIsWhole) with no span
+// evicted, and --prepared a steady-state plan-cache hit rate > 0.9. These
 // hold on any machine, so the --smoke runs gate tier-1 on them alone.
-// Full-size runs also gate wall-clock ratios: the concurrent phase must
-// reach 0.75x of the host's own N-vs-1 parallel speed-up, measured first
-// by spinning threads (a shared VM gives four threads well under 4x, and
-// a different share from run to run); --prepared requires the prepared
-// p50 to beat the text p50 by 1.3x.
+// Full-size runs gate wall-clock ratios instead: traced phase coverage
+// >= 0.90, and the concurrent phase must reach 0.75x of the host's own
+// N-vs-1 parallel speed-up, measured first by spinning threads (a shared
+// VM gives four threads well under 4x, and a different share from run to
+// run); --prepared requires the prepared p50 to beat the text p50 by 1.3x.
 
 #include <algorithm>
 #include <atomic>
@@ -283,6 +284,38 @@ bool AttributeTrace(const std::vector<grtdb::obs::SpanRecord>& spans,
   out->coverage =
       out->root_us > 0 ? 1.0 - root_excl_us / out->root_us : 0.0;
   return true;
+}
+
+// Whether one traced op's spans form the tree every request makes: the
+// root request span with one wire-decode, gate-wait, parse, exec and
+// respond span under it, and under exec one plan span and at least one
+// purpose call. Unlike coverage, a share of wall-clock time, this shape
+// does not depend on how the host schedules the server.
+bool TraceIsWhole(const std::vector<grtdb::obs::SpanRecord>& spans) {
+  using grtdb::obs::SpanName;
+  const grtdb::obs::SpanRecord* root = nullptr;
+  for (const auto& s : spans) {
+    if (s.name == SpanName::kRequest && s.parent_id == 0) root = &s;
+  }
+  if (root == nullptr) return false;
+  std::map<SpanName, int> under_root;
+  uint64_t exec_id = 0;
+  for (const auto& s : spans) {
+    if (s.parent_id != root->span_id) continue;
+    ++under_root[s.name];
+    if (s.name == SpanName::kExec) exec_id = s.span_id;
+  }
+  std::map<SpanName, int> under_exec;
+  for (const auto& s : spans) {
+    if (exec_id != 0 && s.parent_id == exec_id) ++under_exec[s.name];
+  }
+  for (SpanName phase : {SpanName::kWireDecode, SpanName::kGateWait,
+                         SpanName::kParse, SpanName::kExec,
+                         SpanName::kRespond}) {
+    if (under_root[phase] != 1) return false;
+  }
+  return under_exec[SpanName::kPlan] == 1 &&
+         under_exec[SpanName::kPurpose] >= 1;
 }
 
 // Mean per-phase exclusive time over a set of operations.
@@ -633,6 +666,7 @@ int main(int argc, char** argv) {
   for (const SpanRecord& s : all_spans) by_trace[s.trace_id].push_back(s);
 
   uint64_t traces_missing = 0;
+  uint64_t traces_malformed = 0;
   auto attribute = [&](const std::vector<TracedOp>& traced,
                        std::vector<Attribution>* out) {
     for (const TracedOp& op : traced) {
@@ -642,6 +676,7 @@ int main(int argc, char** argv) {
         ++traces_missing;
         continue;
       }
+      if (!TraceIsWhole(it->second)) ++traces_malformed;
       out->push_back(a);
     }
   };
@@ -692,9 +727,10 @@ int main(int argc, char** argv) {
   const char* dominant_phase = grtdb::obs::SpanNameString(
       static_cast<grtdb::obs::SpanName>(dominant));
 
-  // Self-check: the named phases of each traced op must sum to (at
-  // least) 90% of the measured root latency — the attribution explains
-  // the op instead of gesturing at it.
+  // Full-size self-check: the named phases of each traced op must sum to
+  // (at least) 90% of the measured root latency — the attribution explains
+  // the op instead of gesturing at it. A wall-clock share, so --smoke
+  // reports it and checks the span trees instead.
   double coverage_sum = 0;
   for (const Attribution& a : attr_single) coverage_sum += a.coverage;
   for (const Attribution& a : attr_conc) coverage_sum += a.coverage;
@@ -702,20 +738,24 @@ int main(int argc, char** argv) {
   const double coverage =
       attributed > 0 ? coverage_sum / static_cast<double>(attributed) : 0;
 
-  std::printf("traced %zu ops (%llu missing, %llu spans evicted), phase "
-              "coverage %.3f (target >= 0.90)\n",
+  std::printf("traced %zu ops (%llu missing, %llu malformed, %llu spans "
+              "evicted), phase coverage %.3f (target >= 0.90%s)\n",
               attributed, static_cast<unsigned long long>(traces_missing),
-              static_cast<unsigned long long>(spans_evicted), coverage);
+              static_cast<unsigned long long>(traces_malformed),
+              static_cast<unsigned long long>(spans_evicted), coverage,
+              smoke ? ", not gated with --smoke" : "");
   std::printf("concurrent p99 gap dominated by '%s' (tail mean %.1f us vs "
               "median mean %.1f us)\n",
               dominant_phase, tail_us[dominant], median_us[dominant]);
 
+  const bool gated = smoke ? traces_malformed == 0 && spans_evicted == 0
+                           : coverage >= 0.90 && scaling >= target;
   bool pass = single.errors == 0 && concurrent.errors == 0 &&
               trace_errors == 0 && traces_missing == 0 &&
               concurrent.ops ==
                   static_cast<uint64_t>(sessions) *
                       static_cast<uint64_t>(ops) &&
-              (!check || (coverage >= 0.90 && (smoke || scaling >= target)));
+              (!check || gated);
 
   // Per-phase mean breakdown of the concurrent tail, one JSON entry per
   // span name that actually showed up.
@@ -754,6 +794,7 @@ int main(int argc, char** argv) {
       "  \"trace\": {\n"
       "    \"attributed_ops\": %zu,\n"
       "    \"missing_traces\": %llu,\n"
+      "    \"malformed_traces\": %llu,\n"
       "    \"spans_evicted\": %llu,\n"
       "    \"phase_coverage\": %.3f,\n"
       "    \"coverage_target\": 0.90,\n"
@@ -771,6 +812,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(concurrent.ops),
       static_cast<unsigned long long>(concurrent.errors), scaling,
       attributed, static_cast<unsigned long long>(traces_missing),
+      static_cast<unsigned long long>(traces_malformed),
       static_cast<unsigned long long>(spans_evicted), coverage,
       dominant_phase, phases_json.c_str(), pass ? "true" : "false");
   std::ofstream out(out_file);
